@@ -1,16 +1,22 @@
-"""Geometric neighborhood samplers: swap, shift, symmetry, substitute.
+"""Geometric neighborhood sampling: swap, shift, symmetry, substitute.
 
-All samplers are pure functions of (state, factor, rng).  A state is a 1-D
-integer numpy array: either a permutation of 0..n-1 (tour representation) or
-an index vector with entries in 0..m-1 (value representation).  Each sampler
-returns a fresh array and never mutates its input.
+`sample_batch` is the one sampler.  It draws `se` neighbors of a state under
+one operator and returns them as the rows of a fresh (se, n) array, never
+mutating its input.  A state is a 1-D integer numpy array: either a
+permutation of 0..n-1 (tour representation) or an index vector with entries
+in 0..m-1 (value representation).  Each operator has a single implementation,
+vectorized over the rows for every factor value.
 
 The first three operators rearrange existing entries (the entry multiset is
 preserved), so duplicate-valued states admit rearrangements that change
-nothing.  Samplers resample a bounded number of times, then fall back to the
-smallest change-producing move at a random value boundary; on a state whose
-entries are all identical no rearrangement can help and a plain copy is
-returned.
+nothing.  Such rows are redrawn a bounded number of times, then fall back to
+the smallest change-producing move; on a state whose entries are all
+identical (including a one-entry state) no rearrangement can help and the
+rows are plain copies.
+
+Seeded runs depend on the exact sequence of rng draws made here, so the draw
+order at the default factors is part of the contract; tests/test_seeded_outputs.py
+pins it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateState, IncompatibleOperator
 
-# uniform resampling attempts before switching to a targeted move
+# redraws of change-free rows before switching to a targeted move
 _MAX_ATTEMPTS = 16
 
 
@@ -44,235 +50,193 @@ def check_value_state(state: np.ndarray, alphabet_size: int) -> bool:
     return bool(len(state) >= 1 and np.all(state >= 0) and np.all(state < alphabet_size))
 
 
-def _boundary_transposition(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exchange some adjacent differing pair; copy if the state is constant."""
+def _constant(state):
+    return bool((state == state[0]).all())
+
+
+def _uniform(rng, lo, hi, size):
+    """`size` integers uniform in lo..hi; a one-value range skips the draw.
+
+    Such a draw consumes no generator state but costs a call, so skipping it
+    leaves the stream unchanged.
+    """
+    return rng.integers(lo, hi + 1, size=size) if hi > lo else np.full(size, lo)
+
+
+def _floyd(rng, n, ks):
+    """Row r gets ks[r] distinct positions in 0..n-1 (Floyd's subset sampling).
+
+    Column s draws below n - ks + s + 1 in every row, so ks == 1 is one
+    rng.integers(n) per row.  Columns from ks[r] on are padding, drawn below n.
+    """
+    pos = np.empty((len(ks), int(ks.max(initial=0))), dtype=np.int64)
+    for s in range(pos.shape[1]):
+        top = n - np.maximum(ks - s, 1)
+        t = rng.integers(top + 1)
+        if s:  # Floyd's step: a position already taken is replaced by top
+            t = np.where((pos[:, :s] == t[:, None]).any(axis=1), top, t)
+        pos[:, s] = t
+    return pos
+
+
+def _boundary_swaps(state, k, rng):
+    """k copies of a non-constant state, each with one random adjacent differing pair exchanged."""
     bnd = np.flatnonzero(state[:-1] != state[1:])
-    if len(bnd) == 0:
-        return state.copy()
-    b = int(bnd[rng.integers(len(bnd))])
-    out = state.copy()
-    out[[b, b + 1]] = out[[b + 1, b]]
+    b = bnd[rng.integers(len(bnd), size=k)]
+    out = np.repeat(state[None], k, axis=0)
+    rows = np.arange(k)
+    out[rows, b] = state[b + 1]
+    out[rows, b + 1] = state[b]
     return out
 
 
-def swap_sample(state: np.ndarray, ma: int, rng: np.random.Generator) -> np.ndarray:
-    """Exchange the entries at k random positions, k uniform in {2..ma}.
+def _swap(state, ma, se, rng):
+    """Exchange the entries at k distinct random positions, k uniform in {2..ma}.
 
-    The rearrangement of the chosen entries is a uniformly random non-identity
-    permutation, so the output differs from the input in 2..ma positions.
+    k = 2 exchanges a random entry with one holding a different value.  Larger
+    k applies a random rearrangement to k positions; rows it leaves unchanged
+    after the redraws take a pair exchange instead.  Rows differ from the
+    state in 2..ma positions.
     """
     n = len(state)
-    k_hi = min(ma, n)
-    if k_hi < 2:
-        raise DegenerateState(f"swap needs at least 2 positions, state has {n}")
-    k = int(rng.integers(2, k_hi + 1))
-    if k == 2:
-        i = int(rng.integers(n))
-        others = np.flatnonzero(state != state[i])
-        if len(others) == 0:
-            return state.copy()
-        j = int(others[rng.integers(len(others))])
-        out = state.copy()
-        out[[i, j]] = out[[j, i]]
+    out = np.repeat(state[None], se, axis=0)
+    if _constant(state):
         return out
-    identity = np.arange(k)
+    ks = _uniform(rng, 2, min(ma, n), se)
+    pair = ks == 2
+    multi = np.flatnonzero(~pair)
     for _ in range(_MAX_ATTEMPTS):
-        pos = rng.choice(n, size=k, replace=False)
+        if not len(multi):
+            break
+        k = ks[multi]
+        pos = _floyd(rng, n, k)
+        live = np.arange(pos.shape[1]) < k[:, None]
+        keys = np.where(live, rng.random(pos.shape), 2.0)  # padding stays in place
         vals = state[pos]
-        if (vals == vals[0]).all():
-            continue
-        for _ in range(_MAX_ATTEMPTS):
-            arrangement = rng.permutation(k)
-            if not np.array_equal(arrangement, identity) and not np.array_equal(
-                vals[arrangement], vals
-            ):
-                out = state.copy()
-                out[pos] = vals[arrangement]
-                return out
-        # distinct values but unlucky arrangements: transpose a differing pair
-        b = int(np.flatnonzero(vals != vals[0])[0])
-        out = state.copy()
-        out[[pos[0], pos[b]]] = out[[pos[b], pos[0]]]
-        return out
-    return swap_sample(state, 2, rng)
-
-
-def shift_sample(state: np.ndarray, mb: int, rng: np.random.Generator) -> np.ndarray:
-    """Remove a random segment of length 1..mb and reinsert it elsewhere."""
-    n = len(state)
-    if n < 2:
-        raise DegenerateState(f"shift needs length >= 2, got {n}")
-    len_hi = min(mb, n - 1)
+        new = np.take_along_axis(vals, np.argsort(keys, axis=1, kind="stable"), axis=1)
+        done = (new != vals).any(axis=1)
+        r, c = np.nonzero(live & done[:, None])
+        out[multi[r], pos[r, c]] = new[r, c]
+        multi = multi[~done]
+    pair[multi] = True
+    rows = np.flatnonzero(pair)
+    i = rng.integers(n, size=len(rows))
+    j = rng.integers(n, size=len(rows))
     for _ in range(_MAX_ATTEMPTS):
-        seg_len = int(rng.integers(1, len_hi + 1))
-        start = int(rng.integers(0, n - seg_len + 1))
-        # n - seg_len + 1 insertion slots; slot == start restores the input
-        j = int(rng.integers(0, n - seg_len))
-        if j >= start:
-            j += 1
-        lo, hi = min(start, j), max(start, j) + seg_len
-        region = state[lo:hi]
-        if (region == region[0]).all():
-            continue  # rotating a constant block changes nothing
-        seg = state[start : start + seg_len]
-        rest = np.concatenate((state[:start], state[start + seg_len :]))
-        out = np.concatenate((rest[:j], seg, rest[j:]))
-        if not np.array_equal(out[lo:hi], region):
+        bad = state[i] == state[j]
+        if not bad.any():
+            break
+        j[bad] = rng.integers(n, size=int(bad.sum()))
+    bad = np.flatnonzero(state[i] == state[j])
+    if len(bad):
+        # uniform pick among the positions whose value differs from state[i]
+        differs = state != state[i[bad], None]
+        u = rng.integers(differs.sum(axis=1))
+        j[bad] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
+    out[rows, i] = state[j]
+    out[rows, j] = state[i]
+    return out
+
+
+def _shift(state, mb, se, rng):
+    """Remove a random segment of length 1..mb and reinsert it at another slot.
+
+    The move rotates the window spanning the segment's old and new places.
+    Rows left unchanged after the redraws take a boundary transposition.
+    """
+    n = len(state)
+    if _constant(state):
+        return np.repeat(state[None], se, axis=0)
+    seg = _uniform(rng, 1, min(mb, n - 1), se)
+    # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
+    nb = np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
+    s, j = np.empty(se, dtype=np.int64), np.empty(se, dtype=np.int64)
+    redo = np.arange(se)
+    for _ in range(_MAX_ATTEMPTS + 1):
+        L = seg[redo]
+        a = rng.integers(n - L + 1)
+        # n - L + 1 insertion slots; slot == a restores the input
+        b = rng.integers(n - L)
+        b += b >= a
+        s[redo], j[redo] = a, b
+        redo = redo[nb[np.maximum(a, b) + L - 1] == nb[np.minimum(a, b)]]  # constant window
+        if not len(redo):
+            break
+    lo, hi = np.minimum(s, j), np.maximum(s, j) + seg
+    # rotate window [lo, hi) left by r: the entries from cut on wrap around to lo
+    r = np.where(j > s, seg, hi - lo - seg)
+    lo, cut, hi, r = lo[:, None], (hi - r)[:, None], hi[:, None], r[:, None]
+    idx = np.arange(n)
+    src = np.repeat(idx[None], se, axis=0)
+    np.add(idx, r, out=src, where=(idx >= lo) & (idx < cut))
+    np.subtract(idx, cut - lo, out=src, where=(idx >= cut) & (idx < hi))
+    out = state[src]
+    long = np.flatnonzero(seg > 1)
+    if len(long):  # a segment longer than 1 can also rotate a periodic window onto itself
+        redo = np.union1d(redo, long[(out[long] == state).all(axis=1)])
+    if len(redo):
+        out[redo] = _boundary_swaps(state, len(redo), rng)
+    return out
+
+
+def _redraw_palindrome(state, c_hi, rng):
+    """Reverse one non-palindromic window, retrying with scalar draws.
+
+    This is the one row-by-row loop left: each retry draws (c, h, start) for
+    its row before the next row starts, and seeded runs depend on that
+    interleaving, which a vectorized redraw would change.
+    """
+    n = len(state)
+    for _ in range(_MAX_ATTEMPTS):
+        c = int(_uniform(rng, 0, c_hi, ()))
+        h = int(rng.integers(1, (n - c) // 2 + 1))
+        start = int(rng.integers(0, n - 2 * h - c + 1))
+        window = state[start : start + 2 * h + c]
+        if (window != window[::-1]).any():
+            out = state.copy()
+            out[start : start + len(window)] = window[::-1]
             return out
-    return _boundary_transposition(state, rng)
+    return _boundary_swaps(state, 1, rng)[0]
 
 
-def symmetry_sample(state: np.ndarray, mc: int, rng: np.random.Generator) -> np.ndarray:
+def _symmetry(state, mc, se, rng):
     """Reverse one contiguous window of length 2h+c, c uniform in {0..mc}, h >= 1.
 
     c is the length of the fixed-size center being mirrored around; h entries on
     each side fold across it, which is exactly a reversal of the whole window.
     """
     n = len(state)
-    if n < 2:
-        raise DegenerateState(f"symmetry needs length >= 2, got {n}")
+    if _constant(state):
+        return np.repeat(state[None], se, axis=0)
     c_hi = min(mc, n - 2)
-    for _ in range(_MAX_ATTEMPTS):
-        c = int(rng.integers(0, c_hi + 1))
-        h = int(rng.integers(1, (n - c) // 2 + 1))
-        wlen = 2 * h + c
-        start = int(rng.integers(0, n - wlen + 1))
-        window = state[start : start + wlen]
-        if np.array_equal(window, window[::-1]):
-            continue  # palindromic window
-        out = state.copy()
-        out[start : start + wlen] = window[::-1]
-        return out
-    return _boundary_transposition(state, rng)
-
-
-def substitute_sample(
-    state: np.ndarray, md: int, alphabet_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Redraw the values at k random positions, k uniform in {1..md}.
-
-    Each chosen position gets a uniformly random value different from its
-    current one, so the output is at Hamming distance exactly k.
-    """
-    if alphabet_size < 2:
-        raise DegenerateState("substitute needs an alphabet of size >= 2")
-    n = len(state)
-    k = int(rng.integers(1, min(md, n) + 1))
-    pos = rng.choice(n, size=k, replace=False) if k > 1 else rng.integers(n, size=1)
-    out = state.copy()
-    # draw in 0..m-2 and skip over the current value
-    draws = rng.integers(0, alphabet_size - 1, size=k)
-    cur = out[pos]
-    out[pos] = draws + (draws >= cur)
-    return out
-
-
-def _constant(state):
-    return bool((state == state[0]).all())
-
-
-def _swap_batch(state, ma, se, rng):
-    n = len(state)
-    k_hi = min(ma, n)
-    out = np.tile(state, (se, 1))
-    if _constant(state):
-        return out
-    ks = rng.integers(2, k_hi + 1, size=se) if k_hi > 2 else np.full(se, 2)
-    pairs = np.flatnonzero(ks == 2)
-    if len(pairs):
-        m = len(pairs)
-        i = rng.integers(n, size=m)
-        j = rng.integers(n, size=m)
-        for _ in range(_MAX_ATTEMPTS):
-            bad = state[i] == state[j]
-            if not bad.any():
-                break
-            j[bad] = rng.integers(n, size=int(bad.sum()))
-        for r in np.flatnonzero(state[i] == state[j]):
-            others = np.flatnonzero(state != state[i[r]])
-            if len(others):
-                j[r] = others[rng.integers(len(others))]
-        live = state[i] != state[j]  # constant states keep their copy rows
-        rows = pairs[live]
-        out[rows, i[live]] = state[j[live]]
-        out[rows, j[live]] = state[i[live]]
-    for r in np.flatnonzero(ks > 2):
-        out[r] = swap_sample(state, int(ks[r]), rng)
-    return out
-
-
-def _shift_batch(state, mb, se, rng):
-    n = len(state)
-    len_hi = min(mb, n - 1)
-    if _constant(state):
-        return np.tile(state, (se, 1))
-    out = np.empty((se, n), dtype=state.dtype)
-    ls = rng.integers(1, len_hi + 1, size=se) if len_hi > 1 else np.full(se, 1)
-    singles = np.flatnonzero(ls == 1)
-    if len(singles):
-        m = len(singles)
-        # cumulative boundary count: a closed range is constant iff no boundary inside
-        cs = np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
-        s = rng.integers(n, size=m)
-        j = rng.integers(n - 1, size=m)
-        j += j >= s
-        for _ in range(_MAX_ATTEMPTS):
-            lo = np.minimum(s, j)
-            hi = np.maximum(s, j)
-            bad = cs[hi] == cs[lo]  # rotating a constant block changes nothing
-            if not bad.any():
-                break
-            nb = int(bad.sum())
-            s[bad] = rng.integers(n, size=nb)
-            jb = rng.integers(n - 1, size=nb)
-            j[bad] = jb + (jb >= s[bad])
-        idx = np.arange(n)[None, :]
-        s_, j_ = s[:, None], j[:, None]
-        gather = np.where((idx >= s_) & (idx < j_), idx + 1, idx)
-        gather = np.where((idx > j_) & (idx <= s_), idx - 1, gather)
-        gather[np.arange(m), j] = s
-        moved = state[gather]
-        stuck = cs[np.maximum(s, j)] == cs[np.minimum(s, j)]
-        for r in np.flatnonzero(stuck):
-            moved[r] = _boundary_transposition(state, rng)
-        out[singles] = moved
-    for r in np.flatnonzero(ls > 1):
-        out[r] = shift_sample(state, int(ls[r]), rng)
-    return out
-
-
-def _symmetry_batch(state, mc, se, rng):
-    n = len(state)
-    if _constant(state):
-        return np.tile(state, (se, 1))
-    c_hi = min(mc, n - 2)
-    c = rng.integers(0, c_hi + 1, size=se) if c_hi > 0 else np.zeros(se, dtype=int)
+    c = _uniform(rng, 0, c_hi, se)
     h = 1 + (rng.random(se) * ((n - c) // 2)).astype(int)
     wlen = 2 * h + c
     start = (rng.random(se) * (n - wlen + 1)).astype(int)
-    idx = np.arange(n)[None, :]
+    idx = np.arange(n)
     lo, hi = start[:, None], (start + wlen)[:, None]
-    gather = np.where((idx >= lo) & (idx < hi), lo + hi - 1 - idx, idx)
-    out = state[gather]
-    # palindromic windows: one scalar redraw each (scalar handles its own fallback)
+    out = state[np.where((idx >= lo) & (idx < hi), lo + hi - 1 - idx, idx)]
     for r in np.flatnonzero((out == state).all(axis=1)):
-        out[r] = symmetry_sample(state, mc, rng)
+        out[r] = _redraw_palindrome(state, c_hi, rng)
     return out
 
 
-def _substitute_batch(state, md, alphabet_size, se, rng):
-    n = len(state)
-    out = np.tile(state, (se, 1))
-    ks = rng.integers(1, min(md, n) + 1, size=se) if min(md, n) > 1 else np.full(se, 1)
-    singles = np.flatnonzero(ks == 1)
-    if len(singles):
-        m = len(singles)
-        pos = rng.integers(n, size=m)
-        draws = rng.integers(0, alphabet_size - 1, size=m)
-        cur = state[pos]
-        out[singles, pos] = draws + (draws >= cur)
-    for r in np.flatnonzero(ks > 1):
-        out[r] = substitute_sample(state, int(ks[r]), alphabet_size, rng)
+def _substitute(state, md, alphabet_size, se, rng):
+    """Redraw the values at k distinct random positions, k uniform in {1..md}.
+
+    Each chosen position gets a uniformly random value different from its
+    current one, so every row is at Hamming distance exactly k.
+    """
+    if alphabet_size < 2:
+        raise DegenerateState("substitute needs an alphabet of size >= 2")
+    ks = _uniform(rng, 1, min(md, len(state)), se)
+    pos = _floyd(rng, len(state), ks)
+    # draw in 0..m-2 and skip over the current value
+    draws = rng.integers(0, alphabet_size - 1, size=pos.shape)
+    r, c = np.nonzero(np.arange(pos.shape[1]) < ks[:, None])
+    p, d = pos[r, c], draws[r, c]
+    out = np.repeat(state[None], se, axis=0)
+    out[r, p] = d + (d >= state[p])
     return out
 
 
@@ -284,52 +248,15 @@ def sample_batch(
     rng: np.random.Generator,
     alphabet_size: int | None = None,
 ) -> np.ndarray:
-    """Vectorized form of sample_neighborhood; returns an (se, n) array.
-
-    Same neighbor distributions as the scalar samplers (the common local
-    factors take fully vectorized paths; larger factors fall back to the
-    scalar samplers row by row), but a different rng draw sequence.
-    """
+    """Draw se neighbors of `state` under one operator; returns an (se, n) array."""
     if op is Operator.SWAP:
-        return _swap_batch(state, factor, se, rng)
+        return _swap(state, factor, se, rng)
     if op is Operator.SHIFT:
-        return _shift_batch(state, factor, se, rng)
+        return _shift(state, factor, se, rng)
     if op is Operator.SYMMETRY:
-        return _symmetry_batch(state, factor, se, rng)
+        return _symmetry(state, factor, se, rng)
     if op is Operator.SUBSTITUTE:
         if alphabet_size is None:
             raise IncompatibleOperator("substitute requires a value-vector state")
-        return _substitute_batch(state, factor, alphabet_size, se, rng)
+        return _substitute(state, factor, alphabet_size, se, rng)
     raise ValueError(f"unknown operator {op!r}")
-
-
-def sample_one(
-    state: np.ndarray,
-    op: Operator,
-    factor: int,
-    rng: np.random.Generator,
-    alphabet_size: int | None = None,
-) -> np.ndarray:
-    if op is Operator.SWAP:
-        return swap_sample(state, factor, rng)
-    if op is Operator.SHIFT:
-        return shift_sample(state, factor, rng)
-    if op is Operator.SYMMETRY:
-        return symmetry_sample(state, factor, rng)
-    if op is Operator.SUBSTITUTE:
-        if alphabet_size is None:
-            raise IncompatibleOperator("substitute requires a value-vector state")
-        return substitute_sample(state, factor, alphabet_size, rng)
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def sample_neighborhood(
-    state: np.ndarray,
-    op: Operator,
-    factor: int,
-    se: int,
-    rng: np.random.Generator,
-    alphabet_size: int | None = None,
-) -> list[np.ndarray]:
-    """Draw se independent neighbors of `state` under one operator."""
-    return [sample_one(state, op, factor, rng, alphabet_size) for _ in range(se)]

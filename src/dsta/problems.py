@@ -154,13 +154,15 @@ def maxcut_error(best: float, optimum: float) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """Engine-facing adapter: representation details plus pure cost functions."""
+    """Engine-facing adapter: representation details plus a pure batch cost function."""
 
     name: str
     size: int
     alphabet_size: int | None  # None marks the permutation representation
-    evaluate: Callable[[np.ndarray], float]
-    evaluate_many: Callable[[np.ndarray], np.ndarray]
+    evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
+
+    def evaluate(self, state: np.ndarray) -> float:
+        return float(self.evaluate_many(np.asarray(state)[None])[0])
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.alphabet_size is None:
@@ -173,7 +175,6 @@ def tsp_problem(inst: TspInstance) -> Problem:
         name=inst.name,
         size=inst.n,
         alphabet_size=None,
-        evaluate=lambda tour: tour_length(tour, inst),
         evaluate_many=lambda tours: tour_lengths(tours, inst),
     )
 
@@ -181,7 +182,6 @@ def tsp_problem(inst: TspInstance) -> Problem:
 def maxcut_problem(inst: MaxCutInstance) -> Problem:
     """Minimize the QUBO form; convert best_cost back with cut_from_qubo."""
     q, c = inst.qubo
-    offset = 0.25 * inst.weights.sum()
 
     def many(bits: np.ndarray) -> np.ndarray:
         x = _signs(bits)
@@ -191,7 +191,6 @@ def maxcut_problem(inst: MaxCutInstance) -> Problem:
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
-        evaluate=lambda bits: qubo_value(bits, q, c),
         evaluate_many=many,
     )
 
@@ -218,22 +217,17 @@ def rosenbrock_problem(n: int) -> Problem:
         name=f"rosenbrock-{n}",
         size=n,
         alphabet_size=len(ROSENBROCK_ALPHABET),
-        evaluate=lambda idx: rosenbrock_value(dvs_decode(idx, ROSENBROCK_ALPHABET)),
         evaluate_many=many,
     )
 
 
 def dvs_problem(spec: DvsProblem) -> Problem:
-    def one(idx: np.ndarray) -> float:
-        return float(spec.objective(dvs_decode(idx, spec.alphabet)))
-
     def many(idx: np.ndarray) -> np.ndarray:
-        return np.array([one(row) for row in idx])
+        return np.array([float(spec.objective(dvs_decode(row, spec.alphabet))) for row in idx])
 
     return Problem(
         name=spec.name,
         size=spec.dimension,
         alphabet_size=len(spec.alphabet),
-        evaluate=one,
         evaluate_many=many,
     )

@@ -76,7 +76,7 @@ def parse_tsplib(text: str) -> TsplibDocument:
             elif key == "EDGE_WEIGHT_SECTION":
                 i = _read_weights(doc, lines, i)
             else:
-                i = _skip_section(lines, i)
+                i += sum(1 for _ in _section_lines(lines, i))
             continue
         key, value = header_value(line)
         if key == "NAME":
@@ -119,44 +119,38 @@ def parse_tsplib(text: str) -> TsplibDocument:
     return doc
 
 
-def _read_coords(doc: TsplibDocument, lines: list[str], i: int) -> int:
-    rows = []
+def _section_lines(lines: list[str], i: int):
+    """Yield (index, stripped line) for each data line of the section starting at i."""
     while i < len(lines):
         line = lines[i].strip()
         if not line or line == "EOF" or line.split()[0] in _SECTION_KEYS or ":" in line:
-            break
+            return
+        yield i, line
+        i += 1
+
+
+def _read_coords(doc: TsplibDocument, lines: list[str], i: int) -> int:
+    rows = []
+    for k, line in _section_lines(lines, i):
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"expected 'index x y', got {line!r}", line=i + 1)
+            raise ParseError(f"expected 'index x y', got {line!r}", line=k + 1)
         try:
             rows.append((float(parts[1]), float(parts[2])))
         except ValueError:
-            raise ParseError(f"bad coordinate row {line!r}", line=i + 1) from None
-        i += 1
+            raise ParseError(f"bad coordinate row {line!r}", line=k + 1) from None
     doc.coords = np.array(rows)
-    return i
+    return i + len(rows)
 
 
 def _read_weights(doc: TsplibDocument, lines: list[str], i: int) -> int:
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line == "EOF" or line.split()[0] in _SECTION_KEYS or ":" in line:
-            break
+    n_lines = 0
+    for n_lines, (k, line) in enumerate(_section_lines(lines, i), 1):
         try:
             doc.weights.extend(float(tok) for tok in line.split())
         except ValueError:
-            raise ParseError(f"bad weight row {line!r}", line=i + 1) from None
-        i += 1
-    return i
-
-
-def _skip_section(lines: list[str], i: int) -> int:
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line == "EOF" or line.split()[0] in _SECTION_KEYS or ":" in line:
-            break
-        i += 1
-    return i
+            raise ParseError(f"bad weight row {line!r}", line=k + 1) from None
+    return i + n_lines
 
 
 def _expected_weight_count(doc: TsplibDocument) -> int:
@@ -192,10 +186,14 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
     """
     if rounding not in ("real", "tsplib"):
         raise ValueError(f"rounding must be 'real' or 'tsplib', got {rounding!r}")
-    n = doc.dimension
     if doc.edge_weight_type == "EUC_2D":
-        diff = doc.coords[:, None, :] - doc.coords[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=-1))
+        # in place, one n x n buffer per axis: the matrix dominates set-up memory
+        x, y = doc.coords.T
+        d, dy = x[:, None] - x, y[:, None] - y
+        d *= d
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
         if rounding == "tsplib":
             d = np.floor(d + 0.5)
     elif doc.edge_weight_type == "GEO":
@@ -208,7 +206,6 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
         d = _GEO_RADIUS * np.arccos(arg)
         if rounding == "tsplib":
             d = np.trunc(d + 1.0)
-        np.fill_diagonal(d, 0.0)
     elif doc.edge_weight_type == "EXPLICIT":
         d = _explicit_matrix(doc)
     else:
@@ -220,22 +217,15 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
 def _explicit_matrix(doc: TsplibDocument) -> np.ndarray:
     n = doc.dimension
     _expected_weight_count(doc)
-    vals = np.array(doc.weights)
-    d = np.zeros((n, n))
+    vals = np.array(doc.weights, dtype=float)
     if doc.edge_weight_format == "FULL_MATRIX":
-        d = vals.reshape(n, n).astype(float)
-    elif doc.edge_weight_format == "LOWER_DIAG_ROW":
-        k = 0
-        for i in range(n):
-            for j in range(i + 1):
-                d[i, j] = d[j, i] = vals[k]
-                k += 1
-    else:  # UPPER_ROW
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = vals[k]
-                k += 1
+        return vals.reshape(n, n)
+    if doc.edge_weight_format == "LOWER_DIAG_ROW":
+        i, j = np.tril_indices(n)  # row-major: row i lists columns 0..i
+    else:  # UPPER_ROW: row i lists columns i+1..n-1
+        i, j = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[i, j] = d[j, i] = vals
     return d
 
 

@@ -5,15 +5,9 @@ import pytest
 
 from dsta import operators as ops
 from dsta.errors import DegenerateState, IncompatibleOperator
-from dsta.operators import (
-    Operator,
-    sample_batch,
-    sample_neighborhood,
-    shift_sample,
-    substitute_sample,
-    swap_sample,
-    symmetry_sample,
-)
+from dsta.operators import Operator, sample_batch
+
+SWAP, SHIFT, SYMMETRY, SUBSTITUTE = Operator
 
 
 def rng(seed=0):
@@ -44,6 +38,19 @@ def all_insertions(state):
     return out
 
 
+def all_even_reversals(state):
+    """Every reversal of one window of even length (the symmetry support at mc=0)."""
+    n = len(state)
+    out = set()
+    for lo in range(n):
+        for hi in range(lo + 2, n + 1, 2):
+            s = state.copy()
+            s[lo:hi] = s[lo:hi][::-1]
+            out.add(tuple(s))
+    out.discard(tuple(state))
+    return out
+
+
 def is_single_window_reversal(a, b):
     """True if b equals a with exactly one contiguous window reversed."""
     diff = np.flatnonzero(a != b)
@@ -58,126 +65,104 @@ def is_single_window_reversal(a, b):
 class TestSwap:
     def test_transposition_support_on_permutation(self):
         state = np.arange(5)
-        expected = all_transpositions(state)
-        seen = set()
-        g = rng(1)
-        for _ in range(10_000):
-            out = swap_sample(state, 2, g)
-            assert ops.is_permutation(out)
-            assert int((out != state).sum()) == 2
-            seen.add(tuple(out))
-        assert seen == expected
+        out = sample_batch(state, SWAP, 2, 10_000, rng(1))
+        for row in out:
+            assert ops.is_permutation(row)
+        assert ((out != state).sum(axis=1) == 2).all()
+        assert {tuple(r) for r in out} == all_transpositions(state)
 
     def test_value_state_transposition_changes_entries(self):
         state = np.array([0, 1, 1, 0])
-        g = rng(2)
-        for _ in range(500):
-            out = swap_sample(state, 2, g)
-            assert sorted(out) == sorted(state)
-            assert not np.array_equal(out, state)
+        for row in sample_batch(state, SWAP, 2, 500, rng(2)):
+            assert sorted(row) == sorted(state)
+            assert not np.array_equal(row, state)
 
     def test_locality_bound(self):
         state = np.arange(8)
-        g = rng(3)
-        for _ in range(2000):
-            out = swap_sample(state, 4, g)
-            changed = int((out != state).sum())
-            assert 2 <= changed <= 4
+        changed = (sample_batch(state, SWAP, 4, 2000, rng(3)) != state).sum(axis=1)
+        assert changed.min() >= 2 and changed.max() <= 4
 
     def test_factor_enlarges_support(self):
         state = np.arange(5)
         g = rng(4)
-        small = {tuple(swap_sample(state, 2, g)) for _ in range(20_000)}
-        big = {tuple(swap_sample(state, 3, g)) for _ in range(20_000)}
+        small = {tuple(r) for r in sample_batch(state, SWAP, 2, 20_000, g)}
+        big = {tuple(r) for r in sample_batch(state, SWAP, 3, 20_000, g)}
         assert small < big
 
     def test_constant_state_returns_copy(self):
         state = np.zeros(6, dtype=int)
-        out = swap_sample(state, 2, rng(5))
-        assert np.array_equal(out, state)
-        assert out is not state
+        out = sample_batch(state, SWAP, 2, 3, rng(5))
+        assert (out == state).all()
+        assert not np.shares_memory(out, state)
 
     def test_too_small(self):
-        with pytest.raises(DegenerateState):
-            swap_sample(np.array([0]), 2, rng(0))
+        # one entry admits no rearrangement: every row is a copy
+        state = np.array([0])
+        for op in (SWAP, SHIFT, SYMMETRY):
+            assert np.array_equal(sample_batch(state, op, 2, 4, rng(0)), np.zeros((4, 1)))
 
 
 class TestShift:
     def test_insertion_support(self):
         state = np.arange(5)
-        expected = all_insertions(state)
-        seen = set()
-        g = rng(1)
-        for _ in range(10_000):
-            out = shift_sample(state, 1, g)
-            assert ops.is_permutation(out)
-            assert not np.array_equal(out, state)
-            seen.add(tuple(out))
-        assert seen == expected
+        out = sample_batch(state, SHIFT, 1, 10_000, rng(1))
+        for row in out:
+            assert ops.is_permutation(row)
+        assert not (out == state).all(axis=1).any()
+        assert {tuple(r) for r in out} == all_insertions(state)
 
     def test_reference_move_reachable(self):
         # moving the third entry after the fifth: (1,2,3,4,5) -> (1,2,4,5,3)
         state = np.array([1, 2, 3, 4, 5])
-        target = (1, 2, 4, 5, 3)
-        g = rng(2)
-        seen = {tuple(shift_sample(state, 1, g)) for _ in range(5000)}
-        assert target in seen
+        seen = {tuple(r) for r in sample_batch(state, SHIFT, 1, 5000, rng(2))}
+        assert (1, 2, 4, 5, 3) in seen
 
     def test_single_element_value_state(self):
         state = np.array([0, 1, 0])
-        g = rng(3)
-        for _ in range(500):
-            out = shift_sample(state, 1, g)
-            assert sorted(out) == sorted(state)
-            assert not np.array_equal(out, state)
+        for row in sample_batch(state, SHIFT, 1, 500, rng(3)):
+            assert sorted(row) == sorted(state)
+            assert not np.array_equal(row, state)
 
     def test_multiset_preserved_long_segments(self):
         state = np.arange(9)
-        g = rng(4)
-        for _ in range(2000):
-            out = shift_sample(state, 3, g)
-            assert ops.is_permutation(out)
-            assert not np.array_equal(out, state)
+        for row in sample_batch(state, SHIFT, 3, 2000, rng(4)):
+            assert ops.is_permutation(row)
+            assert not np.array_equal(row, state)
 
     def test_constant_state_returns_copy(self):
         state = np.full(5, 3)
-        assert np.array_equal(shift_sample(state, 1, rng(5)), state)
+        assert (sample_batch(state, SHIFT, 1, 3, rng(5)) == state).all()
 
 
 class TestSymmetry:
     def test_single_window_reversal(self):
         state = np.arange(6)
-        g = rng(1)
-        for _ in range(10_000):
-            out = symmetry_sample(state, 0, g)
-            assert ops.is_permutation(out)
-            assert is_single_window_reversal(state, out)
+        for row in sample_batch(state, SYMMETRY, 0, 10_000, rng(1)):
+            assert ops.is_permutation(row)
+            assert is_single_window_reversal(state, row)
 
     def test_reference_window(self):
         # window covering entries 2..5 reversed: (1,2,3,4,5) -> (1,5,4,3,2)
         state = np.array([1, 2, 3, 4, 5])
-        g = rng(2)
-        seen = {tuple(symmetry_sample(state, 0, g)) for _ in range(5000)}
+        seen = {tuple(r) for r in sample_batch(state, SYMMETRY, 0, 5000, rng(2))}
         assert (1, 5, 4, 3, 2) in seen
 
     def test_full_reversal_of_value_state(self):
         state = np.array([0, 0, 1, 1])
-        g = rng(3)
-        seen = {tuple(symmetry_sample(state, 0, g)) for _ in range(2000)}
+        seen = {tuple(r) for r in sample_batch(state, SYMMETRY, 0, 2000, rng(3))}
         assert (1, 1, 0, 0) in seen
 
     def test_center_factor_enlarges_support(self):
         state = np.arange(6)
         g = rng(4)
-        small = {tuple(symmetry_sample(state, 0, g)) for _ in range(20_000)}
-        big = {tuple(symmetry_sample(state, 2, g)) for _ in range(20_000)}
+        small = {tuple(r) for r in sample_batch(state, SYMMETRY, 0, 20_000, g)}
+        big = {tuple(r) for r in sample_batch(state, SYMMETRY, 2, 20_000, g)}
         assert small < big
 
     def test_palindromic_windows_avoided(self):
         state = np.array([0, 1, 0, 1, 1])
-        g = rng(5)
-        for _ in range(500):
-            assert not np.array_equal(symmetry_sample(state, 0, g), state)
+        out = sample_batch(state, SYMMETRY, 0, 500, rng(5))
+        assert not (out == state).all(axis=1).any()
 
 
 class TestSubstitute:
@@ -188,74 +173,59 @@ class TestSubstitute:
             s = state.copy()
             s[i] ^= 1
             expected.add(tuple(s))
-        seen = set()
-        g = rng(1)
-        for _ in range(10_000):
-            out = substitute_sample(state, 1, 2, g)
-            assert int((out != state).sum()) == 1
-            seen.add(tuple(out))
-        assert seen == expected
+        out = sample_batch(state, SUBSTITUTE, 1, 10_000, rng(1), alphabet_size=2)
+        assert ((out != state).sum(axis=1) == 1).all()
+        assert {tuple(r) for r in out} == expected
 
     def test_excludes_current_value(self):
         state = np.array([0, 2, 1])
-        g = rng(2)
-        for _ in range(2000):
-            out = substitute_sample(state, 1, 3, g)
-            i = int(np.flatnonzero(out != state)[0])
-            assert out[i] != state[i]
-            assert 0 <= out[i] < 3
+        for row in sample_batch(state, SUBSTITUTE, 1, 2000, rng(2), alphabet_size=3):
+            i = int(np.flatnonzero(row != state)[0])
+            assert row[i] != state[i]
+            assert 0 <= row[i] < 3
 
     def test_hamming_distance_bounded_by_factor(self):
         state = np.zeros(8, dtype=int)
-        g = rng(3)
-        dists = set()
-        for _ in range(3000):
-            out = substitute_sample(state, 3, 4, g)
-            dists.add(int((out != state).sum()))
-        assert dists == {1, 2, 3}
+        out = sample_batch(state, SUBSTITUTE, 3, 3000, rng(3), alphabet_size=4)
+        assert set((out != state).sum(axis=1).tolist()) == {1, 2, 3}
 
     def test_rejects_trivial_alphabet(self):
         with pytest.raises(DegenerateState):
-            substitute_sample(np.zeros(4, dtype=int), 1, 1, rng(0))
+            sample_batch(np.zeros(4, dtype=int), SUBSTITUTE, 1, 3, rng(0), alphabet_size=1)
 
 
 class TestNeighborhood:
     def test_empty(self):
-        assert sample_neighborhood(np.arange(4), Operator.SWAP, 2, 0, rng(0)) == []
+        assert sample_batch(np.arange(4), SWAP, 2, 0, rng(0)).shape == (0, 4)
 
     def test_swap_se5(self):
         state = np.arange(3)
         allowed = all_transpositions(state)
-        outs = sample_neighborhood(state, Operator.SWAP, 2, 5, rng(1))
-        assert len(outs) == 5
+        outs = sample_batch(state, SWAP, 2, 5, rng(1))
+        assert outs.shape == (5, 3)
         assert all(tuple(o) in allowed for o in outs)
 
     def test_coupon_collector_substitute(self):
         state = np.array([0, 1, 0, 1])
-        outs = sample_neighborhood(state, Operator.SUBSTITUTE, 1, 100, rng(2), alphabet_size=2)
+        outs = sample_batch(state, SUBSTITUTE, 1, 100, rng(2), alphabet_size=2)
         assert len({tuple(o) for o in outs}) == 4
 
     def test_substitute_requires_value_state(self):
         with pytest.raises(IncompatibleOperator):
-            sample_neighborhood(np.arange(4), Operator.SUBSTITUTE, 1, 3, rng(0))
+            sample_batch(np.arange(4), SUBSTITUTE, 1, 3, rng(0))
 
 
 class TestBatchMatchesScalar:
-    factors = {
-        Operator.SWAP: 2,
-        Operator.SHIFT: 1,
-        Operator.SYMMETRY: 0,
-        Operator.SUBSTITUTE: 1,
-    }
+    """Batch supports against the enumerated reference neighborhoods."""
 
-    @pytest.mark.parametrize("op", [Operator.SWAP, Operator.SHIFT, Operator.SYMMETRY])
+    factors = {SWAP: 2, SHIFT: 1, SYMMETRY: 0, SUBSTITUTE: 1}
+    enumerated = {SWAP: all_transpositions, SHIFT: all_insertions, SYMMETRY: all_even_reversals}
+
+    @pytest.mark.parametrize("op", [SWAP, SHIFT, SYMMETRY])
     def test_permutation_support_identical(self, op):
         state = np.arange(6)
-        f = self.factors[op]
-        g = rng(11)
-        scalar = {tuple(o) for o in sample_neighborhood(state, op, f, 20_000, g)}
-        batch = {tuple(r) for r in sample_batch(state, op, f, 20_000, g)}
-        assert batch == scalar
+        batch = {tuple(r) for r in sample_batch(state, op, self.factors[op], 20_000, rng(11))}
+        assert batch == self.enumerated[op](state)
 
     @pytest.mark.parametrize("op", list(Operator))
     def test_value_state_feasible_and_changed(self, op):
@@ -266,7 +236,7 @@ class TestBatchMatchesScalar:
             assert ops.check_value_state(row, 5)
             assert not np.array_equal(row, state)
 
-    @pytest.mark.parametrize("op", [Operator.SWAP, Operator.SHIFT, Operator.SYMMETRY])
+    @pytest.mark.parametrize("op", [SWAP, SHIFT, SYMMETRY])
     def test_near_constant_value_state(self, op):
         state = np.array([1, 1, 1, 1, 0, 1, 1, 1])
         out = sample_batch(state, op, self.factors[op], 500, rng(13), alphabet_size=2)
@@ -277,7 +247,30 @@ class TestBatchMatchesScalar:
     def test_larger_factors_batch_feasible(self):
         state = np.arange(10)
         g = rng(14)
-        for op, f in [(Operator.SWAP, 4), (Operator.SHIFT, 3), (Operator.SYMMETRY, 2)]:
+        for op, f in [(SWAP, 4), (SHIFT, 3), (SYMMETRY, 2)]:
             for row in sample_batch(state, op, f, 1000, g):
                 assert ops.is_permutation(row)
                 assert not np.array_equal(row, state)
+
+
+class TestNonDefaultFactors:
+    """Factors above the defaults on a duplicate-valued state."""
+
+    state = np.array([2, 0, 0, 1, 2, 2, 0, 1, 1, 0])
+
+    @pytest.mark.parametrize("op,factor", [(SWAP, 4), (SHIFT, 3), (SYMMETRY, 2)])
+    def test_rearrangement_preserves_multiset(self, op, factor):
+        out = sample_batch(self.state, op, factor, 3000, rng(21), alphabet_size=3)
+        assert (np.sort(out, axis=1) == np.sort(self.state)).all()
+        assert not (out == self.state).all(axis=1).any()
+
+    def test_swap_changes_at_most_ma_positions(self):
+        changed = (sample_batch(self.state, SWAP, 4, 3000, rng(22)) != self.state).sum(axis=1)
+        assert set(changed.tolist()) == {2, 3, 4}
+
+    def test_substitute_hamming_distance_is_k(self):
+        out = sample_batch(self.state, SUBSTITUTE, 3, 3000, rng(23), alphabet_size=3)
+        ks = rng(23).integers(1, 4, size=3000)  # the first draw picks each row's k
+        assert ((out != self.state).sum(axis=1) == ks).all()
+        assert set(ks.tolist()) == {1, 2, 3}
+        assert ops.check_value_state(out.ravel(), 3)

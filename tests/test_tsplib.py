@@ -116,14 +116,14 @@ class TestDistances:
         assert inst.matrix[0, 1] == pytest.approx(5.0)
         assert inst.matrix[0, 2] == pytest.approx(6.0)
 
-    def test_explicit_passthrough(self):
-        inst = build_distances(parse_tsplib(EXPLICIT_FULL))
+    @pytest.mark.parametrize(
+        "text",
+        [EXPLICIT_FULL, LOWER_DIAG, UPPER_ROW],
+        ids=["FULL_MATRIX", "LOWER_DIAG_ROW", "UPPER_ROW"],
+    )
+    def test_explicit_passthrough(self, text):
+        inst = build_distances(parse_tsplib(text))
         assert np.array_equal(inst.matrix, [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-
-    def test_lower_diag_and_upper_row_agree(self):
-        a = build_distances(parse_tsplib(LOWER_DIAG)).matrix
-        b = build_distances(parse_tsplib(UPPER_ROW)).matrix
-        assert np.array_equal(a, b)
 
     def test_integer_rounding(self):
         shifted = EUC_DOC.replace("2 3 4", "2 3 4.4")
