@@ -11,9 +11,10 @@ import numpy as np
 from . import engine
 from .engine import Mode, StaParams
 from .errors import TooLarge
-from .problems import Problem, TspInstance
+from .problems import Problem, TspInstance, _qubo_form
 
 _MASK64 = (1 << 64) - 1
+_QUBO_BLOCK = 1 << 16  # sign vectors per oracle block
 
 
 def derive_seed(base_seed: int, trial: int) -> int:
@@ -104,17 +105,24 @@ def brute_force_tsp(inst: TspInstance) -> tuple[float, np.ndarray]:
 
 
 def brute_force_qubo(q: np.ndarray, c: np.ndarray, atol: float = 1e-9):
-    """Exact minimum of 1/2 x'Qx - x'c over {-1,1}^n with all optimizers; n <= 20."""
+    """Exact minimum of 1/2 x'Qx - x'c over {-1,1}^n with all optimizers; n <= 20.
+
+    Sign vectors are evaluated in blocks of at most 2^16, so memory holds the
+    2^n values plus one block rather than the whole 2^n-by-n sign matrix.
+    """
     n = q.shape[0]
     if n > 20:
         raise TooLarge(f"brute-force QUBO limited to n <= 20, got {n}")
+    shifts = np.arange(n, dtype=np.uint32)
+
+    def signs(codes: np.ndarray) -> np.ndarray:
+        return 2 * ((codes[:, None] >> shifts) & 1).astype(np.int64) - 1
+
     codes = np.arange(1 << n, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    x = 2 * bits.astype(np.int64) - 1
-    values = 0.5 * np.einsum("ij,jk,ik->i", x, q, x) - x @ c
+    blocks = range(0, len(codes), _QUBO_BLOCK)
+    values = np.concatenate([_qubo_form(signs(codes[i : i + _QUBO_BLOCK]), q, c) for i in blocks])
     opt = float(values.min())
-    optimizers = x[values <= opt + atol]
-    return opt, optimizers
+    return opt, signs(codes[values <= opt + atol])
 
 
 def brute_force_dvs(problem: Problem, limit: int = 10**6) -> tuple[float, np.ndarray]:

@@ -10,13 +10,14 @@ p1 ("restore").
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import IncompatibleOperator, InvalidParams
+from .errors import IncompatibleOperator, InvalidParams, NonFiniteCost
 from .operators import DEFAULT_ORDER, Operator, sample_batch
 
 
@@ -117,6 +118,12 @@ def accept_candidate(
     return False
 
 
+def _finite(cost: float, what: str) -> float:
+    if not math.isfinite(cost):
+        raise NonFiniteCost(f"{what} cost is {cost}")
+    return cost
+
+
 def operator_round(
     state: SearchState,
     op: Operator,
@@ -129,10 +136,11 @@ def operator_round(
         state.current, op, params.factor(op), params.se, rng, problem.alphabet_size
     )
     costs = problem.evaluate_many(candidates)
-    best = int(np.argmin(costs))  # stable: first minimum wins
-    if accept_candidate(state.current_cost, float(costs[best]), params.mode, params.p2, rng):
+    best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
+    best_cost = _finite(float(costs[best]), f"{op.value} round-best")
+    if accept_candidate(state.current_cost, best_cost, params.mode, params.p2, rng):
         state.current = candidates[best].copy()
-        state.current_cost = float(costs[best])
+        state.current_cost = best_cost
     return state
 
 
@@ -153,7 +161,7 @@ def run(problem, params: StaParams) -> RunResult:
     t0 = time.perf_counter()
 
     current = problem.initial(rng)
-    current_cost = float(problem.evaluate(current))
+    current_cost = _finite(float(problem.evaluate(current)), "initial")
     state = SearchState(current, current_cost, current.copy(), current_cost)
     evaluations = 1
 

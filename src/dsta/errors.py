@@ -25,6 +25,10 @@ class DomainViolation(DstaError):
     """A decoded value falls outside the problem's alphabet."""
 
 
+class NonFiniteCost(DstaError):
+    """The cost of the initial state or of a round's best candidate is NaN or infinite."""
+
+
 class ParseError(DstaError):
     """Malformed instance file; carries a line number when known."""
 

@@ -122,6 +122,20 @@ def qubo_value(bits: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
     return float(0.5 * x @ q @ x - x @ c)
 
 
+def _qubo_form(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P(x) = 1/2 x'Qx - x'c for every row of a (rows, n) sign matrix.
+
+    The quadratic term is one matrix product so that numpy runs it as a BLAS
+    GEMM; numpy's three-operand contraction runs as an unblocked loop, tens
+    of times slower at n = 400.  Every batch QUBO evaluation in the package
+    goes through here; qubo_value is the independent scalar reference.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    qx = x @ q
+    qx *= x
+    return 0.5 * qx.sum(axis=1) - x @ c
+
+
 def rosenbrock_value(values: np.ndarray) -> float:
     """Integer Rosenbrock: sum of 100(x_{i+1} - x_i^2)^2 + (x_i - 1)^2."""
     x = np.asarray(values)
@@ -183,15 +197,11 @@ def maxcut_problem(inst: MaxCutInstance) -> Problem:
     """Minimize the QUBO form; convert best_cost back with cut_from_qubo."""
     q, c = inst.qubo
 
-    def many(bits: np.ndarray) -> np.ndarray:
-        x = _signs(bits)
-        return 0.5 * np.einsum("ij,jk,ik->i", x, q, x) - x @ c
-
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
-        evaluate_many=many,
+        evaluate_many=lambda bits: _qubo_form(_signs(bits), q, c),
     )
 
 

@@ -234,14 +234,14 @@ class TestCriterion10:
             density = 1.0 if i % 2 else 0.7
             graph = instances.random_weighted_graph(vertices, density, seed=900 + i)
             n = graph.n
-            q, c = graph.qubo
             codes = np.arange(1 << n)
             bits = (codes[:, None] >> np.arange(n)) & 1
             x = 2 * bits - 1
-            pvals = 0.5 * np.einsum("ij,jk,ik->i", x, q, x) - x @ c
+            pvals = problems.maxcut_problem(graph).evaluate_many(bits)
+            # cut side from the full weight matrix, row by row y'Wy
             y = np.hstack([x, np.ones((len(x), 1), dtype=int)])
             w = graph.weights
-            cuts = 0.25 * (w.sum() - np.einsum("ij,jk,ik->i", y, w, y))
+            cuts = 0.25 * (w.sum() - ((y @ w) * y).sum(axis=1))
             argmin_p = {tuple(row) for row in x[pvals <= pvals.min() + 1e-9]}
             argmax_cut = {tuple(row) for row in x[cuts >= cuts.max() - 1e-9]}
             mismatches += argmin_p != argmax_cut

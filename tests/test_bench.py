@@ -92,17 +92,28 @@ class TestBruteForceTsp:
 
 class TestBruteForceQubo:
     def test_pure_linear(self):
-        n = 5
-        opt, optimizers = bench.brute_force_qubo(np.zeros((n, n)), np.ones(n))
-        assert opt == -n
-        assert optimizers.shape == (1, n)
-        assert (optimizers[0] == 1).all()
+        for n in (5, 17):  # 17: the optimum is the last code of the second block
+            opt, optimizers = bench.brute_force_qubo(np.zeros((n, n)), np.ones(n))
+            assert opt == -n
+            assert optimizers.shape == (1, n)
+            assert (optimizers[0] == 1).all()
 
     def test_antiferromagnetic_pair(self):
         q = np.array([[0.0, 4], [4, 0]])
         opt, optimizers = bench.brute_force_qubo(q, np.zeros(2))
         assert opt == -4
         assert {tuple(x) for x in optimizers} == {(1, -1), (-1, 1)}
+
+    def test_blocked_matches_one_shot(self):
+        graph = instances.random_weighted_graph(18, 1.0, seed=5)  # n = 17: two blocks
+        n = graph.n
+        opt, optimizers = bench.brute_force_qubo(*graph.qubo)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        values = problems.maxcut_problem(graph).evaluate_many(bits)
+        # BLAS may order a row's sums differently at another batch height
+        assert opt == pytest.approx(values.min(), rel=1e-12)
+        expected = {tuple(2 * b - 1) for b in bits[values <= values.min() + 1e-9]}
+        assert {tuple(x) for x in optimizers} == expected
 
     def test_size_bound(self):
         with pytest.raises(TooLarge):

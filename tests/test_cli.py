@@ -139,6 +139,18 @@ class TestParsing:
         assert code == 1
         assert "substitute" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_cost_exit_code(self, capsys, tmp_path):
+        # finite coordinates whose squared distances overflow to inf
+        path = tmp_path / "huge.tsp"
+        path.write_text(
+            "NAME: huge\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+            "NODE_COORD_SECTION\n1 0 0\n2 1e200 0\n3 1e200 1e200\n4 0 1e200\nEOF\n"
+        )
+        code, _, err = run_cli(capsys, "solve", "tsp", "--file", str(path), "--iters", "5")
+        assert code == 1
+        assert "initial cost is inf" in err
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "rosenbrock", "--n", "5", "--se", "0")
         assert code == 1

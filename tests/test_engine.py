@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dsta.engine import (
     restore_step,
     run,
 )
-from dsta.errors import IncompatibleOperator, InvalidParams
+from dsta.errors import IncompatibleOperator, InvalidParams, NonFiniteCost
 from dsta.operators import Operator
 
 
@@ -205,3 +207,29 @@ class TestRun:
         prob = problems.rosenbrock_problem(4)
         with pytest.raises(InvalidParams):
             run(prob, StaParams(se=0))
+
+
+class TestNonFiniteCost:
+    """NaN or infinite costs stop the run with a DstaError instead of steering it."""
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_round_best(self, value):
+        base = problems.rosenbrock_problem(5)
+
+        def many(states):
+            costs = base.evaluate_many(states)
+            if len(states) > 1:  # the initial state evaluates as one row
+                costs[len(states) // 2] = value
+            return costs
+
+        prob = replace(base, evaluate_many=many)
+        for mode in Mode:
+            with pytest.raises(NonFiniteCost, match="round-best"):
+                run(prob, StaParams(max_iters=3, mode=mode))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_initial(self, value):
+        base = problems.rosenbrock_problem(5)
+        prob = replace(base, evaluate_many=lambda states: np.full(len(states), value))
+        with pytest.raises(NonFiniteCost, match="initial"):
+            run(prob, StaParams(max_iters=3))

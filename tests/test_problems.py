@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dsta import instances
 from dsta.errors import DimensionMismatch, DomainViolation
 from dsta.problems import (
     ROSENBROCK_ALPHABET,
@@ -204,6 +207,25 @@ class TestAdapters:
         for x, p in zip(bits, batch):
             assert qubo_value(x, q, c) == pytest.approx(p)
             assert cut_from_qubo(p, inst) == pytest.approx(cut_weight(np.append(x, 1), inst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vertices=st.integers(2, 40),
+        density=st.floats(0.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(vertices=2, density=1.0, scale=1.0, seed=0)  # n = 1
+    @example(vertices=12, density=0.0, scale=1.0, seed=0)
+    def test_maxcut_batch_rows_match_qubo_value(self, vertices, density, scale, seed):
+        graph = instances.random_weighted_graph(vertices, density, seed)
+        inst = MaxCutInstance(weights=graph.weights * scale)
+        q, c = inst.qubo
+        bits = np.random.default_rng(seed).integers(0, 2, size=(37, inst.n))
+        batch = maxcut_problem(inst).evaluate_many(bits)
+        ref = np.array([qubo_value(x, q, c) for x in bits])
+        # relative to the summed term magnitudes: P itself may cancel to ~0
+        np.testing.assert_allclose(batch, ref, rtol=1e-9, atol=1e-9 * np.abs(inst.weights).sum())
 
     def test_rosenbrock_problem_batch(self):
         prob = rosenbrock_problem(6)
