@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
 from . import engine
-from .engine import Mode, StaParams
-from .errors import TooLarge
+from .engine import Mode, RunResult, StaParams
+from .errors import NonFiniteCost, TooLarge
 from .problems import Problem, TspInstance, _qubo_form
 
 _MASK64 = (1 << 64) - 1
@@ -32,49 +32,26 @@ class TrialStats:
     mean: float
     std: float  # sample standard deviation, n-1 denominator
     costs: list[float] = field(repr=False)
-    error: float | None = None
+    results: list[RunResult] = field(repr=False)  # one per trial, in trial order
 
 
-def _stats(costs: list[float], error=None) -> TrialStats:
-    arr = np.array(costs)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return TrialStats(
-        trials=len(costs),
-        best=float(arr.min()),
-        mean=float(arr.mean()),
-        std=std,
-        costs=costs,
-        error=error,
-    )
-
-
-def run_trials(
-    problem: Problem,
-    params: StaParams,
-    trials: int,
-    base_seed: int = 0,
-    error_fn=None,
-    keep_results: bool = False,
-):
-    """Repeat seeded runs; trial i uses a seed mixed from (base_seed, i).
-
-    error_fn, when given, maps the best-of-trials cost to the reported
-    error percentage.  With keep_results the per-trial RunResults are
-    returned alongside the statistics.
-    """
+def run_trials(problem: Problem, params: StaParams, trials: int, base_seed: int = 0) -> TrialStats:
+    """Repeat seeded runs; trial i uses a seed mixed from (base_seed, i)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    results = []
-    for i in range(trials):
-        p = replace(params, seed=derive_seed(base_seed, i))
-        results.append(engine.run(problem, p))
+    results = [
+        engine.run(problem, replace(params, seed=derive_seed(base_seed, i))) for i in range(trials)
+    ]
     costs = [r.best_cost for r in results]
-    stats = _stats(costs)
-    if error_fn is not None:
-        stats.error = error_fn(stats.best)
-    if keep_results:
-        return stats, results
-    return stats
+    arr = np.array(costs)
+    return TrialStats(
+        trials=trials,
+        best=float(arr.min()),
+        mean=float(arr.mean()),
+        std=float(arr.std(ddof=1)) if trials > 1 else 0.0,
+        costs=costs,
+        results=results,
+    )
 
 
 def compare_modes(problem: Problem, params: StaParams, trials: int, base_seed: int = 0):
@@ -90,17 +67,19 @@ def brute_force_tsp(inst: TspInstance) -> tuple[float, np.ndarray]:
     n = inst.n
     if n > 10:
         raise TooLarge(f"brute-force TSP limited to n <= 10, got {n}")
-    d = inst.matrix
+    d = inst.matrix.tolist()  # Python floats: faster to index; an overflowing sum is inf, unwarned
     best_cost = inf
     best_tour = None
     for rest in itertools.permutations(range(1, n)):
         if rest[0] > rest[-1]:  # each tour and its reversal counted once
             continue
         tour = (0,) + rest
-        cost = sum(d[tour[i], tour[(i + 1) % n]] for i in range(n))
+        cost = sum(d[tour[i]][tour[(i + 1) % n]] for i in range(n))
         if cost < best_cost:
             best_cost = cost
             best_tour = tour
+    if best_tour is None:
+        raise NonFiniteCost(f"no tour of {inst.name} has a finite length")
     return float(best_cost), np.array(best_tour)
 
 
@@ -121,7 +100,9 @@ def brute_force_qubo(q: np.ndarray, c: np.ndarray, atol: float = 1e-9):
     codes = np.arange(1 << n, dtype=np.uint32)
     blocks = range(0, len(codes), _QUBO_BLOCK)
     values = np.concatenate([_qubo_form(signs(codes[i : i + _QUBO_BLOCK]), q, c) for i in blocks])
-    opt = float(values.min())
+    opt = float(values.min())  # NaN if any value is NaN
+    if not isfinite(opt):
+        raise NonFiniteCost(f"QUBO optimum is {opt}")
     return opt, signs(codes[values <= opt + atol])
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
-from . import bench, engine, instances, problems, recording, tsplib
+from . import bench, instances, problems, recording, tsplib
 from .engine import Mode, StaParams
 from .errors import DstaError, TooLarge
 from .operators import Operator
@@ -18,67 +19,72 @@ from .operators import Operator
 KNOWN_OPTIMA = {"kroA100": 21282, "kroC100": 20749, "gr96": 55209, "gr120": 6942}
 
 
+def _known_optimum(name: str) -> int | None:
+    return KNOWN_OPTIMA.get(name.split(".")[0])
+
+
+def _operator_list(text: str) -> tuple[Operator, ...]:
+    return tuple(Operator(tok.strip()) for tok in text.split(","))
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["sta", "dsta"], default="dsta")
-    p.add_argument("--se", type=int, default=32, help="neighbors sampled per operator round")
-    p.add_argument("--ma", type=int, default=2, help="swap factor")
-    p.add_argument("--mb", type=int, default=1, help="shift factor")
-    p.add_argument("--mc", type=int, default=0, help="symmetry factor")
-    p.add_argument("--md", type=int, default=1, help="substitute factor")
-    p.add_argument("--p1", type=float, default=0.1459, help="restore probability (dsta)")
-    p.add_argument("--p2", type=float, default=0.0557, help="risk probability (dsta)")
-    p.add_argument("--iters", type=int, default=1500)
+    # each algorithm flag's dest is a StaParams field; unset flags stay None
+    algo = p.add_argument_group("algorithm", "flags left unset take the StaParams defaults")
+    algo.add_argument("--mode", type=Mode, choices=["sta", "dsta"])
+    algo.add_argument("--se", type=int, help="neighbors sampled per operator round")
+    algo.add_argument("--ma", type=int, help="swap factor")
+    algo.add_argument("--mb", type=int, help="shift factor")
+    algo.add_argument("--mc", type=int, help="symmetry factor")
+    algo.add_argument("--md", type=int, help="substitute factor")
+    algo.add_argument("--p1", type=float, help="restore probability (dsta)")
+    algo.add_argument("--p2", type=float, help="risk probability (dsta)")
+    algo.add_argument("--iters", type=int, dest="max_iters", metavar="ITERS")
+    algo.add_argument("--seed", type=int, help="base seed")
+    algo.add_argument(
+        "--operators", type=_operator_list, dest="operator_set", metavar="LIST",
+        help="comma-separated operator order",
+    )
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--rounding", choices=["real", "tsplib"], default="real")
     p.add_argument("--trace", metavar="PATH", help="write a convergence trace CSV")
     p.add_argument("--out", metavar="PATH", help="append JSON-lines result records")
-    p.add_argument("--operators", metavar="LIST", help="comma-separated operator order")
     p.add_argument("-q", "--quiet", action="store_true")
 
 
+def _add_rounding_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rounding", choices=["real", "tsplib"], default="real")
+
+
+def _add_instance_flags(p: argparse.ArgumentParser, n: int) -> None:
+    p.add_argument("problem", choices=["tsp", "maxcut", "rosenbrock"])
+    p.add_argument("--file", help="TSPLIB instance path (tsp, maxcut)")
+    p.add_argument("--n", type=int, default=n, help="size for generated instances")
+    p.add_argument("--density", type=float, default=1.0)
+    p.add_argument("--instance-seed", type=int, default=0)
+    _add_rounding_flag(p)
+
+
 def _params_from(args) -> StaParams:
-    ops = None
-    if args.operators:
-        ops = tuple(Operator(tok.strip()) for tok in args.operators.split(","))
+    flags = vars(args)
     params = StaParams(
-        se=args.se,
-        ma=args.ma,
-        mb=args.mb,
-        mc=args.mc,
-        md=args.md,
-        p1=args.p1,
-        p2=args.p2,
-        max_iters=args.iters,
-        mode=Mode(args.mode),
-        seed=args.seed,
-        operator_set=ops,
+        **{f.name: flags[f.name] for f in fields(StaParams) if flags[f.name] is not None}
     )
     params.validate()
     return params
 
 
-def _build_problem(args):
-    """Returns (engine problem, report function cost->shown value, reference or None)."""
+def _instance(args):
+    """The instance the flags name: a TspInstance, a MaxCutInstance or a Rosenbrock Problem."""
     if args.problem == "rosenbrock":
-        prob = problems.rosenbrock_problem(args.n)
-        return prob, lambda c: c, 0.0
+        if args.file:
+            raise DstaError("rosenbrock instances are generated from --n; --file is for tsp and maxcut")
+        return problems.rosenbrock_problem(args.n)
     if args.problem == "tsp":
         if args.file:
-            inst = tsplib.load_instance(args.file, rounding=args.rounding)
-        else:
-            inst = instances.random_euclidean_tsp(args.n, args.instance_seed)
-        ref = KNOWN_OPTIMA.get(inst.name.split(".")[0]) if args.file else None
-        return problems.tsp_problem(inst), lambda c: c, ref
-    if args.problem == "maxcut":
-        if args.file:
-            tsp = tsplib.load_instance(args.file, rounding=args.rounding)
-            inst = instances.maxcut_from_tsp(tsp)
-        else:
-            inst = instances.random_weighted_graph(args.n, args.density, args.instance_seed)
-        # engine minimizes the QUBO form; report the achieved cut weight
-        return problems.maxcut_problem(inst), lambda c: problems.cut_from_qubo(c, inst), None
-    raise DstaError(f"unknown problem {args.problem!r}")
+            return tsplib.load_instance(args.file, rounding=args.rounding)
+        return instances.random_euclidean_tsp(args.n, args.instance_seed)
+    if args.file:
+        return instances.maxcut_from_tsp(tsplib.load_instance(args.file, rounding=args.rounding))
+    return instances.random_weighted_graph(args.n, args.density, args.instance_seed)
 
 
 def _echo_config(args, params: StaParams) -> None:
@@ -90,13 +96,15 @@ def _echo_config(args, params: StaParams) -> None:
 
 def cmd_solve(args) -> int:
     params = _params_from(args)
-    problem, report, ref = _build_problem(args)
+    inst = _instance(args)
+    problem, report, ref = inst, float, None  # report maps an engine cost to the shown value
+    if args.problem == "tsp":
+        problem, ref = problems.tsp_problem(inst), _known_optimum(inst.name)
+    elif args.problem == "maxcut":  # the engine minimizes the QUBO form; show the cut weight
+        problem, report = problems.maxcut_problem(inst), partial(problems.cut_from_qubo, inst=inst)
     _echo_config(args, params)
-    stats, results = bench.run_trials(
-        problem, params, args.trials, base_seed=args.seed, keep_results=True
-    )
-    best_trial = int(np.argmin([r.best_cost for r in results]))
-    best = results[best_trial]
+    stats = bench.run_trials(problem, params, args.trials, base_seed=params.seed)
+    best = stats.results[int(np.argmin(stats.costs))]
     shown = report(best.best_cost)
     print(f"instance: {problem.name}")
     print(f"best: {shown:.6f}")
@@ -106,57 +114,60 @@ def cmd_solve(args) -> int:
         print("tour:", " ".join(str(city + 1) for city in best.best_solution))
     else:
         print("solution:", " ".join(str(v) for v in best.best_solution))
-    if ref is not None and ref > 0:
+    if ref:
         print(f"error: {problems.tsp_error(shown, ref):+.2f}% vs reference {ref}")
     if args.trace:
         with open(args.trace, "w") as fh:
             recording.write_trace(best.trace, fh)
     if args.out:
-        _append_records(args, params, problem, results)
+        records = [
+            recording.ResultRecord(
+                instance=problem.name,
+                algorithm=params.mode.value,
+                params=recording.params_dict(params),
+                seed=bench.derive_seed(params.seed, i),
+                best_cost=r.best_cost,
+                wall_time=r.wall_time,
+                best_solution=[int(v) for v in r.best_solution],
+            )
+            for i, r in enumerate(stats.results)
+        ]
+        with open(args.out, "a") as fh:
+            recording.write_results(records, fh)
     return 0
 
 
-def _append_records(args, params, problem, results) -> None:
-    records = [
-        recording.ResultRecord(
-            instance=problem.name,
-            algorithm=params.mode.value,
-            params=recording.params_dict(params),
-            seed=bench.derive_seed(args.seed, i),
-            best_cost=r.best_cost,
-            wall_time=r.wall_time,
-            best_solution=[int(v) for v in r.best_solution],
-        )
-        for i, r in enumerate(results)
-    ]
-    with open(args.out, "a") as fh:
-        recording.write_results(records, fh)
-
-
-ROSENBROCK_SUITE = [(5, 10), (10, 20), (20, 100), (50, 200), (100, 500), (200, 2000)]
+# suite dimension -> iteration budget
+ROSENBROCK_SUITE = {5: 10, 10: 20, 20: 100, 50: 200, 100: 500, 200: 2000}
 
 
 def cmd_bench(args) -> int:
     params = _params_from(args)
-    trials = args.trials
     _echo_config(args, params)
     rows = []
     if args.suite == "rosenbrock":
-        cases = [(n, b) for n, b in ROSENBROCK_SUITE if n in set(args.sizes or [5, 10, 20, 50])]
-        for n, budget in cases:
+        sizes = set(args.sizes or [5, 10, 20, 50])
+        if not sizes <= ROSENBROCK_SUITE.keys():
+            raise DstaError(
+                f"no rosenbrock suite case for size(s) {sorted(sizes - ROSENBROCK_SUITE.keys())}; "
+                f"valid sizes: {' '.join(map(str, ROSENBROCK_SUITE))}"
+            )
+        for n in sorted(sizes):
             prob = problems.rosenbrock_problem(n)
             for mode in (Mode.SIMPLE, Mode.DYNAMIC):
-                p = replace(params, mode=mode, max_iters=budget)
-                stats = bench.run_trials(prob, p, trials, base_seed=args.seed)
+                p = replace(params, mode=mode, max_iters=ROSENBROCK_SUITE[n])
+                stats = bench.run_trials(prob, p, args.trials, base_seed=params.seed)
                 rows.append((f"rosenbrock n={n}", mode.value, stats, stats.best))
     elif args.suite == "tsp":
-        for path in args.files or []:
+        if not args.files:
+            raise DstaError("the tsp suite needs --files with at least one TSPLIB path")
+        for path in args.files:
             inst = tsplib.load_instance(path, rounding=args.rounding)
             prob = problems.tsp_problem(inst)
-            ref = KNOWN_OPTIMA.get(inst.name.split(".")[0])
+            ref = _known_optimum(inst.name)
             for mode in (Mode.SIMPLE, Mode.DYNAMIC):
                 p = replace(params, mode=mode)
-                stats = bench.run_trials(prob, p, trials, base_seed=args.seed)
+                stats = bench.run_trials(prob, p, args.trials, base_seed=params.seed)
                 err = problems.tsp_error(stats.best, ref) if ref else None
                 rows.append((inst.name, mode.value, stats, err))
     print(f"{'instance':<22}{'algorithm':<11}{'best':>14}{'mean':>14}{'std':>12}{'error':>9}")
@@ -170,7 +181,7 @@ def cmd_bench(args) -> int:
                     instance=name,
                     algorithm=mode,
                     params=recording.params_dict(params),
-                    seed=args.seed,
+                    seed=params.seed,
                     best_cost=stats.best,
                     wall_time=0.0,
                 )
@@ -181,24 +192,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    inst = _instance(args)
     if args.problem == "rosenbrock":
-        prob = problems.rosenbrock_problem(args.n)
-        opt, best = bench.brute_force_dvs(prob)
+        opt, best = bench.brute_force_dvs(inst)
         print(f"optimum: {opt:.6f}")
         print("solution:", " ".join(str(v) for v in problems.ROSENBROCK_ALPHABET[best]))
     elif args.problem == "tsp":
-        inst = (
-            tsplib.load_instance(args.file, rounding=args.rounding)
-            if args.file
-            else instances.random_euclidean_tsp(args.n, args.instance_seed)
-        )
         opt, tour = bench.brute_force_tsp(inst)
         print(f"optimum: {opt:.6f}")
         print("tour:", " ".join(str(c + 1) for c in tour))
-    elif args.problem == "maxcut":
-        inst = instances.random_weighted_graph(args.n, args.density, args.instance_seed)
-        q, c = inst.qubo
-        opt, optimizers = bench.brute_force_qubo(q, c)
+    else:
+        opt, optimizers = bench.brute_force_qubo(*inst.qubo)
         print(f"optimum (qubo): {opt:.6f}")
         print(f"optimum (cut weight): {problems.cut_from_qubo(opt, inst):.6f}")
         print(f"optimizers: {len(optimizers)}")
@@ -210,11 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one instance")
-    solve.add_argument("problem", choices=["tsp", "maxcut", "rosenbrock"])
-    solve.add_argument("--file", help="TSPLIB instance path")
-    solve.add_argument("--n", type=int, default=10, help="size for generated instances")
-    solve.add_argument("--density", type=float, default=1.0)
-    solve.add_argument("--instance-seed", type=int, default=0)
+    _add_instance_flags(solve, n=10)
     _add_param_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
@@ -222,16 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     benchp.add_argument("suite", choices=["rosenbrock", "tsp"])
     benchp.add_argument("--files", nargs="*", help="TSPLIB paths for the tsp suite")
     benchp.add_argument("--sizes", nargs="*", type=int, help="rosenbrock dimensions")
+    _add_rounding_flag(benchp)
     _add_param_flags(benchp)
     benchp.set_defaults(func=cmd_bench, trials=20)  # reference protocol default
 
     oracle = sub.add_parser("oracle", help="exact optimum by enumeration")
-    oracle.add_argument("problem", choices=["tsp", "maxcut", "rosenbrock"])
-    oracle.add_argument("--file", help="TSPLIB instance path")
-    oracle.add_argument("--n", type=int, default=8)
-    oracle.add_argument("--density", type=float, default=1.0)
-    oracle.add_argument("--instance-seed", type=int, default=0)
-    oracle.add_argument("--rounding", choices=["real", "tsplib"], default="real")
+    _add_instance_flags(oracle, n=8)
     oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import DstaError
 from .problems import DvsProblem, MaxCutInstance, TspInstance
+from .tsplib import euclidean_matrix
 
 
 class InvalidSize(DstaError):
@@ -23,9 +24,7 @@ def random_euclidean_tsp(n: int, seed: int) -> TspInstance:
         raise InvalidSize(f"need n >= 3 cities, got {n}")
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2))
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    return TspInstance(matrix=d, coords=coords, name=f"rand-euc-{n}-s{seed}")
+    return TspInstance(matrix=euclidean_matrix(coords), coords=coords, name=f"rand-euc-{n}-s{seed}")
 
 
 def random_weighted_graph(n_vertices: int, density: float, seed: int) -> MaxCutInstance:

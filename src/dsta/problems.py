@@ -30,6 +30,8 @@ class TspInstance:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise DimensionMismatch("distance matrix entries must be finite")
         if not np.allclose(m, m.T) or not np.allclose(np.diag(m), 0) or np.any(m < 0):
             raise DimensionMismatch("distance matrix must be symmetric, nonnegative, zero diagonal")
 
@@ -54,6 +56,8 @@ class MaxCutInstance:
         w = self.weights
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
             raise DimensionMismatch(f"weight matrix must be square with >= 2 vertices, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise DimensionMismatch("weight matrix entries must be finite")
         if not np.allclose(w, w.T):
             raise DimensionMismatch("weight matrix must be symmetric")
 

@@ -178,6 +178,22 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return math.pi * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
+def euclidean_matrix(coords: np.ndarray) -> np.ndarray:
+    """Exact pairwise Euclidean distances of (n, 2) points.
+
+    Built in place with one n x n buffer per axis, since the matrix dominates
+    set-up memory.  Distances that overflow come out as inf, which
+    `TspInstance` rejects, so the overflow is not also warned about here.
+    """
+    x, y = coords.T
+    with np.errstate(over="ignore"):
+        d, dy = x[:, None] - x, y[:, None] - y
+        d *= d
+        dy *= dy
+        d += dy
+    return np.sqrt(d, out=d)
+
+
 def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
     """Realize the document's metric as a full symmetric matrix.
 
@@ -187,13 +203,7 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
     if rounding not in ("real", "tsplib"):
         raise ValueError(f"rounding must be 'real' or 'tsplib', got {rounding!r}")
     if doc.edge_weight_type == "EUC_2D":
-        # in place, one n x n buffer per axis: the matrix dominates set-up memory
-        x, y = doc.coords.T
-        d, dy = x[:, None] - x, y[:, None] - y
-        d *= d
-        dy *= dy
-        d += dy
-        np.sqrt(d, out=d)
+        d = euclidean_matrix(doc.coords)
         if rounding == "tsplib":
             d = np.floor(d + 0.5)
     elif doc.edge_weight_type == "GEO":

@@ -80,11 +80,11 @@ class TestCriterion3:
             StaParams(max_iters=1500),
             20,
             base_seed=REPRO_SEED,
-            error_fn=lambda best: problems.tsp_error(best, cli.KNOWN_OPTIMA["kroA100"]),
         )
-        ok = stats.error <= 5.0
-        report(3, ok, f"best {stats.best:.0f}, error {stats.error:.2f}% vs 21282")
-        assert stats.error <= 5.0
+        error = problems.tsp_error(stats.best, cli.KNOWN_OPTIMA["kroA100"])
+        ok = error <= 5.0
+        report(3, ok, f"best {stats.best:.0f}, error {error:.2f}% vs 21282")
+        assert error <= 5.0
 
 
 class TestCriterion4:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dsta import bench, instances, problems
+from dsta import bench, engine, instances, problems
 from dsta.engine import Mode, StaParams
-from dsta.errors import TooLarge
+from dsta.errors import NonFiniteCost, TooLarge
 from dsta.problems import TspInstance
 
 
@@ -42,19 +44,15 @@ class TestRunTrials:
         b = bench.run_trials(prob, StaParams(max_iters=5), 4, base_seed=9)
         assert a.costs == b.costs
 
-    def test_error_fn_applied_to_best(self):
+    def test_results_per_trial(self):
         prob = problems.rosenbrock_problem(4)
-        stats = bench.run_trials(
-            prob, StaParams(max_iters=30), 3, base_seed=0, error_fn=lambda best: best + 1.0
-        )
-        assert stats.error == stats.best + 1.0
-
-    def test_keep_results(self):
-        prob = problems.rosenbrock_problem(4)
-        stats, results = bench.run_trials(
-            prob, StaParams(max_iters=3), 3, base_seed=0, keep_results=True
-        )
-        assert [r.best_cost for r in results] == stats.costs
+        params = StaParams(max_iters=30)
+        stats = bench.run_trials(prob, params, 3, base_seed=7)
+        assert [r.best_cost for r in stats.results] == stats.costs
+        for i, r in enumerate(stats.results):  # trial order, each on its derived seed
+            alone = engine.run(prob, replace(params, seed=bench.derive_seed(7, i)))
+            assert np.array_equal(r.best_solution, alone.best_solution)
+            assert r.trace == alone.trace
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -83,6 +81,13 @@ class TestBruteForceTsp:
         opt, tour = bench.brute_force_tsp(inst)
         assert opt == pytest.approx(4)
         assert problems.tour_length(tour, inst) == pytest.approx(4)
+
+    def test_no_finite_tour(self):
+        # finite weights whose every tour sum overflows
+        d = np.full((4, 4), 1e308)
+        np.fill_diagonal(d, 0.0)
+        with pytest.raises(NonFiniteCost, match="no tour"):
+            bench.brute_force_tsp(TspInstance(matrix=d))
 
     def test_size_bound(self):
         inst = instances.random_euclidean_tsp(11, seed=0)
@@ -114,6 +119,13 @@ class TestBruteForceQubo:
         assert opt == pytest.approx(values.min(), rel=1e-12)
         expected = {tuple(2 * b - 1) for b in bits[values <= values.min() + 1e-9]}
         assert {tuple(x) for x in optimizers} == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_optimum(self):
+        q = np.full((3, 3), 1e308)
+        np.fill_diagonal(q, 0.0)
+        with pytest.raises(NonFiniteCost, match="QUBO optimum"):
+            bench.brute_force_qubo(q, np.full(3, 1e308))
 
     def test_size_bound(self):
         with pytest.raises(TooLarge):

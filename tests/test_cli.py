@@ -1,14 +1,38 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from dsta import cli, recording
+from dsta import bench, cli, instances, recording, tsplib
+from dsta.engine import Mode, StaParams
+from dsta.operators import Operator
+
+FIVE_CITIES = (
+    "NAME: five\nTYPE: TSP\nDIMENSION: 5\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+    "NODE_COORD_SECTION\n1 0 0\n2 3 0\n3 3 4\n4 0 4\n5 1 7\nEOF\n"
+)
+# finite coordinates whose squared distances overflow to inf
+HUGE_COORDS = (
+    "NAME: huge\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+    "NODE_COORD_SECTION\n1 0 0\n2 1e200 0\n3 1e200 1e200\n4 0 1e200\nEOF\n"
+)
+# finite weights whose every tour sum overflows to inf
+HUGE_WEIGHTS = (
+    "NAME: big\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+    "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n1e308 1e308 1e308\n1e308 1e308\n1e308\nEOF\n"
+)
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def tsp_file(tmp_path, text):
+    path = tmp_path / "instance.tsp"
+    path.write_text(text)
+    return str(path)
 
 
 class TestSolve:
@@ -119,6 +143,26 @@ class TestOracle:
         assert "optimum (qubo):" in out
         assert "optimum (cut weight):" in out
 
+    def test_maxcut_file_uses_the_file(self, capsys, tmp_path):
+        path = tsp_file(tmp_path, FIVE_CITIES)
+        graph = instances.maxcut_from_tsp(tsplib.load_instance(path))
+        opt, _ = bench.brute_force_qubo(*graph.qubo)
+        code, out, _ = run_cli(capsys, "oracle", "maxcut", "--file", path)
+        assert code == 0
+        assert f"optimum (qubo): {opt:.6f}" in out.splitlines()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "problem, text",
+        [("tsp", HUGE_COORDS), ("tsp", HUGE_WEIGHTS), ("maxcut", HUGE_WEIGHTS)],
+        ids=["tsp-inf-distances", "tsp-overflowing-tours", "maxcut-overflowing-qubo"],
+    )
+    def test_file_without_finite_optimum(self, capsys, tmp_path, problem, text):
+        code, out, err = run_cli(capsys, "oracle", problem, "--file", tsp_file(tmp_path, text))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
 
 class TestParsing:
     def test_operator_list_flag(self, capsys):
@@ -149,9 +193,56 @@ class TestParsing:
         )
         code, _, err = run_cli(capsys, "solve", "tsp", "--file", str(path), "--iters", "5")
         assert code == 1
-        assert "initial cost is inf" in err
+        assert "distance matrix entries must be finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_maxcut_file_stops_at_load(self, capsys, tmp_path):
+        path = tsp_file(tmp_path, HUGE_COORDS)
+        code, _, err = run_cli(capsys, "solve", "maxcut", "--file", path, "--iters", "5")
+        assert code == 1
+        assert "must be finite" in err
+
+    def test_unset_flags_take_staparams_defaults(self):
+        for argv in (["solve", "rosenbrock"], ["bench", "rosenbrock"]):
+            assert cli._params_from(cli.build_parser().parse_args(argv)) == StaParams()
+
+    def test_every_flag_sets_its_field(self):
+        flags = [
+            "--mode", "sta", "--se", "5", "--ma", "3", "--mb", "2", "--mc", "1", "--md", "2",
+            "--p1", "0.5", "--p2", "0.25", "--iters", "7", "--seed", "3",
+            "--operators", "substitute,swap",
+        ]
+        default = StaParams()
+        for command in ("solve", "bench"):
+            params = cli._params_from(cli.build_parser().parse_args([command, "rosenbrock", *flags]))
+            assert [f.name for f in fields(StaParams) if getattr(params, f.name) == getattr(default, f.name)] == []
+            assert params.mode is Mode.SIMPLE and params.max_iters == 7 and params.seed == 3
+            assert params.operator_set == (Operator.SUBSTITUTE, Operator.SWAP)
 
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "rosenbrock", "--n", "5", "--se", "0")
         assert code == 1
         assert "se" in err
+
+
+class TestIgnoredInputRejected:
+    def test_unknown_rosenbrock_suite_size(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "rosenbrock", "--sizes", "5", "7", "-q")
+        assert code == 1
+        assert "[7]" in err and "valid sizes: 5 10 20 50 100 200" in err
+        assert "instance" not in out  # no table is printed
+
+    @pytest.mark.parametrize("files", [[], ["--files"]], ids=["no-flag", "no-paths"])
+    def test_tsp_suite_without_files(self, capsys, files):
+        code, out, err = run_cli(capsys, "bench", "tsp", "-q", *files)
+        assert code == 1
+        assert "--files" in err
+        assert "instance" not in out
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_rosenbrock_with_file(self, capsys, tmp_path, command):
+        path = tsp_file(tmp_path, FIVE_CITIES)
+        code, out, err = run_cli(capsys, command, "rosenbrock", "--file", path)
+        assert code == 1
+        assert "--file" in err
+        assert "optimum" not in out and "best" not in out

@@ -22,6 +22,13 @@ class TestRandomEuclideanTsp:
             np.linalg.norm(inst.coords[i] - inst.coords[j])
         )
 
+    @pytest.mark.parametrize("n", [3, 7, 100, 501])
+    def test_matrix_equals_coordinate_formula(self, n):
+        inst = instances.random_euclidean_tsp(n, seed=n)
+        c = inst.coords
+        diff = c[:, None, :] - c[None, :, :]
+        assert np.array_equal(inst.matrix, np.sqrt((diff**2).sum(axis=-1)))
+
     def test_seed_determinism(self):
         a = instances.random_euclidean_tsp(8, seed=5)
         b = instances.random_euclidean_tsp(8, seed=5)

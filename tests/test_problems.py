@@ -64,6 +64,13 @@ class TestTourLength:
         with pytest.raises(DimensionMismatch):
             TspInstance(matrix=np.array([[0.0, 1], [2, 0], [1, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = triangle().matrix.copy()
+        m[0, 1] = m[1, 0] = bad  # symmetric, so only the entry itself is wrong
+        with pytest.raises(DimensionMismatch, match="finite"):
+            TspInstance(matrix=m)
+
 
 class TestCutAndQubo:
     def test_empty_cut(self):
@@ -74,6 +81,11 @@ class TestCutAndQubo:
     def test_two_vertices(self):
         inst = MaxCutInstance(weights=np.array([[0.0, 5], [5, 0]]))
         assert cut_weight(np.array([1, 0]), inst) == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            MaxCutInstance(weights=np.array([[0.0, bad, 1], [bad, 0, 1], [1, 1, 0]]))
 
     def test_qubo_zero(self):
         q = np.zeros((3, 3))
