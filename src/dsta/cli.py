@@ -45,7 +45,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
         help="comma-separated operator order",
     )
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--trace", metavar="PATH", help="write a convergence trace CSV")
     p.add_argument("--out", metavar="PATH", help="append JSON-lines result records")
     p.add_argument("-q", "--quiet", action="store_true")
 
@@ -209,13 +208,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error; 2 is TooLarge's code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dsta", description=__doc__)
+    parser = _Parser(prog="dsta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one instance")
     _add_instance_flags(solve, n=10)
     _add_param_flags(solve)
+    solve.add_argument("--trace", metavar="PATH", help="write the best trial's convergence trace CSV")
     solve.set_defaults(func=cmd_solve)
 
     benchp = sub.add_parser("bench", help="run a benchmark suite")

@@ -4,8 +4,9 @@
 one operator and returns them as the rows of a fresh (se, n) array, never
 mutating its input.  A state is a 1-D integer numpy array: either a
 permutation of 0..n-1 (tour representation) or an index vector with entries
-in 0..m-1 (value representation).  Each operator has a single implementation,
-vectorized over the rows for every factor value.
+in 0..m-1 (value representation).  Each operator has a single implementation
+whose rng draws are vectorized over the rows for every factor value; shift and
+symmetry then build each row from one or two slice copies of the state.
 
 The first three operators rearrange existing entries (the entry multiset is
 preserved), so duplicate-valued states admit rearrangements that change
@@ -163,14 +164,14 @@ def _shift(state, mb, se, rng):
         if not len(redo):
             break
     lo, hi = np.minimum(s, j), np.maximum(s, j) + seg
-    # rotate window [lo, hi) left by r: the entries from cut on wrap around to lo
-    r = np.where(j > s, seg, hi - lo - seg)
-    lo, cut, hi, r = lo[:, None], (hi - r)[:, None], hi[:, None], r[:, None]
-    idx = np.arange(n)
-    src = np.repeat(idx[None], se, axis=0)
-    np.add(idx, r, out=src, where=(idx >= lo) & (idx < cut))
-    np.subtract(idx, cut - lo, out=src, where=(idx >= cut) & (idx < hi))
-    out = state[src]
+    # rotate window [lo, hi) left by k with two slice copies: k = seg carries a
+    # segment moved right (j > s) to the window's end, k = hi - lo - seg brings
+    # a segment moved left to its front
+    k = np.where(j > s, seg, hi - lo - seg)
+    out = np.repeat(state[None], se, axis=0)
+    for row, a, b, t in zip(out, lo.tolist(), hi.tolist(), k.tolist()):
+        row[a : b - t] = state[a + t : b]
+        row[b - t : b] = state[a : a + t]
     long = np.flatnonzero(seg > 1)
     if len(long):  # a segment longer than 1 can also rotate a periodic window onto itself
         redo = np.union1d(redo, long[(out[long] == state).all(axis=1)])
@@ -182,8 +183,8 @@ def _shift(state, mb, se, rng):
 def _redraw_palindrome(state, c_hi, rng):
     """Reverse one non-palindromic window, retrying with scalar draws.
 
-    This is the one row-by-row loop left: each retry draws (c, h, start) for
-    its row before the next row starts, and seeded runs depend on that
+    This is the one loop that draws row by row: each retry draws (c, h, start)
+    for its row before the next row starts, and seeded runs depend on that
     interleaving, which a vectorized redraw would change.
     """
     n = len(state)
@@ -213,9 +214,9 @@ def _symmetry(state, mc, se, rng):
     h = 1 + (rng.random(se) * ((n - c) // 2)).astype(int)
     wlen = 2 * h + c
     start = (rng.random(se) * (n - wlen + 1)).astype(int)
-    idx = np.arange(n)
-    lo, hi = start[:, None], (start + wlen)[:, None]
-    out = state[np.where((idx >= lo) & (idx < hi), lo + hi - 1 - idx, idx)]
+    out = np.repeat(state[None], se, axis=0)
+    for row, a, b in zip(out, start.tolist(), (start + wlen).tolist()):
+        row[a:b] = state[a:b][::-1]
     for r in np.flatnonzero((out == state).all(axis=1)):
         out[r] = _redraw_palindrome(state, c_hi, rng)
     return out

@@ -27,7 +27,9 @@ class TspInstance:
     name: str = "tsp"
 
     def __post_init__(self):
-        m = self.matrix
+        # tour_lengths indexes the flattened matrix, so keep it in C order
+        m = np.ascontiguousarray(self.matrix)
+        object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
         if not np.isfinite(m).all():
@@ -58,6 +60,11 @@ class MaxCutInstance:
             raise DimensionMismatch(f"weight matrix must be square with >= 2 vertices, got {w.shape}")
         if not np.isfinite(w).all():
             raise DimensionMismatch("weight matrix entries must be finite")
+        with np.errstate(over="ignore"):
+            # bounds every partial sum of the QUBO form and of cut_weight
+            total = 2 * np.abs(w).sum()
+        if not np.isfinite(total):
+            raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
         if not np.allclose(w, w.T):
             raise DimensionMismatch("weight matrix must be symmetric")
 
@@ -99,9 +106,16 @@ def tour_length(tour: np.ndarray, inst: TspInstance) -> float:
 
 
 def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
-    if tours.shape[1] != inst.n:
-        raise DimensionMismatch(f"tour length {tours.shape[1]} != instance size {inst.n}")
-    return inst.matrix[tours, np.roll(tours, -1, axis=1)].sum(axis=1)
+    """Closed-tour length of each row of `tours` (the batch form of `tour_length`)."""
+    n = inst.n
+    if tours.shape[1] != n:
+        raise DimensionMismatch(f"tour length {tours.shape[1]} != instance size {n}")
+    # one flat gather: leg (a, b) is entry a * n + b of the C-order matrix;
+    # intp arithmetic, so narrow tour dtypes cannot wrap
+    idx = np.multiply(tours, n, dtype=np.intp)
+    idx[:, :-1] += tours[:, 1:]
+    idx[:, -1] += tours[:, 0]
+    return inst.matrix.ravel().take(idx).sum(axis=1)
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:

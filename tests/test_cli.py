@@ -107,6 +107,15 @@ class TestBench:
         assert len(body) == 2  # one row per mode
         assert {ln.split()[2] for ln in body} == {"sta", "dsta"}
 
+    def test_trace_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # only solve writes a trace; bench used to accept --trace and write nothing
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "rosenbrock", "--sizes", "5", "--trials", "2", "--trace", "t.csv"])
+        assert exc.value.code == 1
+        assert "--trace" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_out_records(self, capsys, tmp_path):
         out_file = tmp_path / "bench.jsonl"
         run_cli(
@@ -201,6 +210,25 @@ class TestParsing:
         code, _, err = run_cli(capsys, "solve", "maxcut", "--file", path, "--iters", "5")
         assert code == 1
         assert "must be finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_maxcut_file_stops_at_load(self, capsys, tmp_path):
+        path = tsp_file(tmp_path, HUGE_WEIGHTS)
+        code, _, err = run_cli(capsys, "solve", "maxcut", "--file", path, "--iters", "5")
+        assert code == 1
+        assert "QUBO form overflows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "tsp", "--operators", "foo"], ["solve", "tsp", "--no-such-flag"]],
+        ids=["bad-operator", "unknown-flag"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        # 1 like every input error; 2 stays the oracle size bound's code (TestOracle)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
 
     def test_unset_flags_take_staparams_defaults(self):
         for argv in (["solve", "rosenbrock"], ["bench", "rosenbrock"]):

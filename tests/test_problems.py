@@ -22,6 +22,7 @@ from dsta.problems import (
     rosenbrock_problem,
     rosenbrock_value,
     tour_length,
+    tour_lengths,
     tsp_error,
     tsp_problem,
 )
@@ -86,6 +87,18 @@ class TestCutAndQubo:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(DimensionMismatch, match="finite"):
             MaxCutInstance(weights=np.array([[0.0, bad, 1], [bad, 0, 1], [1, 1, 0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_weights_whose_qubo_form_overflows(self):
+        # the bound is 2 * sum|w|: just inside it every QUBO and cut sum stays finite
+        w = np.full((3, 3), 1.4e307)
+        np.fill_diagonal(w, 0)
+        inst = MaxCutInstance(weights=w)
+        bits = np.array(list(itertools.product([0, 1], repeat=2)))
+        assert np.isfinite(maxcut_problem(inst).evaluate_many(bits)).all()
+        assert all(np.isfinite(cut_weight(np.append(x, 1), inst)) for x in bits)
+        with pytest.raises(DimensionMismatch, match="overflows"):
+            MaxCutInstance(weights=2 * w)
 
     def test_qubo_zero(self):
         q = np.zeros((3, 3))
@@ -206,6 +219,24 @@ class TestAdapters:
         assert batch.shape == (20,)
         for row, cost in zip(tours, batch):
             assert tour_length(row, inst) == pytest.approx(cost)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        layout=st.sampled_from(["C", "F", "transposed"]),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=200, layout="C", dtype=np.int16, seed=0)  # 199 * 200 exceeds int16
+    def test_tour_lengths_equal_two_index_gather(self, n, layout, dtype, seed):
+        g = np.random.default_rng(seed)
+        m = g.random((n, n))
+        m = m + m.T + 1e-12 * g.random((n, n))  # symmetric only to allclose, so the layout shows
+        np.fill_diagonal(m, 0)
+        matrix = {"C": m, "F": np.asfortranarray(m), "transposed": m.T}[layout]
+        tours = np.stack([g.permutation(n) for _ in range(17)]).astype(dtype)
+        ref = matrix[tours, np.roll(tours, -1, 1)].sum(1)
+        assert np.array_equal(tour_lengths(tours, TspInstance(matrix=matrix)), ref)
 
     def test_maxcut_problem_minimizes_negated_cut(self):
         g = np.random.default_rng(2)
