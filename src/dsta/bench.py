@@ -10,11 +10,11 @@ import numpy as np
 
 from . import engine
 from .engine import Mode, RunResult, StaParams
-from .errors import NonFiniteCost, TooLarge
-from .problems import Problem, TspInstance, _qubo_form
+from .errors import InvalidParams, NonFiniteCost, TooLarge
+from .problems import Problem, TspInstance
 
 _MASK64 = (1 << 64) - 1
-_QUBO_BLOCK = 1 << 16  # sign vectors per oracle block
+_ORACLE_BLOCK = 1 << 16  # most index vectors per oracle block
 
 
 def derive_seed(base_seed: int, trial: int) -> int:
@@ -38,7 +38,7 @@ class TrialStats:
 def run_trials(problem: Problem, params: StaParams, trials: int, base_seed: int = 0) -> TrialStats:
     """Repeat seeded runs; trial i uses a seed mixed from (base_seed, i)."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidParams(f"trials must be >= 1, got {trials}")
     results = [
         engine.run(problem, replace(params, seed=derive_seed(base_seed, i))) for i in range(trials)
     ]
@@ -83,42 +83,30 @@ def brute_force_tsp(inst: TspInstance) -> tuple[float, np.ndarray]:
     return float(best_cost), np.array(best_tour)
 
 
-def brute_force_qubo(q: np.ndarray, c: np.ndarray, atol: float = 1e-9):
-    """Exact minimum of 1/2 x'Qx - x'c over {-1,1}^n with all optimizers; n <= 20.
+def brute_force_dvs(problem: Problem) -> tuple[float, np.ndarray]:
+    """Exact minimum over all m^n <= 2^20 index vectors, and every optimizer within 1e-9.
 
-    Sign vectors are evaluated in blocks of at most 2^16, so memory holds the
-    2^n values plus one block rather than the whole 2^n-by-n sign matrix.
+    Vector k has digit i of k in base m at position i (at m = 2, the bits of k);
+    optimizers come in that order.  Blocks of m^low <= 2^16 vectors share their
+    high digits and go through `evaluate_many`, so memory holds one block.
     """
-    n = q.shape[0]
-    if n > 20:
-        raise TooLarge(f"brute-force QUBO limited to n <= 20, got {n}")
-    shifts = np.arange(n, dtype=np.uint32)
-
-    def signs(codes: np.ndarray) -> np.ndarray:
-        return 2 * ((codes[:, None] >> shifts) & 1).astype(np.int64) - 1
-
-    codes = np.arange(1 << n, dtype=np.uint32)
-    blocks = range(0, len(codes), _QUBO_BLOCK)
-    values = np.concatenate([_qubo_form(signs(codes[i : i + _QUBO_BLOCK]), q, c) for i in blocks])
-    opt = float(values.min())  # NaN if any value is NaN
-    if not isfinite(opt):
-        raise NonFiniteCost(f"QUBO optimum is {opt}")
-    return opt, signs(codes[values <= opt + atol])
-
-
-def brute_force_dvs(problem: Problem, limit: int = 10**6) -> tuple[float, np.ndarray]:
-    """Exact minimum by enumerating all m^n index vectors."""
     m, n = problem.alphabet_size, problem.size
     if m is None:
-        raise TooLarge("DVS oracle needs a value-vector problem")
-    if m**n > limit:
-        raise TooLarge(f"search space {m}^{n} exceeds the {limit} bound")
-    best_cost = inf
-    best = None
-    for combo in itertools.product(range(m), repeat=n):
-        idx = np.array(combo)
-        cost = problem.evaluate(idx)
-        if cost < best_cost:
-            best_cost = cost
-            best = idx
-    return float(best_cost), best
+        raise TooLarge("the value-vector oracle needs an alphabet; brute_force_tsp takes tours")
+    if m**n > 1 << 20:
+        raise TooLarge(f"search space {m}^{n} exceeds the 2^20 bound")
+
+    def digits(codes: np.ndarray, width: int) -> np.ndarray:
+        return codes[:, None] // m ** np.arange(width) % m
+
+    low = max(k for k in range(n + 1) if m**k <= _ORACLE_BLOCK)
+    block = digits(np.arange(m**low), n)  # the first block; the others differ in the high digits
+    blocks = []
+    for high in range(m ** (n - low)):  # costs are fresh arrays, so one block buffer serves
+        block[:, low:] = digits(np.array([high]), n - low)
+        blocks.append(problem.evaluate_many(block))
+    values = np.concatenate(blocks)
+    opt = float(values.min())  # NaN if any value is NaN
+    if not isfinite(opt):
+        raise NonFiniteCost(f"{problem.name} optimum is {opt}")
+    return opt, digits(np.flatnonzero(values <= opt + 1e-9), n)

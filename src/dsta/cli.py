@@ -24,7 +24,11 @@ def _known_optimum(name: str) -> int | None:
 
 
 def _operator_list(text: str) -> tuple[Operator, ...]:
-    return tuple(Operator(tok.strip()) for tok in text.split(","))
+    try:
+        return tuple(Operator(tok.strip()) for tok in text.split(","))
+    except ValueError:
+        names = ", ".join(op.value for op in Operator)
+        raise argparse.ArgumentTypeError(f"unknown operator in {text!r}; choose from {names}") from None
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -143,7 +147,6 @@ ROSENBROCK_SUITE = {5: 10, 10: 20, 20: 100, 50: 200, 100: 500, 200: 2000}
 def cmd_bench(args) -> int:
     params = _params_from(args)
     _echo_config(args, params)
-    rows = []
     if args.suite == "rosenbrock":
         sizes = set(args.sizes or [5, 10, 20, 50])
         if not sizes <= ROSENBROCK_SUITE.keys():
@@ -151,24 +154,25 @@ def cmd_bench(args) -> int:
                 f"no rosenbrock suite case for size(s) {sorted(sizes - ROSENBROCK_SUITE.keys())}; "
                 f"valid sizes: {' '.join(map(str, ROSENBROCK_SUITE))}"
             )
-        for n in sorted(sizes):
-            prob = problems.rosenbrock_problem(n)
-            for mode in (Mode.SIMPLE, Mode.DYNAMIC):
-                p = replace(params, mode=mode, max_iters=ROSENBROCK_SUITE[n])
-                stats = bench.run_trials(prob, p, args.trials, base_seed=params.seed)
-                rows.append((f"rosenbrock n={n}", mode.value, stats, stats.best))
-    elif args.suite == "tsp":
+        # (row, problem, params, error column of a best cost): rosenbrock shows the cost
+        cases = [
+            (f"rosenbrock n={n}", problems.rosenbrock_problem(n),
+             replace(params, max_iters=ROSENBROCK_SUITE[n]), float)
+            for n in sorted(sizes)
+        ]
+    else:
         if not args.files:
             raise DstaError("the tsp suite needs --files with at least one TSPLIB path")
+        cases = []
         for path in args.files:
             inst = tsplib.load_instance(path, rounding=args.rounding)
-            prob = problems.tsp_problem(inst)
             ref = _known_optimum(inst.name)
-            for mode in (Mode.SIMPLE, Mode.DYNAMIC):
-                p = replace(params, mode=mode)
-                stats = bench.run_trials(prob, p, args.trials, base_seed=params.seed)
-                err = problems.tsp_error(stats.best, ref) if ref else None
-                rows.append((inst.name, mode.value, stats, err))
+            error = partial(problems.tsp_error, optimum=ref) if ref else lambda best: None
+            cases.append((inst.name, problems.tsp_problem(inst), params, error))
+    rows = []
+    for name, prob, p, error in cases:
+        sta, dsta, _ = bench.compare_modes(prob, p, args.trials, base_seed=params.seed)
+        rows += [(name, mode.value, stats, error(stats.best)) for mode, stats in zip(Mode, (sta, dsta))]
     print(f"{'instance':<22}{'algorithm':<11}{'best':>14}{'mean':>14}{'std':>12}{'error':>9}")
     for name, mode, stats, err in rows:
         err_s = f"{err:.2f}%" if isinstance(err, float) else "-"
@@ -193,15 +197,15 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _instance(args)
     if args.problem == "rosenbrock":
-        opt, best = bench.brute_force_dvs(inst)
+        opt, optimizers = bench.brute_force_dvs(inst)
         print(f"optimum: {opt:.6f}")
-        print("solution:", " ".join(str(v) for v in problems.ROSENBROCK_ALPHABET[best]))
+        print("solution:", " ".join(str(v) for v in problems.ROSENBROCK_ALPHABET[optimizers[0]]))
     elif args.problem == "tsp":
         opt, tour = bench.brute_force_tsp(inst)
         print(f"optimum: {opt:.6f}")
         print("tour:", " ".join(str(c + 1) for c in tour))
     else:
-        opt, optimizers = bench.brute_force_qubo(*inst.qubo)
+        opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(inst))
         print(f"optimum (qubo): {opt:.6f}")
         print(f"optimum (cut weight): {problems.cut_from_qubo(opt, inst):.6f}")
         print(f"optimizers: {len(optimizers)}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DstaError
+from .errors import DomainViolation, DstaError
 from .problems import DvsProblem, MaxCutInstance, TspInstance
 from .tsplib import euclidean_matrix
 
@@ -54,10 +54,11 @@ def random_dvs(n: int, m: int, seed: int) -> DvsProblem:
     rng = np.random.default_rng(seed)
     alphabet = np.sort(rng.choice(np.linspace(-10, 10, 10 * m), size=m, replace=False))
     table = rng.random((n, m))
-    lookup = {round(float(v), 12): j for j, v in enumerate(alphabet)}
 
-    def objective(x: np.ndarray) -> float:
-        cols = [lookup[round(float(v), 12)] for v in x]
-        return float(table[np.arange(n), cols].sum())
+    def objective(x: np.ndarray) -> np.ndarray:
+        cols = np.searchsorted(alphabet, x)  # the column of each value in the sorted alphabet
+        if not (alphabet[np.minimum(cols, m - 1)] == x).all():
+            raise DomainViolation("value outside the alphabet")
+        return table[np.arange(n), cols].sum(axis=1)
 
     return DvsProblem(alphabet=alphabet, dimension=n, objective=objective, name=f"rand-dvs-{n}x{m}-s{seed}")

@@ -84,11 +84,14 @@ class MaxCutInstance:
 
 @dataclass(frozen=True)
 class DvsProblem:
-    """Discrete value selection: pick each coordinate from a finite real alphabet."""
+    """Discrete value selection: pick each coordinate from a finite real alphabet.
+
+    `objective` maps a (rows, dimension) matrix of alphabet values to (rows,) costs.
+    """
 
     alphabet: np.ndarray
     dimension: int
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     name: str = "dvs"
 
     def __post_init__(self):
@@ -251,7 +254,10 @@ def rosenbrock_problem(n: int) -> Problem:
 
 def dvs_problem(spec: DvsProblem) -> Problem:
     def many(idx: np.ndarray) -> np.ndarray:
-        return np.array([float(spec.objective(dvs_decode(row, spec.alphabet))) for row in idx])
+        costs = np.asarray(spec.objective(dvs_decode(idx, spec.alphabet)), dtype=np.float64)
+        if costs.shape != (len(idx),):
+            raise DimensionMismatch(f"objective returned shape {costs.shape} for {len(idx)} rows")
+        return costs
 
     return Problem(
         name=spec.name,

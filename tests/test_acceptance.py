@@ -111,10 +111,10 @@ class TestCriterion5:
         matches = 0
         for i in range(20):
             graph = instances.random_weighted_graph(13, density=1.0, seed=700 + i)
-            q, c = graph.qubo
-            opt, _ = bench.brute_force_qubo(q, c)
+            problem = problems.maxcut_problem(graph)
+            opt, _ = bench.brute_force_dvs(problem)
             r = run(
-                problems.maxcut_problem(graph),
+                problem,
                 StaParams(max_iters=1500, seed=bench.derive_seed(43, i)),
             )
             matches += abs(r.best_cost - opt) < 1e-9

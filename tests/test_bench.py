@@ -1,12 +1,15 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsta import bench, engine, instances, problems
 from dsta.engine import Mode, StaParams
-from dsta.errors import NonFiniteCost, TooLarge
-from dsta.problems import TspInstance
+from dsta.errors import DimensionMismatch, InvalidParams, NonFiniteCost, TooLarge
+from dsta.problems import Problem, TspInstance, _qubo_form
 
 
 class TestDeriveSeed:
@@ -55,7 +58,7 @@ class TestRunTrials:
             assert r.trace == alone.trace
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams, match="trials must be >= 1"):
             bench.run_trials(problems.rosenbrock_problem(4), StaParams(), 0)
 
 
@@ -95,53 +98,95 @@ class TestBruteForceTsp:
             bench.brute_force_tsp(inst)
 
 
+def one_fixed_graph(q: np.ndarray, c: np.ndarray) -> problems.MaxCutInstance:
+    """The graph whose fixed-last-vertex QUBO form is (q, c)."""
+    n = len(c)
+    w = np.zeros((n + 1, n + 1))
+    w[:n, :n] = q
+    w[:n, n] = w[n, :n] = -c
+    return problems.MaxCutInstance(weights=w)
+
+
+def product_oracle(cost, m: int, n: int):
+    """Optimum and optimizers by itertools.product, in the oracle's order (position 0 fastest)."""
+    vectors = [combo[::-1] for combo in itertools.product(range(m), repeat=n)]
+    costs = [cost(np.array(v)) for v in vectors]
+    opt = min(costs)
+    return opt, np.array([v for v, f in zip(vectors, costs) if f <= opt + 1e-9])
+
+
 class TestBruteForceQubo:
+    """The value-vector oracle on MAX-CUT's QUBO form: index 0/1 encodes sign -1/+1."""
+
     def test_pure_linear(self):
-        for n in (5, 17):  # 17: the optimum is the last code of the second block
-            opt, optimizers = bench.brute_force_qubo(np.zeros((n, n)), np.ones(n))
+        for n in (5, 17):  # 17: the optimum is the last vector of the second block
+            graph = one_fixed_graph(np.zeros((n, n)), np.ones(n))
+            opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(graph))
             assert opt == -n
             assert optimizers.shape == (1, n)
             assert (optimizers[0] == 1).all()
 
     def test_antiferromagnetic_pair(self):
-        q = np.array([[0.0, 4], [4, 0]])
-        opt, optimizers = bench.brute_force_qubo(q, np.zeros(2))
+        graph = one_fixed_graph(np.array([[0.0, 4], [4, 0]]), np.zeros(2))
+        opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(graph))
         assert opt == -4
-        assert {tuple(x) for x in optimizers} == {(1, -1), (-1, 1)}
+        assert optimizers.tolist() == [[1, 0], [0, 1]]  # signs (1, -1) and (-1, 1)
 
     def test_blocked_matches_one_shot(self):
         graph = instances.random_weighted_graph(18, 1.0, seed=5)  # n = 17: two blocks
         n = graph.n
-        opt, optimizers = bench.brute_force_qubo(*graph.qubo)
+        opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(graph))
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
         values = problems.maxcut_problem(graph).evaluate_many(bits)
         # BLAS may order a row's sums differently at another batch height
         assert opt == pytest.approx(values.min(), rel=1e-12)
-        expected = {tuple(2 * b - 1) for b in bits[values <= values.min() + 1e-9]}
+        expected = {tuple(b) for b in bits[values <= values.min() + 1e-9]}
         assert {tuple(x) for x in optimizers} == expected
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_non_finite_optimum(self):
+        # MaxCutInstance rejects weights this large, so score their QUBO form directly
         q = np.full((3, 3), 1e308)
         np.fill_diagonal(q, 0.0)
-        with pytest.raises(NonFiniteCost, match="QUBO optimum"):
-            bench.brute_force_qubo(q, np.full(3, 1e308))
+        c = np.full(3, 1e308)
+        prob = Problem("huge-qubo", 3, 2, lambda bits: _qubo_form(2 * bits - 1, q, c))
+        with pytest.raises(NonFiniteCost, match="huge-qubo optimum"):
+            bench.brute_force_dvs(prob)
 
     def test_size_bound(self):
-        with pytest.raises(TooLarge):
-            bench.brute_force_qubo(np.zeros((21, 21)), np.zeros(21))
+        # 2^20 states: 21 vertices (20 free signs) are enumerated, 22 are refused
+        graph = instances.random_weighted_graph(21, 1.0, seed=3)
+        opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(graph))
+        assert problems.maxcut_problem(graph).evaluate_many(optimizers) == pytest.approx(opt)
+        too_large = instances.random_weighted_graph(22, 1.0, seed=3)
+        with pytest.raises(TooLarge, match="2\\^21"):
+            bench.brute_force_dvs(problems.maxcut_problem(too_large))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_equals_product_enumeration(self, vertices, data):
+        # small integer weights, so values are exact and ties occur
+        cells = vertices * vertices
+        w = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells)))
+        w = np.triu(w.reshape(vertices, vertices).astype(float), 1)
+        graph = problems.MaxCutInstance(weights=w + w.T)
+        q, c = graph.qubo
+        opt, optimizers = bench.brute_force_dvs(problems.maxcut_problem(graph))
+        expected_opt, expected = product_oracle(lambda b: problems.qubo_value(b, q, c), 2, graph.n)
+        assert opt == expected_opt
+        assert np.array_equal(optimizers, expected)
 
 
 class TestBruteForceDvs:
     def test_rosenbrock_optimum_is_zero(self):
-        opt, best = bench.brute_force_dvs(problems.rosenbrock_problem(5))
+        opt, optimizers = bench.brute_force_dvs(problems.rosenbrock_problem(5))
         assert opt == 0
-        assert (problems.ROSENBROCK_ALPHABET[best] == 1).all()
+        assert (problems.ROSENBROCK_ALPHABET[optimizers] == 1).all()
 
     def test_separable_matches_columnwise_minimum(self):
         spec = instances.random_dvs(5, 4, seed=13)
         prob = problems.dvs_problem(spec)
-        opt, best = bench.brute_force_dvs(prob)
+        opt, optimizers = bench.brute_force_dvs(prob)
         # the objective is separable per position, so the optimum equals the
         # base cost plus the best single-coordinate change at every position
         base = np.zeros(5, dtype=int)
@@ -155,16 +200,61 @@ class TestBruteForceDvs:
                 deltas.append(prob.evaluate(x) - f0)
             expected += min(deltas)
         assert opt == pytest.approx(expected)
-        assert prob.evaluate(best) == pytest.approx(opt)
+        assert prob.evaluate_many(optimizers) == pytest.approx(opt)
 
     def test_space_bound(self):
-        with pytest.raises(TooLarge):
-            bench.brute_force_dvs(problems.rosenbrock_problem(12), limit=10**6)
+        # 5^8 = 390,625 states fit in the 2^20 bound, 5^9 do not
+        opt, _ = bench.brute_force_dvs(problems.rosenbrock_problem(8))
+        assert opt == 0
+        with pytest.raises(TooLarge, match="5\\^9"):
+            bench.brute_force_dvs(problems.rosenbrock_problem(9))
 
     def test_permutation_problem_rejected(self):
         prob = problems.tsp_problem(instances.random_euclidean_tsp(4, seed=0))
         with pytest.raises(TooLarge):
             bench.brute_force_dvs(prob)
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            lambda x: np.where(x[:, 0] == 1, np.nan, x.sum(axis=1)),
+            lambda x: np.where(x[:, 0] == 1, -np.inf, x.sum(axis=1)),
+            lambda x: np.full(len(x), np.inf),
+        ],
+        ids=["nan-rows", "minus-inf-rows", "all-inf"],
+    )
+    def test_non_finite_optimum(self, objective):
+        spec = problems.DvsProblem(alphabet=np.array([0.0, 1.0]), dimension=3, objective=objective)
+        with pytest.raises(NonFiniteCost, match="optimum is"):
+            bench.brute_force_dvs(problems.dvs_problem(spec))
+
+    def test_scalar_objective_rejected(self):
+        spec = problems.DvsProblem(
+            alphabet=np.array([0.0, 1.0]), dimension=3, objective=lambda x: float(x.sum())
+        )
+        with pytest.raises(DimensionMismatch, match="shape"):
+            bench.brute_force_dvs(problems.dvs_problem(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.data())
+    def test_equals_product_enumeration(self, m, n, data):
+        # a position table plus a coupling of neighbours, in small integers so ties occur
+        table = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)))
+        table = table.reshape(n, m)
+        pair = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m * m, max_size=m * m)))
+        pair = pair.reshape(m, m)
+
+        def cost(x):
+            pairs = sum(pair[x[i], x[i + 1]] for i in range(n - 1))
+            return sum(table[i, x[i]] for i in range(n)) + pairs
+
+        def many(idx):
+            return table[np.arange(n), idx].sum(axis=1) + pair[idx[:, :-1], idx[:, 1:]].sum(axis=1)
+
+        opt, optimizers = bench.brute_force_dvs(Problem("table", n, m, many))
+        expected_opt, expected = product_oracle(cost, m, n)
+        assert opt == expected_opt
+        assert np.array_equal(optimizers, expected)
 
 
 class TestSolverAgainstOracles:

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from dsta import bench, cli, instances, recording, tsplib
+from dsta import bench, cli, instances, problems, recording, tsplib
 from dsta.engine import Mode, StaParams
 from dsta.operators import Operator
 
@@ -155,7 +155,7 @@ class TestOracle:
     def test_maxcut_file_uses_the_file(self, capsys, tmp_path):
         path = tsp_file(tmp_path, FIVE_CITIES)
         graph = instances.maxcut_from_tsp(tsplib.load_instance(path))
-        opt, _ = bench.brute_force_qubo(*graph.qubo)
+        opt, _ = bench.brute_force_dvs(problems.maxcut_problem(graph))
         code, out, _ = run_cli(capsys, "oracle", "maxcut", "--file", path)
         assert code == 0
         assert f"optimum (qubo): {opt:.6f}" in out.splitlines()
@@ -229,6 +229,25 @@ class TestParsing:
             cli.main(argv)
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+    def test_bad_operator_names_the_valid_ones(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "tsp", "--operators", "swap,foo"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "'swap,foo'" in err
+        assert all(op.value in err for op in Operator)
+        assert "_operator_list" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "tsp", "--n", "5"], ["bench", "rosenbrock", "--sizes", "5"]],
+        ids=["solve", "bench"],
+    )
+    def test_zero_trials(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--trials", "0", "-q")
+        assert code == 1
+        assert err.startswith("error: trials must be >= 1")
 
     def test_unset_flags_take_staparams_defaults(self):
         for argv in (["solve", "rosenbrock"], ["bench", "rosenbrock"]):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsta import instances
+from dsta.errors import DomainViolation
 from dsta.instances import InvalidSize
 
 
@@ -91,21 +92,36 @@ class TestRandomDvs:
     def test_objective_is_separable(self):
         spec = instances.random_dvs(4, 3, seed=1)
         # changing one coordinate changes the cost independently of the others
-        x = spec.alphabet[np.zeros(4, dtype=int)]
+        x = spec.alphabet[np.zeros((1, 4), dtype=int)]
         y = x.copy()
-        y[2] = spec.alphabet[1]
+        y[0, 2] = spec.alphabet[1]
         delta = spec.objective(y) - spec.objective(x)
-        z = spec.alphabet[np.array([2, 1, 0, 2])]
+        z = spec.alphabet[np.array([[2, 1, 0, 2]])]
         w = z.copy()
-        w[2] = spec.alphabet[1]
+        w[0, 2] = spec.alphabet[1]
         assert spec.objective(w) - spec.objective(z) == pytest.approx(delta)
 
     def test_seed_determinism(self):
         a = instances.random_dvs(4, 3, seed=7)
         b = instances.random_dvs(4, 3, seed=7)
         assert np.array_equal(a.alphabet, b.alphabet)
-        x = a.alphabet[np.array([0, 2, 1, 0])]
-        assert a.objective(x) == b.objective(x)
+        x = a.alphabet[np.array([[0, 2, 1, 0], [1, 1, 2, 0]])]
+        assert np.array_equal(a.objective(x), b.objective(x))
+
+    def test_batch_rows_equal_single_rows(self):
+        spec = instances.random_dvs(6, 4, seed=3)
+        x = spec.alphabet[np.random.default_rng(0).integers(0, 4, size=(50, 6))]
+        assert spec.objective(x).tolist() == [spec.objective(row[None])[0] for row in x]
+
+    @pytest.mark.parametrize("where", ["between", "below", "above", "nan"])
+    def test_value_outside_alphabet(self, where):
+        spec = instances.random_dvs(3, 4, seed=2)
+        a = spec.alphabet
+        bad = {"between": (a[0] + a[1]) / 2, "below": a[0] - 1, "above": a[-1] + 1, "nan": np.nan}
+        x = a[np.array([[0, 1, 2], [3, 2, 1]])]
+        x[1, 1] = bad[where]
+        with pytest.raises(DomainViolation):
+            spec.objective(x)
 
     def test_validation(self):
         with pytest.raises(InvalidSize):

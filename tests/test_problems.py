@@ -289,8 +289,23 @@ class TestAdapters:
         spec = DvsProblem(
             alphabet=np.array([0.0, 1.0, 4.0]),
             dimension=3,
-            objective=lambda x: float((x**2).sum()),
+            objective=lambda x: (x**2).sum(axis=1),
         )
         prob = dvs_problem(spec)
         assert np.array_equal(prob.evaluate_many(np.array([[0, 0, 0], [2, 1, 0]])), [0, 17])
         assert prob.evaluate(np.array([2, 1, 0])) == 17
+
+    @pytest.mark.parametrize(
+        "objective",
+        [lambda x: float(x.sum()), lambda x: x.sum(axis=1, keepdims=True), lambda x: x.sum(axis=0)],
+        ids=["scalar", "column", "per-position"],
+    )
+    def test_dvs_objective_must_return_one_cost_per_row(self, objective):
+        spec = DvsProblem(alphabet=np.array([0.0, 1.0]), dimension=3, objective=objective)
+        with pytest.raises(DimensionMismatch, match="shape"):
+            dvs_problem(spec).evaluate_many(np.array([[0, 1, 1], [1, 0, 0]]))
+
+    def test_dvs_adapter_keeps_range_check(self):
+        spec = DvsProblem(alphabet=np.array([0.0, 1.0]), dimension=2, objective=lambda x: x.sum(axis=1))
+        with pytest.raises(IndexError):
+            dvs_problem(spec).evaluate_many(np.array([[0, 2]]))

@@ -43,7 +43,7 @@ def _dvs():
     spec = problems.DvsProblem(
         alphabet=np.arange(-2.0, 3.0),
         dimension=len(target),
-        objective=lambda x: float(np.abs(x - target).sum() + (x[0] - x[-1]) ** 2),
+        objective=lambda x: np.abs(x - target).sum(axis=1) + (x[:, 0] - x[:, -1]) ** 2,
     )
     return problems.dvs_problem(spec), 100
 
