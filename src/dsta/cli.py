@@ -154,10 +154,10 @@ def cmd_bench(args) -> int:
                 f"no rosenbrock suite case for size(s) {sorted(sizes - ROSENBROCK_SUITE.keys())}; "
                 f"valid sizes: {' '.join(map(str, ROSENBROCK_SUITE))}"
             )
-        # (row, problem, params, error column of a best cost): rosenbrock shows the cost
+        # (row, problem, params, percent error of a best cost, if there is a reference)
         cases = [
             (f"rosenbrock n={n}", problems.rosenbrock_problem(n),
-             replace(params, max_iters=ROSENBROCK_SUITE[n]), float)
+             replace(params, max_iters=ROSENBROCK_SUITE[n]), None)
             for n in sorted(sizes)
         ]
     else:
@@ -167,15 +167,16 @@ def cmd_bench(args) -> int:
         for path in args.files:
             inst = tsplib.load_instance(path, rounding=args.rounding)
             ref = _known_optimum(inst.name)
-            error = partial(problems.tsp_error, optimum=ref) if ref else lambda best: None
+            error = partial(problems.tsp_error, optimum=ref) if ref else None
             cases.append((inst.name, problems.tsp_problem(inst), params, error))
     rows = []
     for name, prob, p, error in cases:
         sta, dsta, _ = bench.compare_modes(prob, p, args.trials, base_seed=params.seed)
-        rows += [(name, mode.value, stats, error(stats.best)) for mode, stats in zip(Mode, (sta, dsta))]
+        for mode, stats in zip(Mode, (sta, dsta)):
+            rows.append((name, mode.value, stats, error(stats.best) if error else None))
     print(f"{'instance':<22}{'algorithm':<11}{'best':>14}{'mean':>14}{'std':>12}{'error':>9}")
     for name, mode, stats, err in rows:
-        err_s = f"{err:.2f}%" if isinstance(err, float) else "-"
+        err_s = "-" if err is None else f"{err:.2f}%"
         print(f"{name:<22}{mode:<11}{stats.best:>14.4f}{stats.mean:>14.4f}{stats.std:>12.4f}{err_s:>9}")
     if args.out:
         with open(args.out, "a") as fh:

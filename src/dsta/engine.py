@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import IncompatibleOperator, InvalidParams, NonFiniteCost
-from .operators import DEFAULT_ORDER, Operator, sample_batch
+from .operators import DEFAULT_ORDER, Operator, sample_moves
+from .operators import sample_batch  # noqa: F401  perfbench wraps engine.sample_batch by name
 
 
 class Mode(str, Enum):
@@ -131,15 +132,16 @@ def operator_round(
     params: StaParams,
     rng: np.random.Generator,
 ) -> SearchState:
-    """One neighborhood round: sample se candidates, keep the round best if accepted."""
-    candidates = sample_batch(
-        state.current, op, params.factor(op), params.se, rng, problem.alphabet_size
-    )
-    costs = problem.evaluate_many(candidates)
-    best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
-    best_cost = _finite(float(costs[best]), f"{op.value} round-best")
+    """One neighborhood round: sample se moves, take the round best if accepted.
+
+    `problem.best_move` builds only the rows it evaluates, and returns the
+    best one as a new array.
+    """
+    moves = sample_moves(state.current, op, params.factor(op), params.se, rng, problem.alphabet_size)
+    _, best_cost, best_row = problem.best_move(state.current, state.current_cost, moves)
+    best_cost = _finite(best_cost, f"{op.value} round-best")
     if accept_candidate(state.current_cost, best_cost, params.mode, params.p2, rng):
-        state.current = candidates[best].copy()
+        state.current = best_row
         state.current_cost = best_cost
     return state
 

@@ -1,19 +1,32 @@
 """Geometric neighborhood sampling: swap, shift, symmetry, substitute.
 
-`sample_batch` is the one sampler.  It draws `se` neighbors of a state under
-one operator and returns them as the rows of a fresh (se, n) array, never
-mutating its input.  A state is a 1-D integer numpy array: either a
-permutation of 0..n-1 (tour representation) or an index vector with entries
+`sample_moves` is the one sampler.  It draws `se` moves from a state under one
+operator and returns them as a move descriptor; `apply_moves` builds the
+candidate rows from it as a fresh (rows, n) array, never mutating the state,
+and `sample_batch` is the two in sequence.  Two descriptor kinds cover every
+operator:
+
+- `Writes`, sparse writes: swap and substitute set a few positions per row;
+- `Windows`, contiguous windows: shift rotates one per row and symmetry
+  reverses one.
+
+A problem can score moves from the descriptor alone (`Problem.delta_many`), so
+`Problem.best_move` builds only the rows it must evaluate in full.
+
+A state is a 1-D integer numpy array: either a permutation of 0..n-1 (tour
+representation, marked by `alphabet_size` None) or an index vector with entries
 in 0..m-1 (value representation).  Each operator has a single implementation
-whose rng draws are vectorized over the rows for every factor value; shift and
-symmetry then build each row from one or two slice copies of the state.
+whose rng draws are vectorized over the rows for every factor value.
 
 The first three operators rearrange existing entries (the entry multiset is
 preserved), so duplicate-valued states admit rearrangements that change
 nothing.  Such rows are redrawn a bounded number of times, then fall back to
-the smallest change-producing move; on a state whose entries are all
+the smallest change-producing move, a length-2 window over two adjacent
+differing entries; on a state whose entries are all
 identical (including a one-entry state) no rearrangement can help and the
-rows are plain copies.
+rows are plain copies.  A permutation's entries are distinct, so none of its
+rearrangements is the identity and these checks are skipped; no draw depends
+on them there.
 
 Seeded runs depend on the exact sequence of rng draws made here, so the draw
 order at the default factors is part of the contract; tests/test_seeded_outputs.py
@@ -22,6 +35,7 @@ pins it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,6 +56,64 @@ class Operator(str, Enum):
 DEFAULT_ORDER = (Operator.SWAP, Operator.SHIFT, Operator.SYMMETRY, Operator.SUBSTITUTE)
 
 
+@dataclass(slots=True)
+class Writes:
+    """Row r sets entry pos[r, c] to val[r, c] wherever mask[r, c] (everywhere if mask is None).
+
+    The positions one row writes are distinct.  All three arrays are (rows, w).
+    """
+
+    pos: np.ndarray
+    val: np.ndarray
+    mask: np.ndarray | None = None
+
+    def take(self, rows) -> Writes:
+        return Writes(self.pos[rows], self.val[rows], None if self.mask is None else self.mask[rows])
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        out = np.repeat(state[None], len(self.pos), axis=0)
+        if self.mask is None:
+            out[np.arange(len(self.pos))[:, None], self.pos] = self.val
+        else:
+            r, c = np.nonzero(self.mask)
+            out[r, self.pos[r, c]] = self.val[r, c]
+        return out
+
+
+@dataclass(slots=True)
+class Windows:
+    """Row r rotates state[lo[r]:hi[r]] left by k[r], or reverses it when k is None.
+
+    A rotation has 0 < k < hi - lo.  The window [lo, hi) may span the whole state.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    k: np.ndarray | None = None
+
+    def take(self, rows) -> Windows:
+        return Windows(self.lo[rows], self.hi[rows], None if self.k is None else self.k[rows])
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        out = np.repeat(state[None], len(self.lo), axis=0)
+        if self.k is None:
+            for row, a, b in zip(out, self.lo.tolist(), self.hi.tolist()):
+                row[a:b] = state[a:b][::-1]
+        else:  # two slice copies per row
+            for row, a, b, t in zip(out, self.lo.tolist(), self.hi.tolist(), self.k.tolist()):
+                row[a : b - t] = state[a + t : b]
+                row[b - t : b] = state[a : a + t]
+        return out
+
+
+Moves = Writes | Windows
+
+
+def apply_moves(state: np.ndarray, moves: Moves, rows=None) -> np.ndarray:
+    """The candidate rows of `moves`, or only those indexed by `rows`, as a new array."""
+    return (moves if rows is None else moves.take(rows)).apply(state)
+
+
 def is_permutation(state: np.ndarray) -> bool:
     n = len(state)
     return bool(np.array_equal(np.sort(state), np.arange(n)))
@@ -51,8 +123,14 @@ def check_value_state(state: np.ndarray, alphabet_size: int) -> bool:
     return bool(len(state) >= 1 and np.all(state >= 0) and np.all(state < alphabet_size))
 
 
-def _constant(state):
-    return bool((state == state[0]).all())
+def _no_change(state, distinct):
+    """True if no rearrangement of the state changes it."""
+    return len(state) < 2 or not distinct and bool((state == state[0]).all())
+
+
+def _copies(state, se):
+    empty = np.zeros((se, 0), dtype=np.int64)
+    return Writes(empty, empty.astype(state.dtype))
 
 
 def _uniform(rng, lo, hi, size):
@@ -80,18 +158,13 @@ def _floyd(rng, n, ks):
     return pos
 
 
-def _boundary_swaps(state, k, rng):
-    """k copies of a non-constant state, each with one random adjacent differing pair exchanged."""
+def _boundary_starts(state, k, rng):
+    """k random starts b of adjacent differing pairs: exchanging b and b + 1 changes a non-constant state."""
     bnd = np.flatnonzero(state[:-1] != state[1:])
-    b = bnd[rng.integers(len(bnd), size=k)]
-    out = np.repeat(state[None], k, axis=0)
-    rows = np.arange(k)
-    out[rows, b] = state[b + 1]
-    out[rows, b + 1] = state[b]
-    return out
+    return bnd[rng.integers(len(bnd), size=k)]
 
 
-def _swap(state, ma, se, rng):
+def _swap(state, ma, se, rng, distinct):
     """Exchange the entries at k distinct random positions, k uniform in {2..ma}.
 
     k = 2 exchanges a random entry with one holding a different value.  Larger
@@ -100,88 +173,115 @@ def _swap(state, ma, se, rng):
     state in 2..ma positions.
     """
     n = len(state)
-    out = np.repeat(state[None], se, axis=0)
-    if _constant(state):
-        return out
-    ks = _uniform(rng, 2, min(ma, n), se)
-    pair = ks == 2
-    multi = np.flatnonzero(~pair)
+    if _no_change(state, distinct):
+        return _copies(state, se)
+    k_hi = min(ma, n)
+    ks = _uniform(rng, 2, k_hi, se)
+    shape = (se, k_hi)
+    pos, val = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=state.dtype)
+    pairs, mask = slice(None), None  # every row is a pair exchange unless some k > 2
+    if k_hi > 2:
+        mask = np.zeros(shape, dtype=bool)
+        pair = ks == 2
+        multi = np.flatnonzero(~pair)
+        for _ in range(_MAX_ATTEMPTS):
+            if not len(multi):
+                break
+            k = ks[multi]
+            p = _floyd(rng, n, k)
+            live = np.arange(p.shape[1]) < k[:, None]
+            keys = np.where(live, rng.random(p.shape), 2.0)  # padding stays in place
+            vals = state[p]
+            new = np.take_along_axis(vals, np.argsort(keys, axis=1, kind="stable"), axis=1)
+            done = (new != vals).any(axis=1)
+            rows, w = multi[done], p.shape[1]
+            pos[rows, :w], val[rows, :w], mask[rows, :w] = p[done], new[done], live[done]
+            multi = multi[~done]
+        pair[multi] = True
+        pairs = np.flatnonzero(pair)
+    size = len(ks[pairs])
+    i = rng.integers(n, size=size)
+    j = rng.integers(n, size=size)
     for _ in range(_MAX_ATTEMPTS):
-        if not len(multi):
-            break
-        k = ks[multi]
-        pos = _floyd(rng, n, k)
-        live = np.arange(pos.shape[1]) < k[:, None]
-        keys = np.where(live, rng.random(pos.shape), 2.0)  # padding stays in place
-        vals = state[pos]
-        new = np.take_along_axis(vals, np.argsort(keys, axis=1, kind="stable"), axis=1)
-        done = (new != vals).any(axis=1)
-        r, c = np.nonzero(live & done[:, None])
-        out[multi[r], pos[r, c]] = new[r, c]
-        multi = multi[~done]
-    pair[multi] = True
-    rows = np.flatnonzero(pair)
-    i = rng.integers(n, size=len(rows))
-    j = rng.integers(n, size=len(rows))
-    for _ in range(_MAX_ATTEMPTS):
-        bad = state[i] == state[j]
+        bad = i == j if distinct else state[i] == state[j]
         if not bad.any():
             break
         j[bad] = rng.integers(n, size=int(bad.sum()))
-    bad = np.flatnonzero(state[i] == state[j])
-    if len(bad):
-        # uniform pick among the positions whose value differs from state[i]
-        differs = state != state[i[bad], None]
-        u = rng.integers(differs.sum(axis=1))
-        j[bad] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
-    out[rows, i] = state[j]
-    out[rows, j] = state[i]
-    return out
+    else:
+        bad = np.flatnonzero(state[i] == state[j])
+        if len(bad):
+            # uniform pick among the positions whose value differs from state[i]
+            differs = state != state[i[bad], None]
+            u = rng.integers(differs.sum(axis=1))
+            j[bad] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
+    pos[pairs, 0], pos[pairs, 1] = i, j
+    val[pairs, 0], val[pairs, 1] = state[j], state[i]
+    if mask is not None:
+        mask[pairs, :2] = True
+    return Writes(pos, val, mask)
 
 
-def _shift(state, mb, se, rng):
+def _shift(state, mb, se, rng, distinct):
     """Remove a random segment of length 1..mb and reinsert it at another slot.
 
     The move rotates the window spanning the segment's old and new places.
     Rows left unchanged after the redraws take a boundary transposition.
     """
     n = len(state)
-    if _constant(state):
-        return np.repeat(state[None], se, axis=0)
+    if _no_change(state, distinct):
+        return _copies(state, se)
     seg = _uniform(rng, 1, min(mb, n - 1), se)
-    # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
-    nb = np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
-    s, j = np.empty(se, dtype=np.int64), np.empty(se, dtype=np.int64)
-    redo = np.arange(se)
-    for _ in range(_MAX_ATTEMPTS + 1):
-        L = seg[redo]
-        a = rng.integers(n - L + 1)
-        # n - L + 1 insertion slots; slot == a restores the input
-        b = rng.integers(n - L)
-        b += b >= a
-        s[redo], j[redo] = a, b
-        redo = redo[nb[np.maximum(a, b) + L - 1] == nb[np.minimum(a, b)]]  # constant window
-        if not len(redo):
-            break
+    # segment start s and insertion slot j of each row: n - L + 1 slots, and
+    # slot s restores the input
+    s = rng.integers(n - seg + 1)
+    j = rng.integers(n - seg)
+    j += j >= s
+    redo = np.arange(0)  # a window of distinct entries is never constant
+    if not distinct:
+        # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
+        nb = np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
+        redo = np.flatnonzero(nb[np.maximum(s, j) + seg - 1] == nb[np.minimum(s, j)])
+        for _ in range(_MAX_ATTEMPTS):
+            if not len(redo):
+                break
+            L = seg[redo]
+            a = rng.integers(n - L + 1)
+            b = rng.integers(n - L)
+            b += b >= a
+            s[redo], j[redo] = a, b
+            redo = redo[nb[np.maximum(a, b) + L - 1] == nb[np.minimum(a, b)]]
     lo, hi = np.minimum(s, j), np.maximum(s, j) + seg
-    # rotate window [lo, hi) left by k with two slice copies: k = seg carries a
-    # segment moved right (j > s) to the window's end, k = hi - lo - seg brings
-    # a segment moved left to its front
-    k = np.where(j > s, seg, hi - lo - seg)
-    out = np.repeat(state[None], se, axis=0)
-    for row, a, b, t in zip(out, lo.tolist(), hi.tolist(), k.tolist()):
-        row[a : b - t] = state[a + t : b]
-        row[b - t : b] = state[a : a + t]
+    # rotating window [lo, hi) left by k = seg carries a segment moved right
+    # (j > s) to the window's end; k = hi - lo - seg brings a segment moved
+    # left to its front
+    moves = Windows(lo, hi, np.where(j > s, seg, hi - lo - seg))
+    if distinct:
+        return moves
     long = np.flatnonzero(seg > 1)
     if len(long):  # a segment longer than 1 can also rotate a periodic window onto itself
-        redo = np.union1d(redo, long[(out[long] == state).all(axis=1)])
-    if len(redo):
-        out[redo] = _boundary_swaps(state, len(redo), rng)
-    return out
+        redo = np.union1d(redo, long[(moves.take(long).apply(state) == state).all(axis=1)])
+    if len(redo):  # an exchange of adjacent entries is a length-2 window rotated by one
+        b = _boundary_starts(state, len(redo), rng)
+        lo[redo], hi[redo], moves.k[redo] = b, b + 2, 1
+    return moves
+
+
+def _palindromes(state, lo, hi):
+    """The rows whose window state[lo:hi] reads the same reversed.
+
+    Only rows whose window ends match can be; for each, window [a, b) reversed
+    is window [n - b, n - a) of the reversed state, so the test is one
+    comparison of two byte strings.
+    """
+    k, n = state.itemsize, len(state)
+    fwd, rev = state.tobytes(), state[::-1].tobytes()
+    rows = np.flatnonzero(state[lo] == state[hi - 1])
+    windows = zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist())
+    return [r for r, a, b in windows if fwd[a * k : b * k] == rev[(n - b) * k : (n - a) * k]]
 
 
 def _redraw_palindrome(state, c_hi, rng):
-    """Reverse one non-palindromic window, retrying with scalar draws.
+    """A non-palindromic window (lo, hi) to reverse, retrying with scalar draws.
 
     This is the one loop that draws row by row: each retry draws (c, h, start)
     for its row before the next row starts, and seeded runs depend on that
@@ -194,32 +294,30 @@ def _redraw_palindrome(state, c_hi, rng):
         start = int(rng.integers(0, n - 2 * h - c + 1))
         window = state[start : start + 2 * h + c]
         if (window != window[::-1]).any():
-            out = state.copy()
-            out[start : start + len(window)] = window[::-1]
-            return out
-    return _boundary_swaps(state, 1, rng)[0]
+            return start, start + len(window)
+    b = int(_boundary_starts(state, 1, rng)[0])
+    return b, b + 2
 
 
-def _symmetry(state, mc, se, rng):
+def _symmetry(state, mc, se, rng, distinct):
     """Reverse one contiguous window of length 2h+c, c uniform in {0..mc}, h >= 1.
 
     c is the length of the fixed-size center being mirrored around; h entries on
     each side fold across it, which is exactly a reversal of the whole window.
     """
     n = len(state)
-    if _constant(state):
-        return np.repeat(state[None], se, axis=0)
+    if _no_change(state, distinct):
+        return _copies(state, se)
     c_hi = min(mc, n - 2)
     c = _uniform(rng, 0, c_hi, se)
     h = 1 + (rng.random(se) * ((n - c) // 2)).astype(int)
     wlen = 2 * h + c
-    start = (rng.random(se) * (n - wlen + 1)).astype(int)
-    out = np.repeat(state[None], se, axis=0)
-    for row, a, b in zip(out, start.tolist(), (start + wlen).tolist()):
-        row[a:b] = state[a:b][::-1]
-    for r in np.flatnonzero((out == state).all(axis=1)):
-        out[r] = _redraw_palindrome(state, c_hi, rng)
-    return out
+    lo = (rng.random(se) * (n - wlen + 1)).astype(int)
+    hi = lo + wlen
+    if not distinct:  # a palindromic window reverses onto itself
+        for r in _palindromes(state, lo, hi):
+            lo[r], hi[r] = _redraw_palindrome(state, c_hi, rng)
+    return Windows(lo, hi)
 
 
 def _substitute(state, md, alphabet_size, se, rng):
@@ -230,15 +328,43 @@ def _substitute(state, md, alphabet_size, se, rng):
     """
     if alphabet_size < 2:
         raise DegenerateState("substitute needs an alphabet of size >= 2")
-    ks = _uniform(rng, 1, min(md, len(state)), se)
+    k_hi = min(md, len(state))
+    ks = _uniform(rng, 1, k_hi, se)
     pos = _floyd(rng, len(state), ks)
     # draw in 0..m-2 and skip over the current value
     draws = rng.integers(0, alphabet_size - 1, size=pos.shape)
-    r, c = np.nonzero(np.arange(pos.shape[1]) < ks[:, None])
-    p, d = pos[r, c], draws[r, c]
-    out = np.repeat(state[None], se, axis=0)
-    out[r, p] = d + (d >= state[p])
-    return out
+    mask = np.arange(pos.shape[1]) < ks[:, None] if k_hi > 1 else None  # k == 1: no padding
+    return Writes(pos, draws + (draws >= state[pos]), mask)
+
+
+def _sample(state, op, factor, se, rng, alphabet_size, distinct):
+    if op is Operator.SWAP:
+        return _swap(state, factor, se, rng, distinct)
+    if op is Operator.SHIFT:
+        return _shift(state, factor, se, rng, distinct)
+    if op is Operator.SYMMETRY:
+        return _symmetry(state, factor, se, rng, distinct)
+    if op is Operator.SUBSTITUTE:
+        if alphabet_size is None:
+            raise IncompatibleOperator("substitute requires a value-vector state")
+        return _substitute(state, factor, alphabet_size, se, rng)
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def sample_moves(
+    state: np.ndarray,
+    op: Operator,
+    factor: int,
+    se: int,
+    rng: np.random.Generator,
+    alphabet_size: int | None = None,
+) -> Moves:
+    """Draw se moves from `state` under one operator.
+
+    `alphabet_size` None marks a permutation state: its entries are taken to
+    be distinct, unchecked.
+    """
+    return _sample(state, op, factor, se, rng, alphabet_size, alphabet_size is None)
 
 
 def sample_batch(
@@ -249,15 +375,11 @@ def sample_batch(
     rng: np.random.Generator,
     alphabet_size: int | None = None,
 ) -> np.ndarray:
-    """Draw se neighbors of `state` under one operator; returns an (se, n) array."""
-    if op is Operator.SWAP:
-        return _swap(state, factor, se, rng)
-    if op is Operator.SHIFT:
-        return _shift(state, factor, se, rng)
-    if op is Operator.SYMMETRY:
-        return _symmetry(state, factor, se, rng)
-    if op is Operator.SUBSTITUTE:
-        if alphabet_size is None:
-            raise IncompatibleOperator("substitute requires a value-vector state")
-        return _substitute(state, factor, alphabet_size, se, rng)
-    raise ValueError(f"unknown operator {op!r}")
+    """Draw se neighbors of `state` under one operator; returns an (se, n) array.
+
+    The same draws and rows as `apply_moves(state, sample_moves(...))`, but the
+    rearranging operators take any state here without an alphabet size: one
+    that is not a permutation keeps its identity checks.
+    """
+    distinct = alphabet_size is None and is_permutation(state)
+    return apply_moves(state, _sample(state, op, factor, se, rng, alphabet_size, distinct))

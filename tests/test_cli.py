@@ -107,6 +107,14 @@ class TestBench:
         assert len(body) == 2  # one row per mode
         assert {ln.split()[2] for ln in body} == {"sta", "dsta"}
 
+    def test_rosenbrock_suite_has_no_error_column_value(self, capsys):
+        # Rosenbrock has no reference optimum to take a percent gap to
+        code, out, _ = run_cli(capsys, "bench", "rosenbrock", "--sizes", "5", "10", "--trials", "2", "-q")
+        assert code == 0
+        body = [ln for ln in out.splitlines()[1:] if ln.strip()]
+        assert len(body) == 4
+        assert all(ln.split()[-1] == "-" for ln in body)
+
     def test_trace_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # only solve writes a trace; bench used to accept --trace and write nothing
         monkeypatch.chdir(tmp_path)

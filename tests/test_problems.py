@@ -185,7 +185,7 @@ class TestDvsDecode:
         assert len(images) == 27
 
     def test_range_check(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainViolation):
             dvs_decode(np.array([0, 3]), np.array([1.0, 2.0, 3.0]))
 
 
@@ -307,5 +307,5 @@ class TestAdapters:
 
     def test_dvs_adapter_keeps_range_check(self):
         spec = DvsProblem(alphabet=np.array([0.0, 1.0]), dimension=2, objective=lambda x: x.sum(axis=1))
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainViolation):
             dvs_problem(spec).evaluate_many(np.array([[0, 2]]))
