@@ -254,8 +254,8 @@ def main(argv=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # an input file, or an --out/--trace path
+        print(f"error: cannot read or write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except DstaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,6 +60,8 @@ class StaParams:
             raise InvalidParams(f"p2 must be in [0,1], got {self.p2}")
         if self.max_iters < 1:
             raise InvalidParams(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
         if self.operator_set is not None and len(self.operator_set) == 0:
             raise InvalidParams("operator_set must be non-empty")
 

@@ -13,6 +13,12 @@ class InvalidSize(DstaError):
     pass
 
 
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidSize(f"instance seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def maxcut_from_tsp(inst: TspInstance) -> MaxCutInstance:
     """Reuse a TSP distance matrix as MAX-CUT edge weights."""
     return MaxCutInstance(weights=inst.matrix.copy(), name=f"{inst.name}-maxcut")
@@ -22,7 +28,7 @@ def random_euclidean_tsp(n: int, seed: int) -> TspInstance:
     """n uniform points on the unit square with exact Euclidean distances."""
     if n < 3:
         raise InvalidSize(f"need n >= 3 cities, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     coords = rng.random((n, 2))
     return TspInstance(matrix=euclidean_matrix(coords), coords=coords, name=f"rand-euc-{n}-s{seed}")
 
@@ -33,7 +39,7 @@ def random_weighted_graph(n_vertices: int, density: float, seed: int) -> MaxCutI
         raise InvalidSize(f"need >= 2 vertices, got {n_vertices}")
     if not 0.0 <= density <= 1.0:
         raise InvalidSize(f"density must be in [0,1], got {density}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     w = np.zeros((n_vertices, n_vertices))
     iu = np.triu_indices(n_vertices, k=1)
     present = rng.random(len(iu[0])) < density
@@ -51,7 +57,7 @@ def random_dvs(n: int, m: int, seed: int) -> DvsProblem:
     """
     if n < 2 or m < 2:
         raise InvalidSize(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     alphabet = np.sort(rng.choice(np.linspace(-10, 10, 10 * m), size=m, replace=False))
     table = rng.random((n, m))
 

@@ -1,9 +1,9 @@
 """Geometric neighborhood sampling: swap, shift, symmetry, substitute.
 
 `sample_moves` is the one sampler.  It draws `se` moves from a state under one
-operator and returns them as a move descriptor; `apply_moves` builds the
-candidate rows from it as a fresh (rows, n) array, never mutating the state,
-and `sample_batch` is the two in sequence.  Two descriptor kinds cover every
+operator and returns them as a move descriptor, whose `apply(state)` builds the
+candidate rows as a new (rows, n) array, never mutating the state, and whose
+`take(rows)` keeps a subset of the moves.  Two descriptor kinds cover every
 operator:
 
 - `Writes`, sparse writes: swap and substitute set a few positions per row;
@@ -12,6 +12,8 @@ operator:
 
 A problem can score moves from the descriptor alone (`Problem.delta_many`), so
 `Problem.best_move` builds only the rows it must evaluate in full.
+`sample_batch`, `sample_moves(...).apply(state)`, is kept only because the
+benchmark harness wraps it by name.
 
 A state is a 1-D integer numpy array: either a permutation of 0..n-1 (tour
 representation, marked by `alphabet_size` None) or an index vector with entries
@@ -107,20 +109,6 @@ class Windows:
 
 
 Moves = Writes | Windows
-
-
-def apply_moves(state: np.ndarray, moves: Moves, rows=None) -> np.ndarray:
-    """The candidate rows of `moves`, or only those indexed by `rows`, as a new array."""
-    return (moves if rows is None else moves.take(rows)).apply(state)
-
-
-def is_permutation(state: np.ndarray) -> bool:
-    n = len(state)
-    return bool(np.array_equal(np.sort(state), np.arange(n)))
-
-
-def check_value_state(state: np.ndarray, alphabet_size: int) -> bool:
-    return bool(len(state) >= 1 and np.all(state >= 0) and np.all(state < alphabet_size))
 
 
 def _no_change(state, distinct):
@@ -337,20 +325,6 @@ def _substitute(state, md, alphabet_size, se, rng):
     return Writes(pos, draws + (draws >= state[pos]), mask)
 
 
-def _sample(state, op, factor, se, rng, alphabet_size, distinct):
-    if op is Operator.SWAP:
-        return _swap(state, factor, se, rng, distinct)
-    if op is Operator.SHIFT:
-        return _shift(state, factor, se, rng, distinct)
-    if op is Operator.SYMMETRY:
-        return _symmetry(state, factor, se, rng, distinct)
-    if op is Operator.SUBSTITUTE:
-        if alphabet_size is None:
-            raise IncompatibleOperator("substitute requires a value-vector state")
-        return _substitute(state, factor, alphabet_size, se, rng)
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def sample_moves(
     state: np.ndarray,
     op: Operator,
@@ -364,7 +338,18 @@ def sample_moves(
     `alphabet_size` None marks a permutation state: its entries are taken to
     be distinct, unchecked.
     """
-    return _sample(state, op, factor, se, rng, alphabet_size, alphabet_size is None)
+    distinct = alphabet_size is None
+    if op is Operator.SWAP:
+        return _swap(state, factor, se, rng, distinct)
+    if op is Operator.SHIFT:
+        return _shift(state, factor, se, rng, distinct)
+    if op is Operator.SYMMETRY:
+        return _symmetry(state, factor, se, rng, distinct)
+    if op is Operator.SUBSTITUTE:
+        if alphabet_size is None:
+            raise IncompatibleOperator("substitute requires a value-vector state")
+        return _substitute(state, factor, alphabet_size, se, rng)
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def sample_batch(
@@ -375,11 +360,9 @@ def sample_batch(
     rng: np.random.Generator,
     alphabet_size: int | None = None,
 ) -> np.ndarray:
-    """Draw se neighbors of `state` under one operator; returns an (se, n) array.
+    """The rows of `sample_moves(...)` as a new (se, n) array.
 
-    The same draws and rows as `apply_moves(state, sample_moves(...))`, but the
-    rearranging operators take any state here without an alphabet size: one
-    that is not a permutation keeps its identity checks.
+    The engine builds rows only through `Problem.best_move`; this stays
+    because perfbench/harness.py wraps `engine.sample_batch` by name.
     """
-    distinct = alphabet_size is None and is_permutation(state)
-    return apply_moves(state, _sample(state, op, factor, se, rng, alphabet_size, distinct))
+    return sample_moves(state, op, factor, se, rng, alphabet_size).apply(state)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation
-from .operators import Moves, Writes, apply_moves
+from .operators import Moves, Writes
 
 ROSENBROCK_ALPHABET = np.array([-2, -1, 0, 1, 2])
 
@@ -195,12 +195,7 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     return delta, 2 * eps * (2 * n + terms + 1) * (abs(cost) + touched) + err_dir
 
 
-def _signs(bits: np.ndarray) -> np.ndarray:
-    # index 0 -> -1, index 1 -> +1
-    return 2 * bits.astype(np.int64) - 1
-
-
-# the float sign of each bit, so a batch of bits becomes signs in one gather
+# the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
 _SIGN_VALUES = np.array([-1.0, 1.0])
 
 
@@ -208,7 +203,7 @@ def cut_weight(bits: np.ndarray, inst: MaxCutInstance) -> float:
     """Total weight across the bipartition given by all n+1 vertex signs."""
     if len(bits) != inst.n + 1:
         raise DimensionMismatch(f"need {inst.n + 1} vertex signs, got {len(bits)}")
-    y = _signs(np.asarray(bits))
+    y = _SIGN_VALUES.take(bits)
     w = inst.weights
     return float(0.25 * (w.sum() - y @ w @ y))
 
@@ -217,7 +212,7 @@ def qubo_value(bits: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
     """P(x) = 1/2 x'Qx - x'c over signs x in {-1,1}^n (bits 0/1 encode -1/+1)."""
     if len(bits) != q.shape[0]:
         raise DimensionMismatch(f"need {q.shape[0]} variables, got {len(bits)}")
-    x = _signs(np.asarray(bits))
+    x = _SIGN_VALUES.take(bits)
     return float(0.5 * x @ q @ x - x @ c)
 
 
@@ -293,8 +288,9 @@ class Problem:
         best row and is not NaN.  Hence every row attaining the minimum (or a
         NaN) is in S, and the first such row in S is the first over all rows:
         np.argmin's tie-break holds.  If any est + err is not finite, S is
-        every row.  The returned cost is always a full evaluation, and the row
-        a new array.
+        every row.  The rows are built as `moves.take(S).apply(state)`, so
+        only S is ever materialized.  The returned cost is always a full
+        evaluation, and the row a new array.
         """
         short = None
         if self.delta_many is not None:
@@ -303,7 +299,7 @@ class Problem:
             hi = est + err
             if math.isfinite(np.add.reduce(hi)):  # every estimate and bound is finite
                 short = (est - err <= np.minimum.reduce(hi)).nonzero()[0]
-        rows = apply_moves(state, moves, short)
+        rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
         best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
         return (best if short is None else int(short[best])), float(costs[best]), rows[best].copy()

@@ -44,7 +44,6 @@ _SECTION_KEYS = {
 @dataclass
 class TsplibDocument:
     name: str = ""
-    problem_type: str = "TSP"
     dimension: int = 0
     edge_weight_type: str = ""
     edge_weight_format: str | None = None
@@ -84,7 +83,6 @@ def parse_tsplib(text: str) -> TsplibDocument:
         elif key == "TYPE":
             if value.split()[:1] != ["TSP"]:
                 raise UnsupportedType(f"unsupported TYPE {value!r} (only symmetric TSP)")
-            doc.problem_type = value
         elif key == "DIMENSION":
             try:
                 doc.dimension = int(value)

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsta import bench, cli, instances, problems, recording, tsplib
 from dsta.engine import Mode, StaParams
@@ -84,6 +88,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "tsp", "--file", "/nonexistent/x.tsp")
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("flag", ["--file", "--out"])
+    def test_directory_path_exit_code(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(capsys, "solve", "tsp", "--n", "5", "--iters", "2", flag, str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: cannot read or write") and "Is a directory" in err
 
     def test_maxcut_reports_cut_weight(self, capsys):
         code, out, _ = run_cli(
@@ -274,6 +284,22 @@ class TestParsing:
             assert params.mode is Mode.SIMPLE and params.max_iters == 7 and params.seed == 3
             assert params.operator_set == (Operator.SUBSTITUTE, Operator.SWAP)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "tsp", "--n", "8", "--instance-seed", "-1"],
+            ["solve", "maxcut", "--n", "8", "--instance-seed", "-1"],
+            ["oracle", "tsp", "--instance-seed", "-1"],
+            ["solve", "rosenbrock", "--n", "4", "--seed", "-5"],
+        ],
+        ids=["solve-tsp", "solve-maxcut", "oracle-tsp", "base-seed"],
+    )
+    def test_negative_seed_exit_code(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert "best" not in out and "optimum" not in out
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "rosenbrock", "--n", "5", "--se", "0")
         assert code == 1
@@ -301,3 +327,70 @@ class TestIgnoredInputRejected:
         assert code == 1
         assert "--file" in err
         assert "optimum" not in out and "best" not in out
+
+
+def _ints(top):
+    """Integer flag values from 1 to `top`, then 0 and -1."""
+    return st.sampled_from([str(v) for v in range(1, top + 1)] + ["0", "-1"])
+
+
+_FLOATS = st.sampled_from(["-1", "0", "0.5", "1", "2", "nan", "inf", "-inf"])
+_ALGORITHM = {
+    "--mode": st.sampled_from(["sta", "dsta"]),
+    "--se": _ints(8),
+    "--ma": _ints(5),
+    "--mb": _ints(4),
+    "--mc": _ints(4),
+    "--md": _ints(4),
+    "--p1": _FLOATS,
+    "--p2": _FLOATS,
+    "--seed": _ints(3),
+    "--operators": st.sampled_from(["swap", "substitute,shift", "symmetry,swap,shift", "swap,x"]),
+    "-q": st.none(),
+}
+# --file names a missing path or a directory: both must end in a clean error
+_FILE = st.sampled_from(["no-such-file.tsp", "."])
+_INSTANCE = {
+    "--density": _FLOATS,
+    "--instance-seed": _ints(3),
+    "--rounding": st.sampled_from(["real", "tsplib"]),
+    "--file": _FILE,
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["solve", "bench", "oracle"]))
+    if command == "bench":
+        # the rosenbrock suite sets its own iteration budgets, so sizes and trials stay small here
+        sizes = draw(st.sampled_from([["5"], ["5", "10"], ["7"], ["0"]]))
+        head = [command, draw(st.sampled_from(["rosenbrock", "tsp"])), "--sizes", *sizes, "--trials", draw(_ints(2))]
+        head += ["--iters", draw(_ints(3))]
+        pool = {**_ALGORITHM, "--files": _FILE, "--rounding": _INSTANCE["--rounding"]}
+    else:
+        problem = draw(st.sampled_from(["tsp", "maxcut", "rosenbrock"]))
+        oracle_tsp = (command, problem) == ("oracle", "tsp")
+        head = [command, problem, "--n", draw(_ints(8 if oracle_tsp else 12))]
+        pool = dict(_INSTANCE)
+        if command == "solve":
+            head += ["--iters", draw(_ints(3))]  # unset, it would be 1500
+            pool.update(_ALGORITHM, **{"--trials": _ints(2)})
+    tail = []
+    for flag in draw(st.lists(st.sampled_from(sorted(pool)), unique=True, max_size=6)):
+        value = draw(pool[flag])
+        tail += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 5)) == 0:  # now and then a flag missing its value, unknown, or not an integer
+        tail += draw(st.sampled_from([["--trace"], ["--x"], ["--n", "nan"], ["--n", "inf"]]))
+    return head + tail
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(argv=_argv())
+    def test_every_argv_exits_cleanly(self, argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), argv

@@ -39,6 +39,7 @@ class TestParams:
             {"p2": 2.0},
             {"max_iters": 0},
             {"operator_set": ()},
+            {"seed": -1},
         ],
     )
     def test_invalid(self, kwargs):

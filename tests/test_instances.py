@@ -72,6 +72,21 @@ class TestRandomWeightedGraph:
             instances.random_weighted_graph(5, density=1.5, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: instances.random_euclidean_tsp(5, seed),
+        lambda seed: instances.random_weighted_graph(5, 0.5, seed),
+        lambda seed: instances.random_dvs(3, 3, seed),
+    ],
+    ids=["tsp", "graph", "dvs"],
+)
+def test_negative_seed_rejected(make):
+    with pytest.raises(InvalidSize, match="seed must be >= 0"):
+        make(-1)
+    make(0)
+
+
 class TestMaxcutFromTsp:
     def test_reuses_distance_matrix(self):
         tsp = instances.random_euclidean_tsp(6, seed=2)

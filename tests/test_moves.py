@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dsta import engine, instances, problems
 from dsta.engine import Mode, StaParams
 from dsta.errors import DimensionMismatch
-from dsta.operators import Operator, Windows, Writes, apply_moves, sample_batch, sample_moves
+from dsta.operators import Operator, Windows, Writes, sample_batch, sample_moves
 
 PERMUTATION_OPS = {Operator.SWAP: (2, 6), Operator.SHIFT: (1, 5), Operator.SYMMETRY: (0, 4)}
 
@@ -37,7 +37,7 @@ def check_estimates(inst, tour, moves):
     """|cost + delta - full evaluation| <= err on every row."""
     cost = problems.tour_length(tour, inst)
     delta, err = problems.tour_deltas(tour, cost, moves, inst)
-    full = problems.tour_lengths(apply_moves(tour, moves), inst)
+    full = problems.tour_lengths(moves.apply(tour), inst)
     gap = np.abs(cost + delta - full)
     assert np.all(gap <= err), (gap, err)
 
@@ -119,7 +119,7 @@ class TestTourDeltas:
         for row, k in enumerate(ks):  # the first k positions take each other's entries
             val[row, :k] = np.roll(val[row, :k], data.draw(st.integers(1, k - 1)))
         moves = Writes(pos, val, np.arange(w) < np.array(ks)[:, None])
-        assert all(sorted(row) == list(range(n)) for row in apply_moves(tour, moves))
+        assert all(sorted(row) == list(range(n)) for row in moves.apply(tour))
         check_estimates(inst, tour, moves)
 
     def test_whole_tour_windows_have_zero_delta(self):
@@ -138,17 +138,17 @@ class TestBestMove:
         self.tour = g.permutation(30)
         self.cost = self.problem.evaluate(self.tour)
         self.moves = sample_moves(self.tour, Operator.SYMMETRY, 0, 32, g)
-        self.full = self.problem.evaluate_many(apply_moves(self.tour, self.moves))
+        self.full = self.problem.evaluate_many(self.moves.apply(self.tour))
 
     def test_shortlist_matches_full_argmin(self):
         for problem in (self.problem, replace(self.problem, delta_many=None)):
             best, cost, row = problem.best_move(self.tour, self.cost, self.moves)
             assert best == int(np.argmin(self.full)) and cost == self.full[best]
-            assert np.array_equal(row, apply_moves(self.tour, self.moves)[best])
+            assert np.array_equal(row, self.moves.apply(self.tour)[best])
 
     def test_first_of_tied_rows_wins(self):
         tied = Writes(np.array([[0, 1], [0, 1], [2, 3]]), self.tour[[[1, 0], [1, 0], [3, 2]]])
-        costs = self.problem.evaluate_many(apply_moves(self.tour, tied))
+        costs = self.problem.evaluate_many(tied.apply(self.tour))
         best, cost, _ = self.problem.best_move(self.tour, self.cost, tied)
         assert best == int(np.argmin(costs)) and cost == costs.min()
 
@@ -218,6 +218,6 @@ def test_sample_batch_is_apply_of_sample_moves(op, factor, name):
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     rows = sample_batch(state, op, factor, 200, a, alphabet_size)
     moves = sample_moves(state, op, factor, 200, b, alphabet_size)
-    assert np.array_equal(rows, apply_moves(state, moves))
+    assert np.array_equal(rows, moves.apply(state))
     assert a.bit_generator.state == b.bit_generator.state
     assert not (rows == state).all(axis=1).any()
