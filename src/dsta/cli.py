@@ -112,7 +112,8 @@ def cmd_solve(args) -> int:
     print(f"instance: {problem.name}")
     print(f"best: {shown:.6f}")
     if args.trials > 1:
-        print(f"mean: {np.mean([report(c) for c in stats.costs]):.6f}  std: {stats.std:.6f}")
+        values = np.array([report(c) for c in stats.costs])
+        print(f"mean: {values.mean():.6f}  std: {values.std(ddof=1):.6f}")
     if problem.alphabet_size is None:
         print("tour:", " ".join(str(city + 1) for city in best.best_solution))
     else:

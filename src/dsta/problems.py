@@ -199,11 +199,19 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
 _SIGN_VALUES = np.array([-1.0, 1.0])
 
 
+def _bit_signs(bits: np.ndarray) -> np.ndarray:
+    """Signs of one 0/1 vector; the batch path skips this check, as the engine draws only 0/1."""
+    bits = np.asarray(bits)
+    if np.any((bits != 0) & (bits != 1)):
+        raise DomainViolation("bits must be 0 or 1")
+    return _SIGN_VALUES.take(bits)
+
+
 def cut_weight(bits: np.ndarray, inst: MaxCutInstance) -> float:
     """Total weight across the bipartition given by all n+1 vertex signs."""
     if len(bits) != inst.n + 1:
         raise DimensionMismatch(f"need {inst.n + 1} vertex signs, got {len(bits)}")
-    y = _SIGN_VALUES.take(bits)
+    y = _bit_signs(bits)
     w = inst.weights
     return float(0.25 * (w.sum() - y @ w @ y))
 
@@ -212,7 +220,7 @@ def qubo_value(bits: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
     """P(x) = 1/2 x'Qx - x'c over signs x in {-1,1}^n (bits 0/1 encode -1/+1)."""
     if len(bits) != q.shape[0]:
         raise DimensionMismatch(f"need {q.shape[0]} variables, got {len(bits)}")
-    x = _SIGN_VALUES.take(bits)
+    x = _bit_signs(bits)
     return float(0.5 * x @ q @ x - x @ c)
 
 

@@ -4,7 +4,9 @@ Supports EUC_2D, GEO and EXPLICIT edge weights (FULL_MATRIX, LOWER_DIAG_ROW,
 UPPER_ROW).  GEO follows the standard great-circle convention: coordinates
 are DDD.MM degree-minute pairs and distances use the 6378.388 km earth
 radius.  Distances can be built either unrounded ("real") or with the
-TSPLIB nearest-integer convention ("tsplib").
+TSPLIB nearest-integer convention ("tsplib").  `parse_tsplib` checks the
+header values, every data row and each count against DIMENSION;
+`build_distances` re-checks the weight count of hand-built documents.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from .problems import TspInstance
 
 _GEO_RADIUS = 6378.388
 
-_HEADER_KEYS = {
-    "NAME",
-    "TYPE",
-    "COMMENT",
-    "DIMENSION",
-    "EDGE_WEIGHT_TYPE",
-    "EDGE_WEIGHT_FORMAT",
-    "DISPLAY_DATA_TYPE",
-    "NODE_COORD_TYPE",
-}
+_IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE"}
 _SECTION_KEYS = {
     "NODE_COORD_SECTION",
     "EDGE_WEIGHT_SECTION",
@@ -38,6 +31,11 @@ _SECTION_KEYS = {
     "DEMAND_SECTION",
     "DEPOT_SECTION",
     "FIXED_EDGES_SECTION",
+}
+_WEIGHT_COUNTS = {
+    "FULL_MATRIX": lambda n: n * n,
+    "LOWER_DIAG_ROW": lambda n: n * (n + 1) // 2,
+    "UPPER_ROW": lambda n: n * (n - 1) // 2,
 }
 
 
@@ -56,28 +54,21 @@ def parse_tsplib(text: str) -> TsplibDocument:
     doc = TsplibDocument()
     lines = text.splitlines()
     i = 0
-    n_lines = len(lines)
-
-    def header_value(raw: str) -> tuple[str, str]:
-        key, _, value = raw.partition(":")
-        return key.strip(), value.strip()
-
-    while i < n_lines:
+    while i < len(lines):
         line = lines[i].strip()
         i += 1
         if not line or line == "EOF":
             continue
-        key_fields = header_value(line)[0].split()
-        key = key_fields[0] if key_fields else ""
-        if key in _SECTION_KEYS:
-            if key == "NODE_COORD_SECTION":
-                i = _read_coords(doc, lines, i)
-            elif key == "EDGE_WEIGHT_SECTION":
-                i = _read_weights(doc, lines, i)
-            else:
-                i += sum(1 for _ in _section_lines(lines, i))
+        key, _, value = (part.strip() for part in line.partition(":"))
+        head = key.split()[0] if key else ""
+        if head in _SECTION_KEYS:
+            body = list(_section_lines(lines, i))
+            i += len(body)
+            if head == "NODE_COORD_SECTION":
+                doc.coords = _read_coords(body)
+            elif head == "EDGE_WEIGHT_SECTION":
+                doc.weights += _read_weights(body)
             continue
-        key, value = header_value(line)
         if key == "NAME":
             doc.name = value
         elif key == "TYPE":
@@ -93,12 +84,10 @@ def parse_tsplib(text: str) -> TsplibDocument:
                 raise UnsupportedType(f"unsupported EDGE_WEIGHT_TYPE {value!r}")
             doc.edge_weight_type = value
         elif key == "EDGE_WEIGHT_FORMAT":
-            if value not in ("FULL_MATRIX", "LOWER_DIAG_ROW", "UPPER_ROW"):
+            if value not in _WEIGHT_COUNTS:
                 raise UnsupportedType(f"unsupported EDGE_WEIGHT_FORMAT {value!r}")
             doc.edge_weight_format = value
-        elif key in _HEADER_KEYS:
-            pass
-        else:
+        elif key not in _IGNORED_KEYS:
             warnings.warn(f"ignoring unknown TSPLIB keyword {key!r}", stacklevel=2)
 
     if doc.dimension <= 0:
@@ -106,14 +95,13 @@ def parse_tsplib(text: str) -> TsplibDocument:
     if doc.edge_weight_type == "EXPLICIT":
         if len(doc.weights) == 0:
             raise ParseError("EXPLICIT instance without EDGE_WEIGHT_SECTION")
-        _expected_weight_count(doc)  # validates payload length
-    else:
-        if doc.coords is None:
-            raise ParseError("coordinate instance without NODE_COORD_SECTION")
-        if len(doc.coords) != doc.dimension:
-            raise ParseError(
-                f"DIMENSION {doc.dimension} but {len(doc.coords)} coordinate rows"
-            )
+        _check_weight_count(doc)
+    elif doc.coords is None:
+        raise ParseError("coordinate instance without NODE_COORD_SECTION")
+    elif len(doc.coords) != doc.dimension:
+        raise ParseError(
+            f"DIMENSION {doc.dimension} but {len(doc.coords)} coordinate rows"
+        )
     return doc
 
 
@@ -127,46 +115,36 @@ def _section_lines(lines: list[str], i: int):
         i += 1
 
 
-def _read_coords(doc: TsplibDocument, lines: list[str], i: int) -> int:
+def _row_floats(k: int, line: str, tokens: list[str], what: str) -> list[float]:
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        raise ParseError(f"bad {what} row {line!r}", line=k + 1) from None
+
+
+def _read_coords(body: list[tuple[int, str]]) -> np.ndarray:
     rows = []
-    for k, line in _section_lines(lines, i):
+    for k, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"expected 'index x y', got {line!r}", line=k + 1)
-        try:
-            rows.append((float(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ParseError(f"bad coordinate row {line!r}", line=k + 1) from None
-    doc.coords = np.array(rows)
-    return i + len(rows)
+        rows.append(_row_floats(k, line, parts[1:], "coordinate"))
+    return np.array(rows)
 
 
-def _read_weights(doc: TsplibDocument, lines: list[str], i: int) -> int:
-    n_lines = 0
-    for n_lines, (k, line) in enumerate(_section_lines(lines, i), 1):
-        try:
-            doc.weights.extend(float(tok) for tok in line.split())
-        except ValueError:
-            raise ParseError(f"bad weight row {line!r}", line=k + 1) from None
-    return i + n_lines
+def _read_weights(body: list[tuple[int, str]]) -> list[float]:
+    return [w for k, line in body for w in _row_floats(k, line, line.split(), "weight")]
 
 
-def _expected_weight_count(doc: TsplibDocument) -> int:
-    n = doc.dimension
+def _check_weight_count(doc: TsplibDocument) -> None:
     fmt = doc.edge_weight_format
-    if fmt == "FULL_MATRIX":
-        want = n * n
-    elif fmt == "LOWER_DIAG_ROW":
-        want = n * (n + 1) // 2
-    elif fmt == "UPPER_ROW":
-        want = n * (n - 1) // 2
-    else:
+    if fmt not in _WEIGHT_COUNTS:
         raise UnsupportedType(f"EXPLICIT weights need a supported format, got {fmt!r}")
+    want = _WEIGHT_COUNTS[fmt](doc.dimension)
     if len(doc.weights) != want:
         raise ParseError(
             f"EDGE_WEIGHT_SECTION has {len(doc.weights)} entries, expected {want} for {fmt}"
         )
-    return want
 
 
 def _geo_radians(coords: np.ndarray) -> np.ndarray:
@@ -224,7 +202,7 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
 
 def _explicit_matrix(doc: TsplibDocument) -> np.ndarray:
     n = doc.dimension
-    _expected_weight_count(doc)
+    _check_weight_count(doc)
     vals = np.array(doc.weights, dtype=float)
     if doc.edge_weight_format == "FULL_MATRIX":
         return vals.reshape(n, n)

@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,14 @@ HUGE_WEIGHTS = (
     "NAME: big\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
     "EDGE_WEIGHT_FORMAT: UPPER_ROW\nEDGE_WEIGHT_SECTION\n1e308 1e308 1e308\n1e308 1e308\n1e308\nEOF\n"
 )
+
+
+def euc_2d_text(name, coords):
+    rows = "".join(f"{i + 1} {x} {y}\n" for i, (x, y) in enumerate(coords))
+    return (
+        f"NAME: {name}\nTYPE: TSP\nDIMENSION: {len(coords)}\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        f"NODE_COORD_SECTION\n{rows}EOF\n"
+    )
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +112,29 @@ class TestSolve:
         best = float(next(ln for ln in out.splitlines() if ln.startswith("best:")).split()[1])
         assert best > 0  # shown as achieved cut weight, not the minimized form
 
+    def test_maxcut_mean_and_std_are_of_cut_weights(self, capsys, tmp_path):
+        # the std used to be of the QUBO values, twice the cut-weight std
+        out_file = tmp_path / "results.jsonl"
+        code, out, _ = run_cli(
+            capsys, "solve", "maxcut", "--n", "12", "--iters", "5", "--trials", "3",
+            "--seed", "3", "-q", "--out", str(out_file),
+        )
+        assert code == 0
+        graph = instances.random_weighted_graph(12, 1.0, 0)
+        with open(out_file) as fh:
+            cuts = [problems.cut_from_qubo(r.best_cost, graph) for r in recording.read_results(fh)]
+        assert np.std(cuts, ddof=1) > 0
+        summary = next(ln for ln in out.splitlines() if ln.startswith("mean:")).split()
+        assert summary == ["mean:", f"{np.mean(cuts):.6f}", "std:", f"{np.std(cuts, ddof=1):.6f}"]
+
+    def test_tsp_file_with_reference_prints_error(self, capsys, tmp_path):
+        coords = instances.random_euclidean_tsp(6, 1).coords
+        path = tsp_file(tmp_path, euc_2d_text("kroA100", coords))
+        code, out, _ = run_cli(capsys, "solve", "tsp", "--file", path, "--iters", "5", "-q")
+        assert code == 0
+        best = float(next(ln for ln in out.splitlines() if ln.startswith("best:")).split()[1])
+        assert f"error: {problems.tsp_error(best, 21282):+.2f}% vs reference 21282" in out.splitlines()
+
 
 class TestBench:
     def test_rosenbrock_suite_table(self, capsys):
@@ -124,6 +156,25 @@ class TestBench:
         body = [ln for ln in out.splitlines()[1:] if ln.strip()]
         assert len(body) == 4
         assert all(ln.split()[-1] == "-" for ln in body)
+
+    def test_tsp_suite_error_column(self, capsys, tmp_path):
+        # only an instance with a published optimum gets a percent gap
+        paths = []
+        for seed, name in enumerate(["kroA100", "six"]):
+            path = tmp_path / f"{name}.tsp"
+            path.write_text(euc_2d_text(name, instances.random_euclidean_tsp(6, seed).coords))
+            paths.append(str(path))
+        code, out, _ = run_cli(
+            capsys, "bench", "tsp", "--files", *paths, "--trials", "2", "--iters", "5", "-q"
+        )
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("kroA100", "sta"), ("kroA100", "dsta"), ("six", "sta"), ("six", "dsta"),
+        ]
+        for name, _, best, _, _, error in rows:
+            want = f"{problems.tsp_error(float(best), 21282):.2f}%" if name == "kroA100" else "-"
+            assert error == want
 
     def test_trace_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # only solve writes a trace; bench used to accept --trace and write nothing

@@ -100,6 +100,16 @@ class TestCutAndQubo:
         with pytest.raises(DimensionMismatch, match="overflows"):
             MaxCutInstance(weights=2 * w)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_bits_outside_zero_one_rejected(self, bad):
+        # bit -1 used to read as sign +1, and bit 2 raised a bare IndexError
+        inst = MaxCutInstance(weights=np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]]))
+        q, c = inst.qubo
+        with pytest.raises(DomainViolation, match="0 or 1"):
+            cut_weight(np.array([bad, 0, 1]), inst)
+        with pytest.raises(DomainViolation, match="0 or 1"):
+            qubo_value(np.array([bad, 0]), q, c)
+
     def test_qubo_zero(self):
         q = np.zeros((3, 3))
         c = np.zeros(3)

@@ -66,6 +66,59 @@ EOF
 """
 
 
+# reader behaviour -> (text, rounding, exception type, exact message); None means
+# the text builds without raising or warning
+READER_CASES = {
+    "bad-dimension": (
+        EUC_DOC.replace("DIMENSION: 3", "DIMENSION: three"), "real",
+        ParseError, "line 3: bad DIMENSION 'three'",
+    ),
+    "unsupported-weight-format": (
+        EXPLICIT_FULL.replace("FULL_MATRIX", "UPPER_DIAG_ROW"), "real",
+        UnsupportedType, "unsupported EDGE_WEIGHT_FORMAT 'UPPER_DIAG_ROW'",
+    ),
+    "explicit-without-weight-section": (
+        EXPLICIT_FULL.split("EDGE_WEIGHT_SECTION")[0], "real",
+        ParseError, "EXPLICIT instance without EDGE_WEIGHT_SECTION",
+    ),
+    "coordinates-without-coord-section": (
+        EUC_DOC.split("NODE_COORD_SECTION")[0], "real",
+        ParseError, "coordinate instance without NODE_COORD_SECTION",
+    ),
+    "coordinate-row-without-three-fields": (
+        EUC_DOC.replace("2 3 4", "2 3"), "real",
+        ParseError, "line 7: expected 'index x y', got '2 3'",
+    ),
+    "non-numeric-weight": (
+        EXPLICIT_FULL.replace("1 0 3", "1 zero 3"), "real",
+        ParseError, "line 8: bad weight row '1 zero 3'",
+    ),
+    "explicit-without-format": (
+        EXPLICIT_FULL.replace("EDGE_WEIGHT_FORMAT: FULL_MATRIX\n", ""), "real",
+        UnsupportedType, "EXPLICIT weights need a supported format, got None",
+    ),
+    "weight-count-mismatch": (
+        EXPLICIT_FULL.replace("2 3 0", "2 3 0 4"), "real",
+        ParseError, "EDGE_WEIGHT_SECTION has 10 entries, expected 9 for FULL_MATRIX",
+    ),
+    "unknown-rounding": (
+        EUC_DOC, "nearest",
+        ValueError, "rounding must be 'real' or 'tsplib', got 'nearest'",
+    ),
+    "no-edge-weight-type": (
+        EUC_DOC.replace("EDGE_WEIGHT_TYPE: EUC_2D\n", ""), "real",
+        UnsupportedType, "cannot build distances for ''",
+    ),
+    "ignored-keys-do-not-warn": (
+        EUC_DOC.replace(
+            "NAME: tiny",
+            "NAME: tiny\nCOMMENT: x\nDISPLAY_DATA_TYPE: COORD_DISPLAY\nNODE_COORD_TYPE: TWOD_COORDS",
+        ),
+        "real", None, None,
+    ),
+}
+
+
 class TestParse:
     def test_minimal_euc(self):
         doc = parse_tsplib(EUC_DOC)
@@ -98,6 +151,19 @@ class TestParse:
     def test_missing_dimension(self):
         with pytest.raises(ParseError):
             parse_tsplib("TYPE: TSP\nEOF\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, rounding, error, message", READER_CASES.values(), ids=READER_CASES.keys()
+    )
+    def test_reader_behaviour(self, text, rounding, error, message):
+        if error is None:
+            build_distances(parse_tsplib(text), rounding=rounding)
+            return
+        with pytest.raises(error) as exc:
+            build_distances(parse_tsplib(text), rounding=rounding)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=400))
