@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -214,8 +215,20 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+_NEGATIVE_FLOAT = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 like every other input error; 2 is TooLarge's code."""
+    """Usage errors exit 1 like every other input error; 2 is TooLarge's code.
+
+    argparse takes a token after a flag for an option unless it looks like a
+    negative number, which by default excludes "-inf" and "-1e5"; here any
+    negative float literal is a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message):
         self.print_usage(sys.stderr)

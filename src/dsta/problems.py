@@ -60,10 +60,16 @@ class MaxCutInstance:
     Q equals the leading n-by-n block of W and c is minus the column of
     weights to the fixed vertex, so min P(x) = 1/2 x'Qx - x'c over signs x
     corresponds to max cut weight of (x, +1).
+
+    Symmetric means `allclose` to the transpose; `asymmetry` is the largest
+    |W - W^T| entry, 0.0 for an exactly symmetric matrix.  `abs_bound`,
+    2 * sum |W|, bounds every partial sum of the QUBO form and of cut_weight.
     """
 
     weights: np.ndarray
     name: str = "maxcut"
+    asymmetry: float = field(init=False, repr=False, default=0.0)
+    abs_bound: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         w = self.weights
@@ -72,12 +78,15 @@ class MaxCutInstance:
         if not np.isfinite(w).all():
             raise DimensionMismatch("weight matrix entries must be finite")
         with np.errstate(over="ignore"):
-            # bounds every partial sum of the QUBO form and of cut_weight
             total = 2 * np.abs(w).sum()
         if not np.isfinite(total):
             raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
-        if not np.allclose(w, w.T):
+        exact = np.array_equal(w, w.T)
+        if not (exact or np.allclose(w, w.T)):
             raise DimensionMismatch("weight matrix must be symmetric")
+        object.__setattr__(self, "abs_bound", float(total))
+        if not exact:
+            object.__setattr__(self, "asymmetry", float(np.abs(w - w.T).max()))
 
     @property
     def n(self) -> int:
@@ -238,6 +247,41 @@ def _qubo_form(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * qx.sum(axis=1) - x @ c
 
 
+def qubo_deltas(bits: np.ndarray, moves: Moves, q: np.ndarray, c: np.ndarray, inst: MaxCutInstance):
+    """Change in P(x) = 1/2 x'Qx - x'c of each sparse-write move, with a bound on its error.
+
+    A move flips the set S of its written positions whose bit changes.  With
+    signs x and g = Qx - c, its delta is -2 sum_S x_i g_i + 2 sum_{i,j in S}
+    x_i x_j Q_ij (Q has a zero diagonal): one GEMV for g and a (rows, w, w)
+    gather of Q.  Windows flip about half their length, so they are not
+    scored: the result is None.
+
+    Otherwise returns (delta, err) with |cost + delta - F| <= err, where cost
+    is `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
+    evaluated in any batch: GEMM rounding changes with the batch's row count,
+    so err does not rest on one.  err bounds float summation over the
+    instance's `abs_bound` B: each evaluation is within gamma_(2n+1) B/4 of
+    exact and the delta within gamma_(n+2w+3) 2B, doubled for safety.  g is
+    computed as Q^T x, so an instance symmetric only to allclose adds n times
+    `inst.asymmetry` per flipped bit.
+    """
+    if not isinstance(moves, Writes):
+        return None
+    p = moves.pos
+    x = _SIGN_VALUES.take(bits)
+    g = x @ q - c
+    flip = moves.val != bits.take(p)
+    if moves.mask is not None:
+        flip &= moves.mask
+    xs = x.take(p) * flip  # sign of each flipped position, 0 elsewhere
+    d = (q[p[:, :, None], p[:, None, :]] @ xs[:, :, None])[:, :, 0]
+    d -= g.take(p)
+    d *= xs
+    n, w = len(x), p.shape[1]
+    eps = np.finfo(np.float64).eps
+    return 2 * d.sum(axis=1), 2 * eps * (2 * n + 2 * w + 5) * inst.abs_bound + w * n * inst.asymmetry
+
+
 def rosenbrock_value(values: np.ndarray) -> float:
     """Integer Rosenbrock: sum of 100(x_{i+1} - x_i^2)^2 + (x_i - 1)^2."""
     x = np.asarray(values)
@@ -273,15 +317,16 @@ class Problem:
     """Engine-facing adapter: representation details plus a pure batch cost function.
 
     `delta_many(state, cost, moves)`, where given, returns (delta, err) per
-    move, with err >= |cost + delta - evaluate_many(row)| for the move's row;
-    `cost` is `evaluate` of `state`.  It lets `best_move` skip most rows.
+    move, with err >= |cost + delta - evaluate_many(row)| for the move's row
+    evaluated in any batch; `cost` is `evaluate` of `state`.  It lets
+    `best_move` skip most rows.  It returns None for moves it does not score.
     """
 
     name: str
     size: int
     alphabet_size: int | None  # None marks the permutation representation
     evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
-    delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, np.ndarray]] | None = None
+    delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, np.ndarray] | None] | None = None
 
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
@@ -296,13 +341,21 @@ class Problem:
         best row and is not NaN.  Hence every row attaining the minimum (or a
         NaN) is in S, and the first such row in S is the first over all rows:
         np.argmin's tie-break holds.  If any est + err is not finite, S is
-        every row.  The rows are built as `moves.take(S).apply(state)`, so
-        only S is ever materialized.  The returned cost is always a full
-        evaluation, and the row a new array.
+        every row, as it is when `delta_many` returns None for these moves.
+        The rows are built as `moves.take(S).apply(state)`, so only S is ever
+        materialized.  The returned cost is always a full evaluation, and the
+        row a new array.
+
+        A row's evaluation can depend on its batch: a BLAS product rounds
+        differently with the row count, so on non-integer QUBO weights the
+        returned cost may differ in the last bit from the same row's cost
+        among all rows.  Hence err must hold in any batch, and the argument
+        above holds for evaluate_many of S.
         """
         short = None
-        if self.delta_many is not None:
-            delta, err = self.delta_many(state, cost, moves)
+        scored = None if self.delta_many is None else self.delta_many(state, cost, moves)
+        if scored is not None:
+            delta, err = scored
             est = cost + delta
             hi = est + err
             if math.isfinite(np.add.reduce(hi)):  # every estimate and bound is finite
@@ -331,12 +384,12 @@ def tsp_problem(inst: TspInstance) -> Problem:
 def maxcut_problem(inst: MaxCutInstance) -> Problem:
     """Minimize the QUBO form; convert best_cost back with cut_from_qubo."""
     q, c = inst.qubo
-
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
         evaluate_many=lambda bits: _qubo_form(_SIGN_VALUES.take(bits), q, c),
+        delta_many=lambda bits, cost, moves: qubo_deltas(bits, moves, q, c, inst),
     )
 
 

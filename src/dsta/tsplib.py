@@ -5,7 +5,8 @@ UPPER_ROW).  GEO follows the standard great-circle convention: coordinates
 are DDD.MM degree-minute pairs and distances use the 6378.388 km earth
 radius.  Distances can be built either unrounded ("real") or with the
 TSPLIB nearest-integer convention ("tsplib").  `parse_tsplib` checks the
-header values, every data row and each count against DIMENSION;
+header values, every data row and each count against DIMENSION, and places
+coordinate rows by their node numbers, 1..DIMENSION each exactly once;
 `build_distances` re-checks the weight count of hand-built documents.
 """
 
@@ -65,7 +66,8 @@ def parse_tsplib(text: str) -> TsplibDocument:
             body = list(_section_lines(lines, i))
             i += len(body)
             if head == "NODE_COORD_SECTION":
-                doc.coords = _read_coords(body)
+                coord_body = body
+                numbers, doc.coords = _read_coords(body)
             elif head == "EDGE_WEIGHT_SECTION":
                 doc.weights += _read_weights(body)
             continue
@@ -102,6 +104,8 @@ def parse_tsplib(text: str) -> TsplibDocument:
         raise ParseError(
             f"DIMENSION {doc.dimension} but {len(doc.coords)} coordinate rows"
         )
+    else:
+        doc.coords = _by_node_number(coord_body, numbers, doc.coords)
     return doc
 
 
@@ -122,14 +126,35 @@ def _row_floats(k: int, line: str, tokens: list[str], what: str) -> list[float]:
         raise ParseError(f"bad {what} row {line!r}", line=k + 1) from None
 
 
-def _read_coords(body: list[tuple[int, str]]) -> np.ndarray:
-    rows = []
+def _read_coords(body: list[tuple[int, str]]) -> tuple[list[int], np.ndarray]:
+    """The node number and the coordinates of each row, in file order."""
+    numbers, rows = [], []
     for k, line in body:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"expected 'index x y', got {line!r}", line=k + 1)
+        try:
+            numbers.append(int(parts[0]))
+        except ValueError:
+            raise ParseError(f"bad node number {parts[0]!r}", line=k + 1) from None
         rows.append(_row_floats(k, line, parts[1:], "coordinate"))
-    return np.array(rows)
+    return numbers, np.array(rows)
+
+
+def _by_node_number(body: list[tuple[int, str]], numbers: list[int], coords: np.ndarray) -> np.ndarray:
+    """The coordinate rows placed by node number; each of 1..len(coords) must occur once."""
+    n = len(coords)
+    if min(numbers) < 1 or max(numbers) > n or len(set(numbers)) < n:
+        seen = set()  # report the first offending row in file order
+        for (k, _), number in zip(body, numbers):
+            if not 1 <= number <= n:
+                raise ParseError(f"node number {number} outside 1..{n}", line=k + 1)
+            if number in seen:
+                raise ParseError(f"node number {number} repeated", line=k + 1)
+            seen.add(number)
+    placed = np.empty_like(coords)
+    placed[np.array(numbers) - 1] = coords
+    return placed
 
 
 def _read_weights(body: list[tuple[int, str]]) -> list[float]:

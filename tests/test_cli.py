@@ -351,6 +351,24 @@ class TestParsing:
         assert err.startswith("error:") and "seed must be >= 0" in err
         assert "best" not in out and "optimum" not in out
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["rosenbrock", "--p1", "-inf"], "p1 must be in [0,1], got -inf"),
+            (["rosenbrock", "--p1=-inf"], "p1 must be in [0,1], got -inf"),
+            (["rosenbrock", "--p2", "-inf"], "p2 must be in [0,1], got -inf"),
+            (["maxcut", "--density", "-inf"], "density must be in [0,1], got -inf"),
+            (["rosenbrock", "--p1", "-1e5"], "p1 must be in [0,1], got -100000.0"),
+        ],
+        ids=["p1", "p1-joined", "p2", "density", "p1-exponent"],
+    )
+    def test_negative_float_value_reaches_its_range_check(self, capsys, argv, message):
+        # argparse used to take "-inf" for an option: "argument --p1: expected one argument"
+        code, out, err = run_cli(capsys, "solve", *argv, "--iters", "2")
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert "best" not in out
+
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "rosenbrock", "--n", "5", "--se", "0")
         assert code == 1

@@ -1,4 +1,4 @@
-"""Move descriptors, TSP tour deltas and the exact shortlist in Problem.best_move.
+"""Move descriptors, TSP tour and QUBO deltas, and the exact shortlist in Problem.best_move.
 
 The delta path must never change a result: every estimate is checked against
 full re-evaluation, and whole runs are compared with the delta path switched
@@ -190,6 +190,114 @@ def test_delta_run_equals_full_evaluation_run(n, factors, mode, kind):
     problem = problems.tsp_problem(problems.TspInstance(matrix=tsp_matrix(n, n, kind)))
     params = StaParams(max_iters=60, mode=mode, seed=n + 1, **factors)
     assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
+
+
+def maxcut_weights(vertices, seed, kind, scale=1.0, density=1.0):
+    """Mixed-sign MAX-CUT weights: real, integer-valued, or symmetric only to allclose."""
+    g = np.random.default_rng(seed)
+    a = (g.random((vertices, vertices)) * 2 - 1) * scale
+    if kind == "integer":
+        a = g.integers(-9, 10, size=(vertices, vertices)).astype(float)
+    a = np.triu(a * (g.random((vertices, vertices)) < density), 1)
+    w = a + a.T
+    if kind == "allclose":  # off by a relative 1e-7: allclose holds, exact symmetry does not
+        w = w * (1 + 1e-7 * g.random((vertices, vertices)))
+    return w
+
+
+def qubo_err(problem, bits):
+    """The err that delta_many reports for flipping the first bit of `bits`."""
+    return problem.delta_many(bits, 0.0, Writes(np.zeros((1, 1), dtype=np.int64), 1 - bits[None, :1]))[1]
+
+
+class TestMaxCutInstance:
+    def test_exact_symmetry_has_no_asymmetry(self):
+        w = maxcut_weights(20, 0, "real")
+        inst = problems.MaxCutInstance(weights=w)
+        assert inst.asymmetry == 0.0 and inst.abs_bound == 2 * np.abs(w).sum()
+
+    def test_allclose_matrix_records_its_asymmetry(self):
+        w = maxcut_weights(20, 0, "allclose")
+        assert problems.MaxCutInstance(weights=w).asymmetry == np.abs(w - w.T).max() > 0
+
+
+class TestQuboDeltas:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vertices=st.integers(2, 120),
+        kind=st.sampled_from(["real", "integer", "allclose"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        op=st.sampled_from([Operator.SWAP, Operator.SUBSTITUTE]),
+        factor_pick=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(vertices=2, kind="real", scale=1.0, density=1.0, op=Operator.SWAP, factor_pick=4, seed=0)
+    @example(vertices=2, kind="allclose", scale=1e3, density=1.0, op=Operator.SUBSTITUTE, factor_pick=3, seed=1)
+    @example(vertices=30, kind="real", scale=1e-3, density=0.0, op=Operator.SWAP, factor_pick=4, seed=2)
+    def test_sampled_moves_within_bound(self, vertices, kind, scale, density, op, factor_pick, seed):
+        """Swap at ma 2..6 (masked rows) and substitute at md 1..4 (padding columns)."""
+        factor = (2 + factor_pick) if op is Operator.SWAP else min(1 + factor_pick, 4)
+        inst = problems.MaxCutInstance(weights=maxcut_weights(vertices, seed, kind, scale, density))
+        problem = problems.maxcut_problem(inst)
+        g = np.random.default_rng(seed)
+        bits = g.integers(0, 2, size=inst.n)
+        cost = problem.evaluate(bits)
+        moves = sample_moves(bits, op, factor, 64, g, alphabet_size=2)
+        delta, err = problem.delta_many(bits, cost, moves)
+        rows = moves.apply(bits)
+        for size in (64, 31, 1):  # GEMM rounding changes with the batch's row count
+            full = np.concatenate([problem.evaluate_many(rows[i : i + size]) for i in range(0, 64, size)])
+            gap = np.abs(cost + delta - full)
+            assert np.all(gap <= err), (size, gap, err)
+
+    @pytest.mark.parametrize("op", [Operator.SHIFT, Operator.SYMMETRY])
+    def test_windows_are_not_scored_and_every_row_is_evaluated(self, op):
+        problem = problems.maxcut_problem(instances.random_weighted_graph(30, 0.5, 4))
+        g = np.random.default_rng(5)
+        bits = g.integers(0, 2, size=29)
+        cost = problem.evaluate(bits)
+        moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
+        assert problem.delta_many(bits, cost, moves) is None
+        calls = []
+
+        def evaluate_many(rows):
+            calls.append(len(rows))
+            return problem.evaluate_many(rows)
+
+        full = problem.evaluate_many(moves.apply(bits))
+        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves)
+        assert calls == [32]
+        assert best == int(np.argmin(full)) and best_cost == full[best]
+        assert np.array_equal(row, moves.apply(bits)[best])
+
+
+MAXCUT_FACTORS = [{}, {"ma": 4, "mb": 3, "mc": 2, "md": 3}]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("factors", MAXCUT_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("vertices", [2, 3, 6, 17, 60, 201])
+def test_qubo_delta_run_equals_full_evaluation_run(vertices, factors, mode):
+    """Integer weights: every sum is exact, so the runs agree bit for bit."""
+    problem = problems.maxcut_problem(problems.MaxCutInstance(weights=maxcut_weights(vertices, vertices, "integer")))
+    params = StaParams(max_iters=60, mode=mode, seed=vertices + 1, **factors)
+    assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
+
+
+@pytest.mark.parametrize("kind", ["real", "allclose"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("factors", MAXCUT_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("vertices", [5, 40, 201])
+def test_qubo_delta_run_matches_full_evaluation_run_on_float_weights(vertices, factors, mode, kind):
+    """Float weights: a row's cost may change in the last bit with its batch, never past err."""
+    problem = problems.maxcut_problem(problems.MaxCutInstance(weights=maxcut_weights(vertices, vertices, kind)))
+    params = StaParams(max_iters=60, mode=mode, seed=vertices + 1, **factors)
+    a, b = engine.run(problem, params), engine.run(replace(problem, delta_many=None), params)
+    err = qubo_err(problem, a.best_solution)
+    assert np.array_equal(a.best_solution, b.best_solution) and a.evaluations == b.evaluations
+    assert abs(a.best_cost - b.best_cost) <= err
+    assert np.all(np.abs(np.array(a.trace) - np.array(b.trace)) <= err)
 
 
 STATES = {

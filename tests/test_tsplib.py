@@ -109,6 +109,18 @@ READER_CASES = {
         EUC_DOC.replace("EDGE_WEIGHT_TYPE: EUC_2D\n", ""), "real",
         UnsupportedType, "cannot build distances for ''",
     ),
+    "non-numeric-node-number": (
+        EUC_DOC.replace("1 0 0", "x 0 0"), "real",
+        ParseError, "line 6: bad node number 'x'",
+    ),
+    "repeated-node-number": (
+        EUC_DOC.replace("2 3 4", "1 3 4"), "real",
+        ParseError, "line 7: node number 1 repeated",
+    ),
+    "node-number-out-of-range": (
+        EUC_DOC.replace("3 6 0", "4 6 0"), "real",
+        ParseError, "line 8: node number 4 outside 1..3",
+    ),
     "ignored-keys-do-not-warn": (
         EUC_DOC.replace(
             "NAME: tiny",
@@ -126,6 +138,10 @@ class TestParse:
         assert doc.dimension == 3
         assert doc.edge_weight_type == "EUC_2D"
         assert doc.coords.shape == (3, 2)
+
+    def test_rows_are_placed_by_node_number(self):
+        shuffled = EUC_DOC.replace("1 0 0\n2 3 4\n3 6 0", "3 6 0\n1 0 0\n2 3 4")
+        assert np.array_equal(parse_tsplib(shuffled).coords, [[0, 0], [3, 4], [6, 0]])
 
     def test_dimension_mismatch(self):
         bad = EUC_DOC.replace("DIMENSION: 3", "DIMENSION: 4")
