@@ -98,6 +98,30 @@ def _echo_config(args, params: StaParams) -> None:
         print("config:", json.dumps(cfg, sort_keys=True))
 
 
+def _trial_records(instance: str, params: StaParams, stats: bench.TrialStats, timed: bool):
+    """One ResultRecord per trial of `bench.run_trials(..., base_seed=params.seed)`.
+
+    Each carries the trial's own seed and the exact params it ran with, so
+    `engine.run` on them reproduces its best cost.  `timed` False leaves
+    wall_time None, which keeps a file byte-identical across reruns.
+    """
+    records = []
+    for i, r in enumerate(stats.results):
+        seed = bench.derive_seed(params.seed, i)
+        records.append(
+            recording.ResultRecord(
+                instance=instance,
+                algorithm=params.mode.value,
+                params=recording.params_dict(replace(params, seed=seed)),
+                seed=seed,
+                best_cost=r.best_cost,
+                wall_time=r.wall_time if timed else None,
+                best_solution=[int(v) for v in r.best_solution],
+            )
+        )
+    return records
+
+
 def cmd_solve(args) -> int:
     params = _params_from(args)
     inst = _instance(args)
@@ -125,20 +149,8 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w") as fh:
             recording.write_trace(best.trace, fh)
     if args.out:
-        records = [
-            recording.ResultRecord(
-                instance=problem.name,
-                algorithm=params.mode.value,
-                params=recording.params_dict(params),
-                seed=bench.derive_seed(params.seed, i),
-                best_cost=r.best_cost,
-                wall_time=r.wall_time,
-                best_solution=[int(v) for v in r.best_solution],
-            )
-            for i, r in enumerate(stats.results)
-        ]
         with open(args.out, "a") as fh:
-            recording.write_results(records, fh)
+            recording.write_results(_trial_records(problem.name, params, stats, timed=True), fh)
     return 0
 
 
@@ -171,29 +183,20 @@ def cmd_bench(args) -> int:
             ref = _known_optimum(inst.name)
             error = partial(problems.tsp_error, optimum=ref) if ref else None
             cases.append((inst.name, problems.tsp_problem(inst), params, error))
-    rows = []
+    rows, records = [], []
     for name, prob, p, error in cases:
         sta, dsta, _ = bench.compare_modes(prob, p, args.trials, base_seed=params.seed)
         for mode, stats in zip(Mode, (sta, dsta)):
             rows.append((name, mode.value, stats, error(stats.best) if error else None))
+            # untimed, so that reruns write byte-identical files
+            records += _trial_records(prob.name, replace(p, mode=mode), stats, timed=False)
     print(f"{'instance':<22}{'algorithm':<11}{'best':>14}{'mean':>14}{'std':>12}{'error':>9}")
     for name, mode, stats, err in rows:
         err_s = "-" if err is None else f"{err:.2f}%"
         print(f"{name:<22}{mode:<11}{stats.best:>14.4f}{stats.mean:>14.4f}{stats.std:>12.4f}{err_s:>9}")
     if args.out:
         with open(args.out, "a") as fh:
-            recs = [
-                recording.ResultRecord(
-                    instance=name,
-                    algorithm=mode,
-                    params=recording.params_dict(params),
-                    seed=params.seed,
-                    best_cost=stats.best,
-                    wall_time=0.0,
-                )
-                for name, mode, stats, _ in rows
-            ]
-            recording.write_results(recs, fh)
+            recording.write_results(records, fh)
     return 0
 
 

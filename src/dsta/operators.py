@@ -273,16 +273,18 @@ def _redraw_palindrome(state, c_hi, rng):
 
     This is the one loop that draws row by row: each retry draws (c, h, start)
     for its row before the next row starts, and seeded runs depend on that
-    interleaving, which a vectorized redraw would change.
+    interleaving, which a vectorized redraw would change.  The palindrome test
+    is the byte-string comparison of `_palindromes`.
     """
-    n = len(state)
+    k, n = state.itemsize, len(state)
+    fwd, rev = state.tobytes(), state[::-1].tobytes()
     for _ in range(_MAX_ATTEMPTS):
-        c = int(_uniform(rng, 0, c_hi, ()))
+        c = int(rng.integers(0, c_hi + 1)) if c_hi else 0  # as _uniform: a one-value range skips the draw
         h = int(rng.integers(1, (n - c) // 2 + 1))
         start = int(rng.integers(0, n - 2 * h - c + 1))
-        window = state[start : start + 2 * h + c]
-        if (window != window[::-1]).any():
-            return start, start + len(window)
+        end = start + 2 * h + c
+        if fwd[start * k : end * k] != rev[(n - end) * k : (n - start) * k]:
+            return start, end
     b = int(_boundary_starts(state, 1, rng)[0])
     return b, b + 2
 

@@ -342,9 +342,11 @@ class Problem:
         NaN) is in S, and the first such row in S is the first over all rows:
         np.argmin's tie-break holds.  If any est + err is not finite, S is
         every row, as it is when `delta_many` returns None for these moves.
-        The rows are built as `moves.take(S).apply(state)`, so only S is ever
-        materialized.  The returned cost is always a full evaluation, and the
-        row a new array.
+        When err is exactly 0.0 (a float, not an array), est is every row's
+        cost, S is the rows tied at min est, and only the first of them, the
+        argmin of est, is evaluated.  The rows are built as
+        `moves.take(S).apply(state)`, so only S is ever materialized.  The
+        returned cost is always a full evaluation, and the row a new array.
 
         A row's evaluation can depend on its batch: a BLAS product rounds
         differently with the row count, so on non-integer QUBO weights the
@@ -357,9 +359,11 @@ class Problem:
         if scored is not None:
             delta, err = scored
             est = cost + delta
-            hi = est + err
+            exact = isinstance(err, float) and err == 0.0  # a scalar test: array errs skip it
+            hi = est if exact else est + err
             if math.isfinite(np.add.reduce(hi)):  # every estimate and bound is finite
-                short = (est - err <= np.minimum.reduce(hi)).nonzero()[0]
+                # exact: S is the rows tied at min est, and np.argmin picks the first
+                short = est.argmin(keepdims=True) if exact else (est - err <= np.minimum.reduce(hi)).nonzero()[0]
         rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
         best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
@@ -403,12 +407,67 @@ def cut_from_qubo(p_value, inst: MaxCutInstance):
     return float(out) if out.ndim == 0 else out
 
 
+# the Rosenbrock term of each index pair (i, j) = (x_k, x_{k+1}) at entry 6i + j;
+# index 5 is the sentinel past either end of a state, and its pairs are 0.
+# Every term is an integer below 3610, so float64 sums them exactly
+_ROSEN_END = len(ROSENBROCK_ALPHABET)
+_ROSEN_STRIDE = _ROSEN_END + 1
+_ROSEN_TABLE = np.pad(
+    100.0 * (ROSENBROCK_ALPHABET - ROSENBROCK_ALPHABET[:, None] ** 2) ** 2 + (ROSENBROCK_ALPHABET[:, None] - 1) ** 2,
+    (0, 1),
+)
+_ROSEN_PAIRS = _ROSEN_TABLE.ravel()
+_ROSEN_TURNS = (_ROSEN_TABLE.T - _ROSEN_TABLE).ravel()  # the change when pair (i, j) becomes (j, i)
+_PADDED_OFFSETS = _WINDOW_OFFSETS + 1  # padded position p + 1 holds entry p
+
+
 def _rosenbrock_many(idx: np.ndarray) -> np.ndarray:
-    x = ROSENBROCK_ALPHABET[idx]
-    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (x[:, :-1] - 1) ** 2, axis=1)
+    pair = idx[:, :-1] * _ROSEN_STRIDE
+    pair += idx[:, 1:]
+    return _ROSEN_PAIRS.take(pair).sum(axis=1)
+
+
+def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
+    """Exact change in integer Rosenbrock of each window move, with err 0.0.
+
+    The state is padded with the sentinel index at both ends, so a window at
+    either end needs no branch.  A rotation replaces 3 pairs: the pairs
+    entering and leaving the window and its inner seam.  A reversal replaces
+    its 2 boundary pairs and turns every pair inside it around; that inner
+    change is a difference of prefix sums of the turned-minus-forward pair
+    terms, built once per call.  Every term is an integer, so each delta is
+    exact.  Sparse writes are not scored: the result is None.
+    """
+    if isinstance(moves, Writes):
+        return None
+    lo, hi, k = moves.lo, moves.hi, moves.k
+    pad = np.concatenate(([_ROSEN_END], idx, [_ROSEN_END]))
+    if k is None:
+        ends, legs, signs = (lo, lo, hi, hi), _REVERSE_LEGS, _REVERSE_SIGNS[0]
+    else:
+        seam = lo + k
+        ends, legs, signs = (lo, lo, hi, hi, seam, seam), _ROTATE_LEGS, _ROTATE_SIGNS[0]
+    t = pad.take(np.concatenate(ends).reshape(len(ends), -1) + _PADDED_OFFSETS[: len(ends)])
+    pair = t[legs[0]] * _ROSEN_STRIDE
+    pair += t[legs[1]]
+    delta = signs @ _ROSEN_PAIRS.take(pair)
+    if k is None:  # pair p, p + 1 is turned around for lo <= p < hi - 1
+        fwd = idx[:-1] * _ROSEN_STRIDE
+        fwd += idx[1:]
+        turned = np.zeros(len(idx))
+        np.cumsum(_ROSEN_TURNS.take(fwd), out=turned[1:])
+        delta += turned.take(hi - 1) - turned.take(lo)
+    return delta, 0.0
 
 
 def rosenbrock_problem(n: int) -> Problem:
+    """Integer Rosenbrock over alphabet indices 0..4 (values -2..2), n >= 2.
+
+    `evaluate_many` sums each row's terms from a table of the 25 index pairs.
+    `delta_many` scores window moves (shift and symmetry) exactly, so
+    `best_move` evaluates one row of such a round; sparse writes (swap and
+    substitute) are evaluated in full.  Both agree with `rosenbrock_value`.
+    """
     if n < 2:
         raise DimensionMismatch("Rosenbrock needs n >= 2")
     return Problem(
@@ -416,6 +475,7 @@ def rosenbrock_problem(n: int) -> Problem:
         size=n,
         alphabet_size=len(ROSENBROCK_ALPHABET),
         evaluate_many=_rosenbrock_many,
+        delta_many=lambda idx, cost, moves: rosenbrock_deltas(idx, moves),
     )
 
 

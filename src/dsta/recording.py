@@ -11,14 +11,17 @@ from .engine import Mode, StaParams
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One trial outcome, self-contained enough to reproduce the run."""
+    """One trial outcome, self-contained enough to reproduce the run.
+
+    wall_time None means the trial's time was not recorded.
+    """
 
     instance: str
     algorithm: str  # "sta" or "dsta"
     params: dict
     seed: int
     best_cost: float
-    wall_time: float
+    wall_time: float | None
     best_solution: list[int] | None = None
 
 

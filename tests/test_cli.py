@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsta import bench, cli, instances, problems, recording, tsplib
+from dsta import bench, cli, engine, instances, problems, recording, tsplib
 from dsta.engine import Mode, StaParams
 from dsta.operators import Operator
 
@@ -34,6 +34,14 @@ def euc_2d_text(name, coords):
         f"NAME: {name}\nTYPE: TSP\nDIMENSION: {len(coords)}\nEDGE_WEIGHT_TYPE: EUC_2D\n"
         f"NODE_COORD_SECTION\n{rows}EOF\n"
     )
+
+
+def params_from_record(record):
+    """The StaParams a ResultRecord's trial ran with."""
+    d = dict(record.params, mode=Mode(record.params["mode"]))
+    if d["operator_set"] is not None:
+        d["operator_set"] = tuple(Operator(op) for op in d["operator_set"])
+    return StaParams(**d)
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +100,9 @@ class TestSolve:
             records = recording.read_results(fh)
         assert len(records) == 2
         assert all(r.algorithm == "dsta" for r in records)
+        for r in records:
+            assert r.wall_time > 0 and r.params["seed"] == r.seed
+            assert engine.run(problems.rosenbrock_problem(4), params_from_record(r)).best_cost == r.best_cost
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "solve", "tsp", "--file", "/nonexistent/x.tsp")
@@ -189,12 +200,24 @@ class TestBench:
         out_file = tmp_path / "bench.jsonl"
         run_cli(
             capsys,
-            "bench", "rosenbrock", "--sizes", "5", "--trials", "2", "-q",
+            "bench", "rosenbrock", "--sizes", "5", "10", "--trials", "2", "--seed", "7", "--iters", "3", "-q",
             "--out", str(out_file),
         )
         with open(out_file) as fh:
             records = recording.read_results(fh)
-        assert {r.algorithm for r in records} == {"sta", "dsta"}
+        # one record per trial: 2 sizes x 2 modes x 2 trials, each with its own seed
+        assert [(r.instance, r.algorithm) for r in records] == [
+            (f"rosenbrock-{n}", mode) for n in (5, 10) for mode in ("sta", "dsta") for _ in range(2)
+        ]
+        seeds = [bench.derive_seed(7, i) for i in range(2)]
+        assert [r.seed for r in records] == seeds * 4
+        for r in records:
+            assert r.wall_time is None and r.params["seed"] == r.seed and r.params["mode"] == r.algorithm
+        # the suite's budget per size, not the --iters flag
+        assert [r.params["max_iters"] for r in records] == [cli.ROSENBROCK_SUITE[5]] * 4 + [cli.ROSENBROCK_SUITE[10]] * 4
+        for r in records:
+            result = engine.run(problems.rosenbrock_problem(len(r.best_solution)), params_from_record(r))
+            assert result.best_cost == r.best_cost and result.best_solution.tolist() == r.best_solution
 
 
 class TestOracle:

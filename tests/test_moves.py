@@ -1,4 +1,4 @@
-"""Move descriptors, TSP tour and QUBO deltas, and the exact shortlist in Problem.best_move.
+"""Move descriptors, TSP tour, QUBO and Rosenbrock deltas, and the exact shortlist in Problem.best_move.
 
 The delta path must never change a result: every estimate is checked against
 full re-evaluation, and whole runs are compared with the delta path switched
@@ -272,11 +272,11 @@ class TestQuboDeltas:
         assert np.array_equal(row, moves.apply(bits)[best])
 
 
-MAXCUT_FACTORS = [{}, {"ma": 4, "mb": 3, "mc": 2, "md": 3}]
+VALUE_FACTORS = [{}, {"ma": 4, "mb": 3, "mc": 2, "md": 3}]
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("factors", MAXCUT_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
 @pytest.mark.parametrize("vertices", [2, 3, 6, 17, 60, 201])
 def test_qubo_delta_run_equals_full_evaluation_run(vertices, factors, mode):
     """Integer weights: every sum is exact, so the runs agree bit for bit."""
@@ -287,7 +287,7 @@ def test_qubo_delta_run_equals_full_evaluation_run(vertices, factors, mode):
 
 @pytest.mark.parametrize("kind", ["real", "allclose"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("factors", MAXCUT_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
 @pytest.mark.parametrize("vertices", [5, 40, 201])
 def test_qubo_delta_run_matches_full_evaluation_run_on_float_weights(vertices, factors, mode, kind):
     """Float weights: a row's cost may change in the last bit with its batch, never past err."""
@@ -298,6 +298,116 @@ def test_qubo_delta_run_matches_full_evaluation_run_on_float_weights(vertices, f
     assert np.array_equal(a.best_solution, b.best_solution) and a.evaluations == b.evaluations
     assert abs(a.best_cost - b.best_cost) <= err
     assert np.all(np.abs(np.array(a.trace) - np.array(b.trace)) <= err)
+
+
+def rosen_state(n, seed, kind):
+    """Alphabet indices: uniform, or all 3 (the value 1) but for a few entries."""
+    g = np.random.default_rng(seed)
+    if kind == "uniform":
+        return g.integers(0, 5, size=n)
+    state = np.full(n, 3)
+    state[g.integers(0, n, size=max(1, n // 10))] = g.integers(0, 5, size=max(1, n // 10))
+    return state
+
+
+def check_rosen_deltas(state, moves):
+    """cost + delta equals full evaluation bit for bit, and err is exactly 0.0."""
+    problem = problems.rosenbrock_problem(len(state))
+    cost = problem.evaluate(state)
+    delta, err = problem.delta_many(state, cost, moves)
+    assert err == 0.0 and type(err) is float
+    assert np.array_equal(cost + delta, problem.evaluate_many(moves.apply(state)))
+
+
+class TestRosenbrockDeltas:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        kind=st.sampled_from(["uniform", "near-constant"]),
+        op=st.sampled_from([Operator.SHIFT, Operator.SYMMETRY]),
+        factor_pick=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, kind="uniform", op=Operator.SHIFT, factor_pick=4, seed=0)
+    @example(n=2, kind="uniform", op=Operator.SYMMETRY, factor_pick=4, seed=1)
+    @example(n=3, kind="near-constant", op=Operator.SHIFT, factor_pick=4, seed=2)
+    @example(n=3, kind="uniform", op=Operator.SYMMETRY, factor_pick=4, seed=3)
+    def test_sampled_windows_are_exact(self, n, kind, op, factor_pick, seed):
+        """Shift at mb 1..5 and symmetry at mc 0..4 on uniform and near-constant states."""
+        factor = factor_pick + (op is Operator.SHIFT)
+        g = np.random.default_rng(seed)
+        state = rosen_state(n, seed, kind)
+        moves = sample_moves(state, op, factor, 64, g, alphabet_size=5)
+        if isinstance(moves, Windows):  # a constant state gives plain copies
+            check_rosen_deltas(state, moves)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        kind=st.sampled_from(["uniform", "near-constant"]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_windows_touching_the_ends(self, n, kind, data, seed):
+        """Windows at 0, at n, spanning n - 1 entries and the whole state, both kinds."""
+        state = rosen_state(n, seed, kind)
+        inner_lo = data.draw(st.integers(0, n - 2))
+        inner_hi = data.draw(st.integers(inner_lo + 2, n))
+        spans = [(0, n), (0, max(n - 1, 2)), (min(1, n - 2), n), (0, inner_hi), (inner_lo, n), (inner_lo, inner_hi)]
+        lo, hi = (np.array(v) for v in zip(*spans))
+        k = np.array([data.draw(st.integers(1, b - a - 1)) for a, b in spans])
+        check_rosen_deltas(state, Windows(lo, hi))
+        check_rosen_deltas(state, Windows(lo, hi, k))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_window_of_tiny_states(self, n):
+        """Every window, every rotation of it and its reversal, on every state of length n."""
+        spans = [(a, b, k) for a in range(n) for b in range(a + 2, n + 1) for k in range(1, b - a)]
+        lo, hi, k = (np.array(v) for v in zip(*spans))
+        for code in range(5**n):
+            state = np.array([code // 5**i % 5 for i in range(n)])
+            check_rosen_deltas(state, Windows(lo, hi))
+            check_rosen_deltas(state, Windows(lo, hi, k))
+
+    def test_writes_are_not_scored(self):
+        problem = problems.rosenbrock_problem(6)
+        state = np.array([0, 1, 2, 3, 4, 3])
+        moves = sample_moves(state, Operator.SUBSTITUTE, 2, 8, np.random.default_rng(0), alphabet_size=5)
+        assert problem.delta_many(state, problem.evaluate(state), moves) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 200])
+    def test_table_equals_scalar_reference(self, n):
+        states = np.random.default_rng(n).integers(0, 5, size=(300, n))
+        ref = [problems.rosenbrock_value(problems.ROSENBROCK_ALPHABET[row]) for row in states]
+        assert np.array_equal(problems.rosenbrock_problem(n).evaluate_many(states), ref)
+
+    def test_exact_estimates_evaluate_only_the_first_minimum(self):
+        # values [1, 1, 1, 0, 1, 1, 1, 1]; rows 1 and 3 both move the 0 to the end
+        problem = problems.rosenbrock_problem(8)
+        state = np.array([3, 3, 3, 2, 3, 3, 3, 3])
+        moves = Windows(np.array([2, 3, 1, 2]), np.array([4, 8, 4, 8]), np.array([1, 1, 2, 2]))
+        full = problem.evaluate_many(moves.apply(state))
+        assert full.tolist() == [201.0, 100.0, 201.0, 100.0]
+        calls = []
+
+        def evaluate_many(rows):
+            calls.append(len(rows))
+            return problem.evaluate_many(rows)
+
+        counted = replace(problem, evaluate_many=evaluate_many)
+        best, cost, row = counted.best_move(state, problem.evaluate(state), moves)
+        assert calls == [1]
+        assert (best, cost) == (1, 100.0)
+        assert np.array_equal(row, moves.apply(state)[1])
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 200])
+def test_rosenbrock_delta_run_equals_full_evaluation_run(n, factors, mode):
+    problem = problems.rosenbrock_problem(n)
+    params = StaParams(max_iters=60, mode=mode, seed=n + 1, **factors)
+    assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
 
 
 STATES = {

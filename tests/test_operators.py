@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from dsta.errors import DegenerateState, IncompatibleOperator
-from dsta.operators import Operator, sample_batch
+from dsta.operators import Operator, _redraw_palindrome, sample_batch
 
 SWAP, SHIFT, SYMMETRY, SUBSTITUTE = Operator
 
@@ -170,6 +171,25 @@ class TestSymmetry:
         state = np.array([0, 1, 0, 1, 1])
         out = sample_batch(state, SYMMETRY, 0, 500, rng(5), alphabet_size=2)
         assert not (out == state).all(axis=1).any()
+
+    def test_redraw_palindrome_draws_are_pinned(self):
+        """300 redraws on a mostly-ones state: the windows and the generator's end state.
+
+        Most windows miss the lone 0 and are constant, so 22 calls exhaust their
+        redraws and take the boundary pair (0, 2); c_hi = 0 draws no center length.
+        """
+        state = np.ones(30, dtype=np.int64)
+        state[0] = 0
+        g = rng(2024)
+        windows = [_redraw_palindrome(state, i % 3, g) for i in range(300)]
+        digest = hashlib.sha256(np.array(windows, dtype="<i8").tobytes()).hexdigest()
+        assert digest == "02ea5c73a1b8f23322f95b56ce0110e5eb3fd4c76cac64f4bb83910f4ef94490"
+        end = g.bit_generator.state
+        assert end["state"] == {
+            "state": 309424039966139502910604985341622018406,
+            "inc": 263843294879837360010514471918415607657,
+        }
+        assert (end["has_uint32"], end["uinteger"]) == (1, 4044832485)
 
 
 class TestSubstitute:
