@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsta.errors import DegenerateState, IncompatibleOperator
-from dsta.operators import Operator, _redraw_palindrome, sample_batch
+from dsta.operators import Operator, _redraw_palindrome, sample_batch, sample_moves
 
 SWAP, SHIFT, SYMMETRY, SUBSTITUTE = Operator
 
@@ -241,6 +241,22 @@ class TestNeighborhood:
         with pytest.raises(IncompatibleOperator):
             sample_batch(np.arange(4), SUBSTITUTE, 1, 3, rng(0))
 
+    # a constant or one-entry state admits no rearrangement, but the operator is checked first
+    degenerate = pytest.mark.parametrize(
+        "state", [np.arange(4), np.zeros(4, dtype=int), np.array([0])], ids=["perm", "constant", "one"]
+    )
+
+    @degenerate
+    def test_substitute_requires_value_state_before_copies(self, state):
+        with pytest.raises(IncompatibleOperator):
+            sample_batch(state, SUBSTITUTE, 1, 3, rng(0))
+
+    @degenerate
+    @pytest.mark.parametrize("m", [None, 1])
+    def test_unknown_operator(self, state, m):
+        with pytest.raises(ValueError, match="unknown operator 'flip'"):
+            sample_batch(state, "flip", 1, 3, rng(0), alphabet_size=m)
+
 
 class TestBatchMatchesScalar:
     """Batch supports against the enumerated reference neighborhoods."""
@@ -301,3 +317,55 @@ class TestNonDefaultFactors:
         assert ((out != self.state).sum(axis=1) == ks).all()
         assert set(ks.tolist()) == {1, 2, 3}
         assert check_value_state(out.ravel(), 3)
+
+
+class TestDrawStreamPins:
+    """The draw stream at non-default factors, pinned before the samplers' redraw loops were merged.
+
+    Each case cycles swap ma=4, shift mb=3, symmetry mc=2 and (on value states)
+    substitute md=3 through 200 `sample_moves(...).apply(state)` calls from one
+    generator, hashing every batch and recording the generator's end state.  The
+    mostly-ones state exhausts pair redraws, the k > 2 attempts and the shift
+    fallback, so those paths are pinned too.
+    """
+
+    factors = [(SWAP, 4), (SHIFT, 3), (SYMMETRY, 2), (SUBSTITUTE, 3)]
+    lone_zero = np.ones(30, dtype=np.int64)
+    lone_zero[0] = 0
+    states = {
+        "permutation": (np.random.default_rng(7).permutation(12), None),
+        "five-letter": (np.array([3, 0, 4, 4, 1, 0, 2, 3, 3, 1, 0, 4, 2, 2]), 5),
+        "lone-zero": (lone_zero, 2),
+    }
+    pinned = {
+        "permutation": (
+            "b350e08cd52a73c89d82bed48a11be38a176a6271f984c16dfd0ccfc95a236a2",
+            {"state": 261926397995113951820206878766387035945, "inc": 107090353359002252723118071224206516545},
+            0,
+            507094111,
+        ),
+        "five-letter": (
+            "11cc9fd5559f84dcb8bd201f4ab369425fe54067a0f2a8a1477b43e9af81e677",
+            {"state": 274441161278090335943627625919902317647, "inc": 107090353359002252723118071224206516545},
+            0,
+            3951945489,
+        ),
+        "lone-zero": (
+            "e912d051cc9235fbdca439f078103e55762efe22cdfb826fe5b74cdc23acf2b8",
+            {"state": 291907136570618571402696188925716097797, "inc": 107090353359002252723118071224206516545},
+            1,
+            2387366640,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(states))
+    def test_digest_and_end_state(self, case):
+        state, m = self.states[case]
+        ops = self.factors[:3] if m is None else self.factors
+        g = rng(31)
+        h = hashlib.sha256()
+        for i in range(200):
+            op, factor = ops[i % len(ops)]
+            h.update(sample_moves(state, op, factor, 16, g, m).apply(state).astype("<i8").tobytes())
+        end = g.bit_generator.state
+        assert (h.hexdigest(), end["state"], end["has_uint32"], end["uinteger"]) == self.pinned[case]
