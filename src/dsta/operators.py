@@ -22,13 +22,18 @@ whose rng draws are vectorized over the rows for every factor value.
 
 The first three operators rearrange existing entries (the entry multiset is
 preserved), so duplicate-valued states admit rearrangements that change
-nothing.  Such rows are redrawn a bounded number of times, then fall back to
-the smallest change-producing move, a length-2 window over two adjacent
-differing entries; on a state whose entries are all
-identical (including a one-entry state) no rearrangement can help and the
-rows are plain copies.  A permutation's entries are distinct, so none of its
-rearrangements is the identity and these checks are skipped; no draw depends
-on them there.
+nothing.  Swap pair exchanges and shifts draw in one loop that covers every
+row on its first pass and then only the rows still unchanged: the first draw
+plus 16 redraws.  k > 2 swaps get 16 attempts, and symmetry 16 scalar
+redraws per palindromic row.  Then a pair exchange draws j among the
+positions holding another value, a k > 2 swap takes a pair exchange, and
+shift and symmetry take the smallest change-producing move, a length-2 window
+over two adjacent differing entries.
+On a state whose entries are all identical (including a one-entry state) no
+rearrangement can help: `sample_moves` checks the operator, then returns
+plain copies without drawing.  A permutation's entries are distinct, so none
+of its rearrangements is the identity and these checks are skipped; no draw
+depends on them there.
 
 Seeded runs depend on the exact sequence of rng draws made here, so the draw
 order at the default factors is part of the contract; tests/test_seeded_outputs.py
@@ -112,13 +117,13 @@ Moves = Writes | Windows
 
 
 def _no_change(state, distinct):
-    """True if no rearrangement of the state changes it."""
-    return len(state) < 2 or not distinct and bool((state == state[0]).all())
+    """True if no rearrangement of the state changes it; differing ends settle most states in one compare."""
+    return len(state) < 2 or not distinct and state[0] == state[-1] and bool((state == state[0]).all())
 
 
-def _copies(state, se):
-    empty = np.zeros((se, 0), dtype=np.int64)
-    return Writes(empty, empty.astype(state.dtype))
+def _still(rows, same):
+    """The rows flagged by `same`, of `rows`: a row index array, or slice(None) for every row."""
+    return np.flatnonzero(same) if isinstance(rows, slice) else rows[same]
 
 
 def _uniform(rng, lo, hi, size):
@@ -161,14 +166,12 @@ def _swap(state, ma, se, rng, distinct):
     state in 2..ma positions.
     """
     n = len(state)
-    if _no_change(state, distinct):
-        return _copies(state, se)
     k_hi = min(ma, n)
-    ks = _uniform(rng, 2, k_hi, se)
     shape = (se, k_hi)
     pos, val = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=state.dtype)
     pairs, mask = slice(None), None  # every row is a pair exchange unless some k > 2
     if k_hi > 2:
+        ks = _uniform(rng, 2, k_hi, se)
         mask = np.zeros(shape, dtype=bool)
         pair = ks == 2
         multi = np.flatnonzero(~pair)
@@ -187,21 +190,22 @@ def _swap(state, ma, se, rng, distinct):
             multi = multi[~done]
         pair[multi] = True
         pairs = np.flatnonzero(pair)
-    size = len(ks[pairs])
-    i = rng.integers(n, size=size)
-    j = rng.integers(n, size=size)
-    for _ in range(_MAX_ATTEMPTS):
-        bad = i == j if distinct else state[i] == state[j]
-        if not bad.any():
+    i = rng.integers(n, size=se if mask is None else len(pairs))
+    j, redo, a = None, slice(None), i
+    for _ in range(_MAX_ATTEMPTS + 1):  # j for every row, then for the rows still unchanged
+        b = rng.integers(n, size=len(a))
+        if j is None:  # the first pass keeps its draws, uncopied
+            j = b
+        else:
+            j[redo] = b
+        redo = _still(redo, a == b if distinct else state[a] == state[b])
+        if not len(redo):
             break
-        j[bad] = rng.integers(n, size=int(bad.sum()))
-    else:
-        bad = np.flatnonzero(state[i] == state[j])
-        if len(bad):
-            # uniform pick among the positions whose value differs from state[i]
-            differs = state != state[i[bad], None]
-            u = rng.integers(differs.sum(axis=1))
-            j[bad] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
+        a = i[redo]
+    else:  # uniform pick among the positions whose value differs from state[i]
+        differs = state != state[a, None]
+        u = rng.integers(differs.sum(axis=1))
+        j[redo] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
     pos[pairs, 0], pos[pairs, 1] = i, j
     val[pairs, 0], val[pairs, 1] = state[j], state[i]
     if mask is not None:
@@ -216,28 +220,25 @@ def _shift(state, mb, se, rng, distinct):
     Rows left unchanged after the redraws take a boundary transposition.
     """
     n = len(state)
-    if _no_change(state, distinct):
-        return _copies(state, se)
     seg = _uniform(rng, 1, min(mb, n - 1), se)
-    # segment start s and insertion slot j of each row: n - L + 1 slots, and
-    # slot s restores the input
-    s = rng.integers(n - seg + 1)
-    j = rng.integers(n - seg)
-    j += j >= s
-    redo = np.arange(0)  # a window of distinct entries is never constant
-    if not distinct:
-        # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
-        nb = np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
-        redo = np.flatnonzero(nb[np.maximum(s, j) + seg - 1] == nb[np.minimum(s, j)])
-        for _ in range(_MAX_ATTEMPTS):
-            if not len(redo):
-                break
-            L = seg[redo]
-            a = rng.integers(n - L + 1)
-            b = rng.integers(n - L)
-            b += b >= a
+    # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
+    nb = None if distinct else np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
+    s, j, redo, L = None, None, slice(None), seg
+    for _ in range(_MAX_ATTEMPTS + 1):  # (s, j) for every row, then for the rows still unchanged
+        # segment start a and insertion slot b: n - L + 1 slots, and slot a restores the input
+        a = rng.integers(n - L + 1)
+        b = rng.integers(n - L)
+        b += b >= a
+        if s is None:  # the first pass keeps its draws, uncopied
+            s, j = a, b
+        else:
             s[redo], j[redo] = a, b
-            redo = redo[nb[np.maximum(a, b) + L - 1] == nb[np.minimum(a, b)]]
+        if distinct:  # a window of distinct entries is never constant
+            break
+        redo = _still(redo, nb[np.maximum(a, b) + L - 1] == nb[np.minimum(a, b)])
+        if not len(redo):
+            break
+        L = seg[redo]
     lo, hi = np.minimum(s, j), np.maximum(s, j) + seg
     # rotating window [lo, hi) left by k = seg carries a segment moved right
     # (j > s) to the window's end; k = hi - lo - seg brings a segment moved
@@ -254,36 +255,27 @@ def _shift(state, mb, se, rng, distinct):
     return moves
 
 
-def _palindromes(state, lo, hi):
-    """The rows whose window state[lo:hi] reads the same reversed.
-
-    Only rows whose window ends match can be; for each, window [a, b) reversed
-    is window [n - b, n - a) of the reversed state, so the test is one
-    comparison of two byte strings.
-    """
+def _palindrome_test(state):
+    """Whether window [a, b) reads the same reversed: a comparison with window [n - b, n - a) of the reversed state."""
     k, n = state.itemsize, len(state)
     fwd, rev = state.tobytes(), state[::-1].tobytes()
-    rows = np.flatnonzero(state[lo] == state[hi - 1])
-    windows = zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist())
-    return [r for r, a, b in windows if fwd[a * k : b * k] == rev[(n - b) * k : (n - a) * k]]
+    return lambda a, b: fwd[a * k : b * k] == rev[(n - b) * k : (n - a) * k]
 
 
-def _redraw_palindrome(state, c_hi, rng):
+def _redraw_palindrome(state, is_palindrome, c_hi, rng):
     """A non-palindromic window (lo, hi) to reverse, retrying with scalar draws.
 
     This is the one loop that draws row by row: each retry draws (c, h, start)
     for its row before the next row starts, and seeded runs depend on that
-    interleaving, which a vectorized redraw would change.  The palindrome test
-    is the byte-string comparison of `_palindromes`.
+    interleaving, which a vectorized redraw would change.
     """
-    k, n = state.itemsize, len(state)
-    fwd, rev = state.tobytes(), state[::-1].tobytes()
+    n = len(state)
     for _ in range(_MAX_ATTEMPTS):
         c = int(rng.integers(0, c_hi + 1)) if c_hi else 0  # as _uniform: a one-value range skips the draw
         h = int(rng.integers(1, (n - c) // 2 + 1))
         start = int(rng.integers(0, n - 2 * h - c + 1))
         end = start + 2 * h + c
-        if fwd[start * k : end * k] != rev[(n - end) * k : (n - start) * k]:
+        if not is_palindrome(start, end):
             return start, end
     b = int(_boundary_starts(state, 1, rng)[0])
     return b, b + 2
@@ -296,17 +288,18 @@ def _symmetry(state, mc, se, rng, distinct):
     each side fold across it, which is exactly a reversal of the whole window.
     """
     n = len(state)
-    if _no_change(state, distinct):
-        return _copies(state, se)
     c_hi = min(mc, n - 2)
     c = _uniform(rng, 0, c_hi, se)
     h = 1 + (rng.random(se) * ((n - c) // 2)).astype(int)
     wlen = 2 * h + c
     lo = (rng.random(se) * (n - wlen + 1)).astype(int)
     hi = lo + wlen
-    if not distinct:  # a palindromic window reverses onto itself
-        for r in _palindromes(state, lo, hi):
-            lo[r], hi[r] = _redraw_palindrome(state, c_hi, rng)
+    if not distinct:  # a palindromic window reverses onto itself; only one whose ends match can be
+        is_palindrome = _palindrome_test(state)
+        rows = np.flatnonzero(state[lo] == state[hi - 1])
+        for r, a, b in zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist()):
+            if is_palindrome(a, b):
+                lo[r], hi[r] = _redraw_palindrome(state, is_palindrome, c_hi, rng)
     return Windows(lo, hi)
 
 
@@ -342,16 +335,21 @@ def sample_moves(
     """
     distinct = alphabet_size is None
     if op is Operator.SWAP:
-        return _swap(state, factor, se, rng, distinct)
-    if op is Operator.SHIFT:
-        return _shift(state, factor, se, rng, distinct)
-    if op is Operator.SYMMETRY:
-        return _symmetry(state, factor, se, rng, distinct)
-    if op is Operator.SUBSTITUTE:
-        if alphabet_size is None:
+        rearrange = _swap
+    elif op is Operator.SHIFT:
+        rearrange = _shift
+    elif op is Operator.SYMMETRY:
+        rearrange = _symmetry
+    elif op is Operator.SUBSTITUTE:
+        if distinct:
             raise IncompatibleOperator("substitute requires a value-vector state")
         return _substitute(state, factor, alphabet_size, se, rng)
-    raise ValueError(f"unknown operator {op!r}")
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    if _no_change(state, distinct):  # every row is a copy, drawn from no rng call
+        empty = np.zeros((se, 0), dtype=np.int64)
+        return Writes(empty, empty.astype(state.dtype))
+    return rearrange(state, factor, se, rng, distinct)
 
 
 def sample_batch(

@@ -422,6 +422,9 @@ _PADDED_OFFSETS = _WINDOW_OFFSETS + 1  # padded position p + 1 holds entry p
 
 
 def _rosenbrock_many(idx: np.ndarray) -> np.ndarray:
+    # one pass: read as unsigned, a negative index exceeds every valid one (and 5 is the sentinel)
+    if np.asarray(idx, np.int64).view(np.uint64).max(initial=0) >= _ROSEN_END:
+        raise DomainViolation("index outside alphabet range")
     pair = idx[:, :-1] * _ROSEN_STRIDE
     pair += idx[:, 1:]
     return _ROSEN_PAIRS.take(pair).sum(axis=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsta.errors import DegenerateState, IncompatibleOperator
-from dsta.operators import Operator, _redraw_palindrome, sample_batch, sample_moves
+from dsta.operators import Operator, _palindrome_test, _redraw_palindrome, sample_batch, sample_moves
 
 SWAP, SHIFT, SYMMETRY, SUBSTITUTE = Operator
 
@@ -181,7 +181,8 @@ class TestSymmetry:
         state = np.ones(30, dtype=np.int64)
         state[0] = 0
         g = rng(2024)
-        windows = [_redraw_palindrome(state, i % 3, g) for i in range(300)]
+        is_palindrome = _palindrome_test(state)
+        windows = [_redraw_palindrome(state, is_palindrome, i % 3, g) for i in range(300)]
         digest = hashlib.sha256(np.array(windows, dtype="<i8").tobytes()).hexdigest()
         assert digest == "02ea5c73a1b8f23322f95b56ce0110e5eb3fd4c76cac64f4bb83910f4ef94490"
         end = g.bit_generator.state
@@ -242,9 +243,7 @@ class TestNeighborhood:
             sample_batch(np.arange(4), SUBSTITUTE, 1, 3, rng(0))
 
     # a constant or one-entry state admits no rearrangement, but the operator is checked first
-    degenerate = pytest.mark.parametrize(
-        "state", [np.arange(4), np.zeros(4, dtype=int), np.array([0])], ids=["perm", "constant", "one"]
-    )
+    degenerate = pytest.mark.parametrize("state", [np.zeros(4, dtype=int), np.array([0])], ids=["constant", "one"])
 
     @degenerate
     def test_substitute_requires_value_state_before_copies(self, state):

@@ -288,6 +288,15 @@ class TestAdapters:
         for row, cost in zip(states, batch):
             assert rosenbrock_value(dvs_decode(row, ROSENBROCK_ALPHABET)) == pytest.approx(cost)
 
+    @pytest.mark.parametrize("row", [[5, 5, 5], [-1, 3, 3], [0, 1, 7]])
+    def test_rosenbrock_problem_rejects_indices_outside_alphabet(self, row):
+        # 5 is the pair table's sentinel, whose pairs are 0, and -1 would wrap onto it
+        prob = rosenbrock_problem(3)
+        with pytest.raises(DomainViolation, match="outside alphabet"):
+            prob.evaluate_many(np.array([[1, 1, 1], row]))
+        with pytest.raises(DomainViolation, match="outside alphabet"):
+            prob.evaluate(np.array(row))
+
     def test_initial_states_valid(self):
         g = np.random.default_rng(4)
         perm = tsp_problem(unit_square()).initial(g)
