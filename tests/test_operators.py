@@ -319,16 +319,20 @@ class TestNonDefaultFactors:
 
 
 class TestDrawStreamPins:
-    """The draw stream at non-default factors, pinned before the samplers' redraw loops were merged.
+    """The draw stream of the samplers, pinned before they were refactored.
 
-    Each case cycles swap ma=4, shift mb=3, symmetry mc=2 and (on value states)
-    substitute md=3 through 200 `sample_moves(...).apply(state)` calls from one
-    generator, hashing every batch and recording the generator's end state.  The
-    mostly-ones state exhausts pair redraws, the k > 2 attempts and the shift
-    fallback, so those paths are pinned too.
+    Each case cycles swap, shift, symmetry and (on value states) substitute
+    through 200 `sample_moves(...).apply(state)` calls from one generator,
+    hashing every batch and recording the generator's end state.  The
+    non-default factors ma=4, mb=3, mc=2, md=3 were pinned before the redraw
+    loops were merged; the mostly-ones state exhausts pair redraws, the k > 2
+    attempts and the shift fallback, so those paths are pinned too.  The
+    default factors ma=2, mb=1, mc=0, md=1 were pinned before their equal-bound
+    draws took numpy's scalar form.
     """
 
     factors = [(SWAP, 4), (SHIFT, 3), (SYMMETRY, 2), (SUBSTITUTE, 3)]
+    default_factors = [(SWAP, 2), (SHIFT, 1), (SYMMETRY, 0), (SUBSTITUTE, 1)]
     lone_zero = np.ones(30, dtype=np.int64)
     lone_zero[0] = 0
     states = {
@@ -357,14 +361,42 @@ class TestDrawStreamPins:
         ),
     }
 
-    @pytest.mark.parametrize("case", list(states))
-    def test_digest_and_end_state(self, case):
+    pinned_default = {
+        "permutation": (
+            "fbf1284a5f8b6767b0ed9e26c8da84aa777187e44dd23425d34759a2a15eabca",
+            {"state": 42218862690559987747880645406660933049, "inc": 107090353359002252723118071224206516545},
+            1,
+            1056842531,
+        ),
+        "five-letter": (
+            "66903d33441ce3a1dd97704cb66f227cd1f17ac1ef74b54cc4efa8344ab3f907",
+            {"state": 313742247237129779653828059125106387093, "inc": 107090353359002252723118071224206516545},
+            0,
+            2340424727,
+        ),
+        "lone-zero": (
+            "f96a36ef4ca381d99db647a4dffc54c2a16617d2debc1f264b9c5d6d002cf35e",
+            {"state": 104993130002696480749765268262713036062, "inc": 107090353359002252723118071224206516545},
+            0,
+            1161235065,
+        ),
+    }
+
+    def digest(self, case, factors):
         state, m = self.states[case]
-        ops = self.factors[:3] if m is None else self.factors
+        ops = factors[:3] if m is None else factors
         g = rng(31)
         h = hashlib.sha256()
         for i in range(200):
             op, factor = ops[i % len(ops)]
             h.update(sample_moves(state, op, factor, 16, g, m).apply(state).astype("<i8").tobytes())
         end = g.bit_generator.state
-        assert (h.hexdigest(), end["state"], end["has_uint32"], end["uinteger"]) == self.pinned[case]
+        return h.hexdigest(), end["state"], end["has_uint32"], end["uinteger"]
+
+    @pytest.mark.parametrize("case", list(states))
+    def test_digest_and_end_state(self, case):
+        assert self.digest(case, self.factors) == self.pinned[case]
+
+    @pytest.mark.parametrize("case", list(states))
+    def test_default_factors_digest_and_end_state(self, case):
+        assert self.digest(case, self.default_factors) == self.pinned_default[case]
