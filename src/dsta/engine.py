@@ -136,15 +136,23 @@ def operator_round(
 ) -> SearchState:
     """One neighborhood round: sample se moves, take the round best if accepted.
 
-    `problem.best_move` builds only the rows it evaluates, and returns the
-    best one as a new array.
+    `problem.best_move` bounds the round best's cost from below before it
+    builds anything.  The round settles (builds and evaluates the best row)
+    only when the bound allows an improvement, or when it rules one out and
+    the risk draw keeps the round anyway: `accept_candidate` of the bound then
+    makes the same single draw that the settled cost would, as the cost is
+    no lower than the bound.  So a rejected round builds and evaluates only
+    what its bound needed, and every kept row carries a full evaluation.
     """
     moves = sample_moves(state.current, op, params.factor(op), params.se, rng, problem.alphabet_size)
-    _, best_cost, best_row = problem.best_move(state.current, state.current_cost, moves)
-    best_cost = _finite(best_cost, f"{op.value} round-best")
-    if accept_candidate(state.current_cost, best_cost, params.mode, params.p2, rng):
-        state.current = best_row
-        state.current_cost = best_cost
+    what = f"{op.value} round-best"
+    bound, settle = problem.best_move(state.current, state.current_cost, moves)
+    best = settle() if _finite(bound, what) < state.current_cost else None  # the bound allows an improvement
+    cost = bound if best is None else _finite(best[1], what)
+    if accept_candidate(state.current_cost, cost, params.mode, params.p2, rng):
+        _, cost, row = settle() if best is None else best  # the risk draw may keep a round its bound ruled out
+        state.current = row
+        state.current_cost = _finite(cost, what)
     return state
 
 

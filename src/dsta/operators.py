@@ -11,7 +11,8 @@ operator:
   reverses one.
 
 A problem can score moves from the descriptor alone (`Problem.delta_many`), so
-`Problem.best_move` builds only the rows it must evaluate in full.
+`Problem.best_move` builds only the rows it must evaluate in full, and only
+for a round the engine may keep.
 `sample_batch`, `sample_moves(...).apply(state)`, is kept only because the
 benchmark harness wraps it by name.
 
@@ -37,7 +38,11 @@ depends on them there.
 
 Seeded runs depend on the exact sequence of rng draws made here, so the draw
 order at the default factors is part of the contract; tests/test_seeded_outputs.py
-pins it.
+pins it.  An array bound with equal entries (shift when every segment has
+length 1, Floyd's draw when every row takes one position) is drawn in numpy's
+scalar form, `rng.integers(h, size=m)`: the same values and generator state
+as `rng.integers(np.full(m, h))` at less cost per call (tested in
+tests/test_operators.py, checked on numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -142,6 +147,9 @@ def _floyd(rng, n, ks):
     rng.integers(n) per row.  Columns from ks[r] on are padding, drawn below n.
     """
     pos = np.empty((len(ks), int(ks.max(initial=0))), dtype=np.int64)
+    if pos.shape[1] == 1:  # every row takes one position: the bounds all equal n
+        pos[:, 0] = rng.integers(n, size=len(ks))
+        return pos
     for s in range(pos.shape[1]):
         top = n - np.maximum(ks - s, 1)
         t = rng.integers(top + 1)
@@ -220,14 +228,17 @@ def _shift(state, mb, se, rng, distinct):
     Rows left unchanged after the redraws take a boundary transposition.
     """
     n = len(state)
-    seg = _uniform(rng, 1, min(mb, n - 1), se)
+    mb = min(mb, n - 1)
+    seg = _uniform(rng, 1, mb, se)
     # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
     nb = None if distinct else np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
     s, j, redo, L = None, None, slice(None), seg
     for _ in range(_MAX_ATTEMPTS + 1):  # (s, j) for every row, then for the rows still unchanged
         # segment start a and insertion slot b: n - L + 1 slots, and slot a restores the input
-        a = rng.integers(n - L + 1)
-        b = rng.integers(n - L)
+        if mb == 1:  # every segment has length 1: equal bounds, drawn in the scalar form
+            a, b = rng.integers(n, size=len(L)), rng.integers(n - 1, size=len(L))
+        else:
+            a, b = rng.integers(n - L + 1), rng.integers(n - L)
         b += b >= a
         if s is None:  # the first pass keeps its draws, uncopied
             s, j = a, b
@@ -246,7 +257,7 @@ def _shift(state, mb, se, rng, distinct):
     moves = Windows(lo, hi, np.where(j > s, seg, hi - lo - seg))
     if distinct:
         return moves
-    long = np.flatnonzero(seg > 1)
+    long = np.flatnonzero(seg > 1) if mb > 1 else ()  # at mb = 1 no segment is longer than 1
     if len(long):  # a segment longer than 1 can also rotate a periodic window onto itself
         redo = np.union1d(redo, long[(moves.take(long).apply(state) == state).all(axis=1)])
     if len(redo):  # an exchange of adjacent entries is a length-2 window rotated by one

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -312,6 +312,16 @@ def maxcut_error(best: float, optimum: float) -> float:
     return (optimum - best) / optimum * 100.0
 
 
+class RoundBest(NamedTuple):
+    """The best of a round's moves: a lower bound on its full cost, then the move itself.
+
+    `settle()` returns (index, cost, row), cost a full evaluation; see `Problem.best_move`.
+    """
+
+    bound: float
+    settle: Callable[[], tuple[int, float, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class Problem:
     """Engine-facing adapter: representation details plus a pure batch cost function.
@@ -331,8 +341,12 @@ class Problem:
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
 
-    def best_move(self, state: np.ndarray, cost: float, moves: Moves) -> tuple[int, float, np.ndarray]:
-        """The move np.argmin would pick over evaluate_many of every move's row: (index, cost, row).
+    def best_move(self, state: np.ndarray, cost: float, moves: Moves) -> RoundBest:
+        """The move np.argmin would pick over evaluate_many of every move's row, in two steps.
+
+        `bound` is a lower bound on the best row's full cost, and `settle()`
+        returns (index, cost, row); a caller that learns from the bound that it
+        will not keep the row never settles, and nothing past the bound is built.
 
         With `delta_many`, only a shortlist S of rows is evaluated: est = cost +
         delta, U = min(est + err), and S holds every row with est - err <= U.
@@ -340,21 +354,24 @@ class Problem:
         has F_i >= est_i - err_i > U >= min F, so it is strictly worse than the
         best row and is not NaN.  Hence every row attaining the minimum (or a
         NaN) is in S, and the first such row in S is the first over all rows:
-        np.argmin's tie-break holds.  If any est + err is not finite, S is
-        every row, as it is when `delta_many` returns None for these moves.
-        When err is exactly 0.0 (a float, not an array), est is every row's
-        cost, S is the rows tied at min est, and only the first of them, the
-        argmin of est, is evaluated.  The rows are built as
-        `moves.take(S).apply(state)`, so only S is ever materialized.  The
-        returned cost is always a full evaluation, and the row a new array.
+        np.argmin's tie-break holds.  The bound is min(est - err) over S, which
+        no F_j in S falls below (err's factor-2 margin is far wider than the
+        rounding of est - err).  When err is exactly 0.0 (a float, not an
+        array), est is every row's cost, S is the rows tied at min est, only
+        the first of them, the argmin of est, is evaluated, and the bound is
+        min est, that row's cost.  If any est + err is not finite, or
+        `delta_many` returns None for these moves, every row is evaluated at
+        once and the bound is the minimum itself.  Rows are built as
+        `moves.take(S).apply(state)` in `settle()`, so only S is ever
+        materialized.  The settled cost is always a full evaluation, and the
+        row a new array.
 
         A row's evaluation can depend on its batch: a BLAS product rounds
         differently with the row count, so on non-integer QUBO weights the
-        returned cost may differ in the last bit from the same row's cost
+        settled cost may differ in the last bit from the same row's cost
         among all rows.  Hence err must hold in any batch, and the argument
         above holds for evaluate_many of S.
         """
-        short = None
         scored = None if self.delta_many is None else self.delta_many(state, cost, moves)
         if scored is not None:
             delta, err = scored
@@ -362,8 +379,19 @@ class Problem:
             exact = isinstance(err, float) and err == 0.0  # a scalar test: array errs skip it
             hi = est if exact else est + err
             if math.isfinite(np.add.reduce(hi)):  # every estimate and bound is finite
-                # exact: S is the rows tied at min est, and np.argmin picks the first
-                short = est.argmin(keepdims=True) if exact else (est - err <= np.minimum.reduce(hi)).nonzero()[0]
+                if exact:  # S is the rows tied at min est, and np.argmin picks the first
+                    short = est.argmin(keepdims=True)
+                    bound = est[short[0]]
+                else:
+                    lo = est - err
+                    short = (lo <= np.minimum.reduce(hi)).nonzero()[0]
+                    bound = np.minimum.reduce(lo)  # attained in S, as min lo <= min hi
+                return RoundBest(float(bound), lambda: self._settle(state, moves, short))
+        best = self._settle(state, moves, None)
+        return RoundBest(best[1], lambda: best)
+
+    def _settle(self, state: np.ndarray, moves: Moves, short: np.ndarray | None) -> tuple[int, float, np.ndarray]:
+        """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full."""
         rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
         best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
@@ -468,8 +496,9 @@ def rosenbrock_problem(n: int) -> Problem:
 
     `evaluate_many` sums each row's terms from a table of the 25 index pairs.
     `delta_many` scores window moves (shift and symmetry) exactly, so
-    `best_move` evaluates one row of such a round; sparse writes (swap and
-    substitute) are evaluated in full.  Both agree with `rosenbrock_value`.
+    `best_move` evaluates one row of such a round, and none when the engine
+    rejects it; sparse writes (swap and substitute) are evaluated in full.
+    Both agree with `rosenbrock_value`.
     """
     if n < 2:
         raise DimensionMismatch("Rosenbrock needs n >= 2")

@@ -6,6 +6,7 @@ off.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,20 +143,20 @@ class TestBestMove:
 
     def test_shortlist_matches_full_argmin(self):
         for problem in (self.problem, replace(self.problem, delta_many=None)):
-            best, cost, row = problem.best_move(self.tour, self.cost, self.moves)
+            best, cost, row = problem.best_move(self.tour, self.cost, self.moves).settle()
             assert best == int(np.argmin(self.full)) and cost == self.full[best]
             assert np.array_equal(row, self.moves.apply(self.tour)[best])
 
     def test_first_of_tied_rows_wins(self):
         tied = Writes(np.array([[0, 1], [0, 1], [2, 3]]), self.tour[[[1, 0], [1, 0], [3, 2]]])
         costs = self.problem.evaluate_many(tied.apply(self.tour))
-        best, cost, _ = self.problem.best_move(self.tour, self.cost, tied)
+        best, cost, _ = self.problem.best_move(self.tour, self.cost, tied).settle()
         assert best == int(np.argmin(costs)) and cost == costs.min()
 
     def test_cost_is_a_full_evaluation_even_for_wrong_deltas(self):
         # claims row 0 is best by far, with no error
         wrong = replace(self.problem, delta_many=lambda state, cost, moves: (np.arange(len(moves.lo)) * 1e3, 0.0))
-        best, cost, row = wrong.best_move(self.tour, self.cost, self.moves)
+        best, cost, row = wrong.best_move(self.tour, self.cost, self.moves).settle()
         assert best == 0 and cost == self.full[0] == self.problem.evaluate(row)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -172,9 +173,14 @@ class TestBestMove:
             return problems.tour_lengths(rows, self.inst)
 
         problem = replace(self.problem, delta_many=delta_many, evaluate_many=evaluate_many)
-        best, cost, _ = problem.best_move(self.tour, self.cost, self.moves)
+        best, cost, _ = problem.best_move(self.tour, self.cost, self.moves).settle()
         assert calls == [32]
         assert best == int(np.argmin(self.full)) and cost == self.full[best]
+
+
+# sta, dsta, and dsta with p2 = 1.0, where the risk draw keeps every round whose bound rules out an improvement
+RUN_MODES = [{"mode": Mode.SIMPLE}, {"mode": Mode.DYNAMIC}, {"mode": Mode.DYNAMIC, "p2": 1.0}]
+RUN_MODE_IDS = ["sta", "dsta", "dsta-p2=1"]
 
 
 def _run_record(problem, params):
@@ -183,12 +189,12 @@ def _run_record(problem, params):
 
 
 @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", RUN_MODES, ids=RUN_MODE_IDS)
 @pytest.mark.parametrize("factors", [{}, {"ma": 4, "mb": 3, "mc": 2}], ids=["default", "large"])
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50, 200])
 def test_delta_run_equals_full_evaluation_run(n, factors, mode, kind):
     problem = problems.tsp_problem(problems.TspInstance(matrix=tsp_matrix(n, n, kind)))
-    params = StaParams(max_iters=60, mode=mode, seed=n + 1, **factors)
+    params = StaParams(max_iters=60, seed=n + 1, **mode, **factors)
     assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
 
 
@@ -266,7 +272,7 @@ class TestQuboDeltas:
             return problem.evaluate_many(rows)
 
         full = problem.evaluate_many(moves.apply(bits))
-        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves)
+        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves).settle()
         assert calls == [32]
         assert best == int(np.argmin(full)) and best_cost == full[best]
         assert np.array_equal(row, moves.apply(bits)[best])
@@ -275,13 +281,13 @@ class TestQuboDeltas:
 VALUE_FACTORS = [{}, {"ma": 4, "mb": 3, "mc": 2, "md": 3}]
 
 
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", RUN_MODES, ids=RUN_MODE_IDS)
 @pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
 @pytest.mark.parametrize("vertices", [2, 3, 6, 17, 60, 201])
 def test_qubo_delta_run_equals_full_evaluation_run(vertices, factors, mode):
     """Integer weights: every sum is exact, so the runs agree bit for bit."""
     problem = problems.maxcut_problem(problems.MaxCutInstance(weights=maxcut_weights(vertices, vertices, "integer")))
-    params = StaParams(max_iters=60, mode=mode, seed=vertices + 1, **factors)
+    params = StaParams(max_iters=60, seed=vertices + 1, **mode, **factors)
     assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
 
 
@@ -395,19 +401,55 @@ class TestRosenbrockDeltas:
             return problem.evaluate_many(rows)
 
         counted = replace(problem, evaluate_many=evaluate_many)
-        best, cost, row = counted.best_move(state, problem.evaluate(state), moves)
+        best, cost, row = counted.best_move(state, problem.evaluate(state), moves).settle()
         assert calls == [1]
         assert (best, cost) == (1, 100.0)
         assert np.array_equal(row, moves.apply(state)[1])
 
 
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", RUN_MODES, ids=RUN_MODE_IDS)
 @pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 200])
 def test_rosenbrock_delta_run_equals_full_evaluation_run(n, factors, mode):
     problem = problems.rosenbrock_problem(n)
-    params = StaParams(max_iters=60, mode=mode, seed=n + 1, **factors)
+    params = StaParams(max_iters=60, seed=n + 1, **mode, **factors)
     assert _run_record(problem, params) == _run_record(replace(problem, delta_many=None), params)
+
+
+@pytest.mark.parametrize("p2", [0.0557, 0.5])
+@pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("n", [5, 30, 200])
+def test_rosenbrock_rounds_evaluate_only_kept_window_rows(n, factors, p2):
+    """Rows passed to evaluate_many per round: 1 for a kept window round, 0 for a rejected one, 32 for writes.
+
+    Kept rounds are counted from outside, by wrapping engine.operator_round:
+    an accepted round best replaces the current array.
+    """
+    problem = problems.rosenbrock_problem(n)
+    rows = []
+
+    def evaluate_many(states):
+        rows.append(len(states))
+        return problem.evaluate_many(states)
+
+    seen = []
+    operator_round = engine.operator_round
+
+    def counted_round(state, op, *args):
+        before, constant = state.current, bool((state.current == state.current[0]).all())
+        rows.clear()
+        out = operator_round(state, op, *args)
+        seen.append((op, constant, out.current is not before, list(rows)))
+        return out
+
+    params = StaParams(max_iters=100, seed=n, p2=p2, **factors)
+    with mock.patch.object(engine, "operator_round", counted_round):
+        engine.run(replace(problem, evaluate_many=evaluate_many), params)
+    window = [(kept, r) for op, constant, kept, r in seen if op in (Operator.SHIFT, Operator.SYMMETRY) and not constant]
+    assert {kept for kept, _ in window} == {True, False}
+    assert all(r == ([1] if kept else []) for kept, r in window)
+    writes = [r for op, _, _, r in seen if op in (Operator.SWAP, Operator.SUBSTITUTE)]
+    assert len(writes) == 2 * params.max_iters and all(r == [params.se] for r in writes)
 
 
 STATES = {

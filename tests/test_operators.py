@@ -400,3 +400,30 @@ class TestDrawStreamPins:
     @pytest.mark.parametrize("case", list(states))
     def test_default_factors_digest_and_end_state(self, case):
         assert self.digest(case, self.default_factors) == self.pinned_default[case]
+
+
+def test_equal_array_bounds_draw_as_the_scalar_form():
+    """rng.integers(np.full(m, h)) and rng.integers(h, size=m) give equal values and end states.
+
+    The samplers draw equal bounds in the scalar form (shift at segment length
+    1, Floyd's first column when every row takes one position), which is the
+    same stream only if this holds.  Prior draws of odd count leave half of a
+    64-bit output buffered (`has_uint32`, `uinteger`), which bounds below 2**32
+    consume first.
+    """
+    meta = rng(2024)
+    buffered = set()
+    for _ in range(10_000):
+        seed = int(meta.integers(2**63))
+        wide = (meta.integers(1, 2**31), meta.integers(2**32 - 2, 2**32 + 3), meta.integers(1, 2**62))
+        h = int(meta.choice([1, 2, 3, 200, 2000, *wide]))
+        m, prior = int(meta.integers(0, 40)), int(meta.integers(0, 4))
+        a, b = rng(seed), rng(seed)
+        a.integers(7, size=prior)
+        b.integers(7, size=prior)
+        x, y = a.integers(np.full(m, h)), b.integers(h, size=m)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (seed, h, m, prior)
+        end = a.bit_generator.state
+        assert end == b.bit_generator.state, (seed, h, m, prior)  # includes has_uint32 and uinteger
+        buffered.add(end["has_uint32"])
+    assert buffered == {0, 1}
