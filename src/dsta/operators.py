@@ -41,8 +41,12 @@ order at the default factors is part of the contract; tests/test_seeded_outputs.
 pins it.  An array bound with equal entries (shift when every segment has
 length 1, Floyd's draw when every row takes one position) is drawn in numpy's
 scalar form, `rng.integers(h, size=m)`: the same values and generator state
-as `rng.integers(np.full(m, h))` at less cost per call (tested in
-tests/test_operators.py, checked on numpy 2.4.6).
+as `rng.integers(np.full(m, h))` at less cost per call.  Two consecutive calls
+with the same scalar bound are made as one call of their summed size, split
+in two (swap's i and the first pass of its j): `rng.integers(h, size=a + b)`
+gives the values and generator state of `rng.integers(h, size=a)` followed by
+`rng.integers(h, size=b)`.  Both rules are tested in tests/test_operators.py,
+checked on numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -198,13 +202,12 @@ def _swap(state, ma, se, rng, distinct):
             multi = multi[~done]
         pair[multi] = True
         pairs = np.flatnonzero(pair)
-    i = rng.integers(n, size=se if mask is None else len(pairs))
-    j, redo, a = None, slice(None), i
-    for _ in range(_MAX_ATTEMPTS + 1):  # j for every row, then for the rows still unchanged
-        b = rng.integers(n, size=len(a))
-        if j is None:  # the first pass keeps its draws, uncopied
-            j = b
-        else:
+    m = se if mask is None else len(pairs)
+    i, j = rng.integers(n, size=2 * m).reshape(2, m)  # i, then j's first pass: one call, the stream of two
+    redo, a, b = slice(None), i, j
+    for attempt in range(_MAX_ATTEMPTS + 1):  # j for every row, then for the rows still unchanged
+        if attempt:
+            b = rng.integers(n, size=len(a))
             j[redo] = b
         redo = _still(redo, a == b if distinct else state[a] == state[b])
         if not len(redo):

@@ -96,10 +96,14 @@ class MaxCutInstance:
     @property
     def qubo(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
-        q = self.weights[:n, :n].copy()
+        return self._qubo_into(np.empty((n, n)))
+
+    def _qubo_into(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`qubo`, with Q written into the float64 (n, n) array `q`."""
+        n = self.n
+        q[...] = self.weights[:n, :n]
         np.fill_diagonal(q, 0.0)
-        c = -self.weights[:n, n].copy()
-        return q, c
+        return q, -self.weights[:n, n]
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,51 @@ _ROTATE_LEGS = np.array([[0, 4, 2, 0, 2, 4], [1, 5, 3, 5, 1, 3]])
 _WINDOW_OFFSETS = np.array([[-1], [0], [-1], [0], [-1], [0]])
 _REVERSE_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
 _ROTATE_SIGNS = np.array([[-1.0, -1, -1, 1, 1, 1], [1, 1, 1, 1, 1, 1]])
+# a pair of writes at i and j: entries at i - 1, i, i + 1, j - 1, j, j + 1,
+# then the values written at i and j; old legs, then new legs
+_PAIR_COLUMNS = np.array([0, 0, 0, 1, 1, 1])
+_PAIR_OFFSETS = np.array([[-1], [0], [1], [-1], [0], [1]])
+_PAIR_LEGS = np.array([[0, 1, 3, 4, 0, 6, 3, 7], [1, 2, 4, 5, 6, 2, 7, 5]])
+_PAIR_SIGNS = np.array([[-1.0, -1, -1, -1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]])
+
+
+def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
+    """(delta, touched) of sparse writes: the legs on both sides of each written position, each counted once."""
+    p, v, mask = moves.pos, moves.val, moves.mask
+    rows, w = p.shape
+    # positions r | p | q: before, at and after each write; their entries
+    # before the move, and after it (a written position takes its value)
+    x = np.remainder(np.concatenate((p - 1, p, p + 1), axis=1), n)
+    written = x[:, :, None] == p[:, None, :]
+    if mask is not None:
+        written &= mask[:, None, :]
+    hit = np.logical_or.reduce(written, axis=2)
+    before = tour[x]
+    ends = np.concatenate((before, np.where(hit, (written @ v[:, :, None])[:, :, 0], before)))
+    # legs r -> p, then p -> q, old rows then new rows; a leg r -> p with r
+    # written is that write's own p -> q leg, so it counts only there
+    e = flat.take(np.multiply(ends[:, : 2 * w], n, dtype=np.intp) + ends[:, w:]).reshape(2, rows, 2 * w)
+    e[:, :, :w] *= ~hit[:, :w]
+    if mask is not None:
+        e *= np.concatenate((mask, mask), axis=1)
+    old, new = e @ np.ones(2 * w)
+    return new - old, old + new
+
+
+def _pair_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
+    """(delta, touched) of mask-free two-write rows, from 8 legs when the positions are not adjacent.
+
+    Rows whose positions are adjacent (0 and n - 1 included) share a leg, and
+    go through `_write_legs`.
+    """
+    p = moves.pos
+    ends = np.concatenate((tour.take(p.T[_PAIR_COLUMNS] + _PAIR_OFFSETS, mode="wrap"), moves.val.T))
+    delta, touched = _PAIR_SIGNS @ flat.take(np.multiply(ends[_PAIR_LEGS[0]], n, dtype=np.intp) + ends[_PAIR_LEGS[1]])
+    gap = p[:, 1] - p[:, 0]
+    adjacent = ((gap + 1) % n < 3).nonzero()[0]  # gap is +-1 or +-(n - 1)
+    if len(adjacent):
+        delta[adjacent], touched[adjacent] = _write_legs(tour, moves.take(adjacent), flat, n)
+    return delta, touched
 
 
 def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
@@ -158,6 +207,8 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     legs; a reversal replaces 2 and runs the legs inside it backwards; sparse
     writes replace the legs on both sides of each written position, each leg
     counted once.  A window spanning the whole tour leaves the cycle as it was.
+    Two writes with no mask, a pair exchange at the default factors, take 8
+    legs from one 6-position gather unless their positions are adjacent.
 
     Returns (delta, err) with |cost + delta - tour_lengths(row)| <= err for the
     row of each move, where `cost` is `tour_lengths` of `tour`.  err bounds
@@ -169,25 +220,10 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     flat = inst.matrix.ravel()
     err_dir = 0.0
     if isinstance(moves, Writes):
-        p, v, mask = moves.pos, moves.val, moves.mask
-        rows, w = p.shape
-        # positions r | p | q: before, at and after each write; their entries
-        # before the move, and after it (a written position takes its value)
-        x = np.remainder(np.concatenate((p - 1, p, p + 1), axis=1), n)
-        written = x[:, :, None] == p[:, None, :]
-        if mask is not None:
-            written &= mask[:, None, :]
-        hit = np.logical_or.reduce(written, axis=2)
-        before = tour[x]
-        ends = np.concatenate((before, np.where(hit, (written @ v[:, :, None])[:, :, 0], before)))
-        # legs r -> p, then p -> q, old rows then new rows; a leg r -> p with r
-        # written is that write's own p -> q leg, so it counts only there
-        e = flat.take(np.multiply(ends[:, : 2 * w], n, dtype=np.intp) + ends[:, w:]).reshape(2, rows, 2 * w)
-        e[:, :, :w] *= ~hit[:, :w]
-        if mask is not None:
-            e *= np.concatenate((mask, mask), axis=1)
-        old, new = e @ np.ones(2 * w)
-        delta, touched, terms = new - old, old + new, 4 * w
+        w = moves.pos.shape[1]
+        score = _pair_legs if moves.mask is None and w == 2 else _write_legs
+        delta, touched = score(tour, moves, flat, n)
+        terms = 4 * w
     else:
         lo, hi, k = moves.lo, moves.hi, moves.k
         if k is None:
@@ -206,6 +242,9 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
 
 # the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
 _SIGN_VALUES = np.array([-1.0, 1.0])
+_SIGN32 = _SIGN_VALUES.astype(np.float32)
+_EPS32, _EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
+_F32_MAX, _F32_TINY = float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_normal)
 
 
 def _bit_signs(bits: np.ndarray) -> np.ndarray:
@@ -247,26 +286,56 @@ def _qubo_form(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * qx.sum(axis=1) - x @ c
 
 
-def qubo_deltas(bits: np.ndarray, moves: Moves, q: np.ndarray, c: np.ndarray, inst: MaxCutInstance):
-    """Change in P(x) = 1/2 x'Qx - x'c of each sparse-write move, with a bound on its error.
+def qubo_deltas(
+    bits: np.ndarray,
+    cost: float,
+    moves: Moves,
+    q: np.ndarray,
+    c: np.ndarray,
+    inst: MaxCutInstance,
+    screen: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """Change in P(x) = 1/2 x'Qx - x'c of each move, with a bound on its error.
 
-    A move flips the set S of its written positions whose bit changes.  With
-    signs x and g = Qx - c, its delta is -2 sum_S x_i g_i + 2 sum_{i,j in S}
-    x_i x_j Q_ij (Q has a zero diagonal): one GEMV for g and a (rows, w, w)
-    gather of Q.  Windows flip about half their length, so they are not
-    scored: the result is None.
+    A sparse write flips the set S of its written positions whose bit changes.
+    With signs x and g = Qx - c, its delta is -2 sum_S x_i g_i + 2 sum_{i,j in
+    S} x_i x_j Q_ij (Q has a zero diagonal): one GEMV for g and a (rows, w, w)
+    gather of Q.  A window flips about half its length, so its rows are
+    screened whole in float32: `screen` holds the float32 copies of Q and 2c
+    that `maxcut_problem` makes, one GEMM gives 2 P32 of every row, and the
+    delta is P32 - cost.  Without a screen, windows are not scored: the result
+    is None.
 
-    Otherwise returns (delta, err) with |cost + delta - F| <= err, where cost
-    is `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
+    Returns (delta, err) with |cost + delta - F| <= err, where cost is
+    `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
     evaluated in any batch: GEMM rounding changes with the batch's row count,
-    so err does not rest on one.  err bounds float summation over the
-    instance's `abs_bound` B: each evaluation is within gamma_(2n+1) B/4 of
-    exact and the delta within gamma_(n+2w+3) 2B, doubled for safety.  g is
-    computed as Q^T x, so an instance symmetric only to allclose adds n times
-    `inst.asymmetry` per flipped bit.
+    so err does not rest on one.  err bounds rounding over the instance's
+    `abs_bound` B, as B/4 bounds 1/2 sum|Q| + sum|c|.  With gamma_k = k u
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3),
+    each bound doubled for safety, which also covers second-order terms:
+
+    - a float64 evaluation is within gamma_(2n+1) B/4 of exact;
+    - a write's delta is within gamma_(n+2w+3) 2B, and as g is computed as
+      Q^T x, an instance symmetric only to allclose adds n times
+      `inst.asymmetry` per flipped bit;
+    - a screened row is within 5 u32 B/4 for storing Q and c in float32
+      (see `_qubo_arrays`), gamma_(2n+2) B/4 at float32's u for its
+      evaluation (sign products, sums that underflow and halving 2 P32 in
+      float64 are exact), gamma_(2n+1) B/4 for F, and 4u B/4 for P32 - cost
+      and the caller's cost + delta in float64.
     """
+    n = len(bits)
     if not isinstance(moves, Writes):
-        return None
+        if screen is None:
+            return None
+        q32, twice_c32 = screen
+        x = moves.apply(_SIGN32.take(bits))
+        qx = x @ q32
+        qx *= x
+        twice = qx.sum(axis=1)
+        twice -= x @ twice_c32
+        err = (_EPS32 * (2 * n + 7) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
+        return 0.5 * twice.astype(np.float64) - cost, err
     p = moves.pos
     x = _SIGN_VALUES.take(bits)
     g = x @ q - c
@@ -277,9 +346,35 @@ def qubo_deltas(bits: np.ndarray, moves: Moves, q: np.ndarray, c: np.ndarray, in
     d = (q[p[:, :, None], p[:, None, :]] @ xs[:, :, None])[:, :, 0]
     d -= g.take(p)
     d *= xs
-    n, w = len(x), p.shape[1]
-    eps = np.finfo(np.float64).eps
-    return 2 * d.sum(axis=1), 2 * eps * (2 * n + 2 * w + 5) * inst.abs_bound + w * n * inst.asymmetry
+    w = p.shape[1]
+    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * w + 5) * inst.abs_bound + w * n * inst.asymmetry
+
+
+def _qubo_arrays(inst: MaxCutInstance):
+    """`inst.qubo`, and the float32 copies of Q and 2c that screen window moves, or None where float32 cannot serve.
+
+    Every partial sum of the screen is at most B/2 (B is `abs_bound`), so B
+    up to float32's largest value rules out overflow, and the cast cannot
+    warn.  Below float32's smallest normal t, a weight is stored with an
+    absolute error of up to t u32 instead of a relative one; with B >= n^2 t
+    those errors sum to at most u32 B, which `qubo_deltas` counts.  Weights
+    outside both limits get no copies.  Two comparisons decide it, so
+    building a problem scans no weight.
+
+    Q and its float32 copy share one allocation.  As two arrays they made
+    repeated builds of a 400-vertex problem about 17% slower (4.3 to 5.0 ms
+    on a shared 2-core VM): the allocator gave back and refaulted heap pages
+    on every build.
+    """
+    n = inst.n
+    screened = n * n * _F32_TINY <= inst.abs_bound <= _F32_MAX
+    mem = np.empty((3 if screened else 2) * n * n, np.float32)  # Q in float64 takes the first 2 n^2 entries
+    q, c = inst._qubo_into(mem[: 2 * n * n].view(np.float64).reshape(n, n))
+    if not screened:
+        return q, c, None
+    q32 = mem[2 * n * n :].reshape(n, n)
+    q32[...] = q
+    return q, c, (q32, (2 * c).astype(np.float32))
 
 
 def rosenbrock_value(values: np.ndarray) -> float:
@@ -414,14 +509,22 @@ def tsp_problem(inst: TspInstance) -> Problem:
 
 
 def maxcut_problem(inst: MaxCutInstance) -> Problem:
-    """Minimize the QUBO form; convert best_cost back with cut_from_qubo."""
-    q, c = inst.qubo
+    """Minimize the QUBO form; convert best_cost back with cut_from_qubo.
+
+    `delta_many` scores swap and substitute moves by k-flip deltas, and
+    screens shift and symmetry moves in float32 against copies of Q and 2c
+    made here once; `best_move` evaluates in float64 only the rows the screen
+    cannot rule out.  When 2 sum|W| exceeds float32's largest value or falls
+    below n^2 times its smallest normal, no copies are made and windows are
+    evaluated whole in float64.
+    """
+    q, c, screen = _qubo_arrays(inst)
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
         evaluate_many=lambda bits: _qubo_form(_SIGN_VALUES.take(bits), q, c),
-        delta_many=lambda bits, cost, moves: qubo_deltas(bits, moves, q, c, inst),
+        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, q, c, inst, screen),
     )
 
 

@@ -123,6 +123,17 @@ class TestTourDeltas:
         assert all(sorted(row) == list(range(n)) for row in moves.apply(tour))
         check_estimates(inst, tour, moves)
 
+    @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 50])
+    def test_every_pair_of_writes(self, n, kind):
+        """Mask-free two-write rows at every ordered pair of positions: exchanges, then any two values."""
+        inst = problems.TspInstance(matrix=tsp_matrix(n, n, kind))
+        g = np.random.default_rng(n)
+        tour = g.permutation(n)
+        pos = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
+        check_estimates(inst, tour, Writes(pos, tour[pos[:, ::-1]]))
+        check_estimates(inst, tour, Writes(pos, g.integers(0, n, size=pos.shape)))
+
     def test_whole_tour_windows_have_zero_delta(self):
         inst = instances.random_euclidean_tsp(9, seed=4)
         tour = np.random.default_rng(0).permutation(9)
@@ -227,30 +238,49 @@ class TestMaxCutInstance:
         assert problems.MaxCutInstance(weights=w).asymmetry == np.abs(w - w.T).max() > 0
 
 
+VALUE_OPS = {Operator.SWAP: (2, 6), Operator.SHIFT: (1, 5), Operator.SYMMETRY: (0, 4), Operator.SUBSTITUTE: (1, 4)}
+
+
 class TestQuboDeltas:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         vertices=st.integers(2, 120),
         kind=st.sampled_from(["real", "integer", "allclose"]),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        scale=st.sampled_from([1e-40, 1e-37, 1e-3, 1.0, 1e3, 1e30]),
         density=st.sampled_from([0.0, 0.3, 1.0]),
-        op=st.sampled_from([Operator.SWAP, Operator.SUBSTITUTE]),
+        op=st.sampled_from(list(VALUE_OPS)),
         factor_pick=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(vertices=2, kind="real", scale=1.0, density=1.0, op=Operator.SWAP, factor_pick=4, seed=0)
     @example(vertices=2, kind="allclose", scale=1e3, density=1.0, op=Operator.SUBSTITUTE, factor_pick=3, seed=1)
     @example(vertices=30, kind="real", scale=1e-3, density=0.0, op=Operator.SWAP, factor_pick=4, seed=2)
+    @example(vertices=120, kind="real", scale=1e30, density=1.0, op=Operator.SHIFT, factor_pick=4, seed=3)
+    @example(vertices=120, kind="allclose", scale=1.0, density=1.0, op=Operator.SYMMETRY, factor_pick=4, seed=4)
+    @example(vertices=60, kind="real", scale=1e-40, density=0.3, op=Operator.SYMMETRY, factor_pick=0, seed=5)
+    @example(vertices=120, kind="real", scale=1e-37, density=1.0, op=Operator.SHIFT, factor_pick=0, seed=7)
+    @example(vertices=3, kind="integer", scale=1.0, density=1.0, op=Operator.SHIFT, factor_pick=0, seed=6)
     def test_sampled_moves_within_bound(self, vertices, kind, scale, density, op, factor_pick, seed):
-        """Swap at ma 2..6 (masked rows) and substitute at md 1..4 (padding columns)."""
-        factor = (2 + factor_pick) if op is Operator.SWAP else min(1 + factor_pick, 4)
-        inst = problems.MaxCutInstance(weights=maxcut_weights(vertices, seed, kind, scale, density))
-        problem = problems.maxcut_problem(inst)
+        """Swap at ma 2..6 (masked rows), substitute at md 1..4 (padding columns), and windows.
+
+        Shift at mb 1..5 and symmetry at mc 0..4 are screened in float32,
+        unless the weights fall outside the screen's range.
+        """
+        lo, hi = VALUE_OPS[op]
+        factor = min(lo + factor_pick, hi)
+        w = maxcut_weights(vertices, seed, kind, scale, density)
+        problem = problems.maxcut_problem(problems.MaxCutInstance(weights=w))
         g = np.random.default_rng(seed)
-        bits = g.integers(0, 2, size=inst.n)
+        bits = g.integers(0, 2, size=vertices - 1)
         cost = problem.evaluate(bits)
         moves = sample_moves(bits, op, factor, 64, g, alphabet_size=2)
-        delta, err = problem.delta_many(bits, cost, moves)
+        scored = problem.delta_many(bits, cost, moves)
+        f32 = np.finfo(np.float32)
+        screened = (vertices - 1) ** 2 * f32.smallest_normal <= 2 * np.abs(w).sum() <= f32.max
+        assert (scored is None) == (isinstance(moves, Windows) and not screened)  # only such weights skip the screen
+        if scored is None:
+            return
+        delta, err = scored
         rows = moves.apply(bits)
         for size in (64, 31, 1):  # GEMM rounding changes with the batch's row count
             full = np.concatenate([problem.evaluate_many(rows[i : i + size]) for i in range(0, 64, size)])
@@ -258,8 +288,39 @@ class TestQuboDeltas:
             assert np.all(gap <= err), (size, gap, err)
 
     @pytest.mark.parametrize("op", [Operator.SHIFT, Operator.SYMMETRY])
-    def test_windows_are_not_scored_and_every_row_is_evaluated(self, op):
+    def test_windows_evaluate_only_their_shortlist(self, op):
         problem = problems.maxcut_problem(instances.random_weighted_graph(30, 0.5, 4))
+        g = np.random.default_rng(5)
+        bits = g.integers(0, 2, size=29)
+        cost = problem.evaluate(bits)
+        moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
+        delta, err = problem.delta_many(bits, cost, moves)
+        est = cost + delta
+        short = np.flatnonzero(est - err <= np.min(est + err))
+        assert 1 <= len(short) < 32
+        calls = []
+
+        def evaluate_many(rows):
+            calls.append(len(rows))
+            return problem.evaluate_many(rows)
+
+        full = problem.evaluate_many(moves.apply(bits))
+        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves).settle()
+        assert calls == [len(short)]
+        # the shortlist is its own batch, so its cost may differ from the 32-row batch's in the last bits
+        assert best == int(np.argmin(full)) and abs(best_cost - full[best]) <= err
+        assert best_cost == problem.evaluate_many(moves.take(short).apply(bits)).min()
+        assert np.array_equal(row, moves.apply(bits)[best])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e37, 1e300, 1e-40])
+    @pytest.mark.parametrize("op", [Operator.SHIFT, Operator.SYMMETRY])
+    def test_weights_outside_float32_are_not_screened(self, op, scale):
+        """Sums past float32's range (1e37), entries past it (1e300) and entries below its normal range (1e-40).
+
+        None gets a screen, and none warns.
+        """
+        problem = problems.maxcut_problem(problems.MaxCutInstance(weights=maxcut_weights(30, 4, "real", scale)))
         g = np.random.default_rng(5)
         bits = g.integers(0, 2, size=29)
         cost = problem.evaluate(bits)
@@ -304,6 +365,51 @@ def test_qubo_delta_run_matches_full_evaluation_run_on_float_weights(vertices, f
     assert np.array_equal(a.best_solution, b.best_solution) and a.evaluations == b.evaluations
     assert abs(a.best_cost - b.best_cost) <= err
     assert np.all(np.abs(np.array(a.trace) - np.array(b.trace)) <= err)
+
+
+@pytest.mark.parametrize("p2", [0.0557, 0.5])
+@pytest.mark.parametrize("vertices", [40, 201])
+def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
+    """Rows passed to evaluate_many per window round: its shortlist if it settles, none if it is rejected.
+
+    A round settles when its bound (min of est - err) is below the current
+    cost, or when the risk draw keeps it.  Kept rounds are counted from
+    outside, by wrapping engine.operator_round: an accepted round best
+    replaces the current array.
+    """
+    problem = problems.maxcut_problem(instances.random_weighted_graph(vertices, 0.5, vertices))
+    rows, shortlists = [], []
+
+    def evaluate_many(states):
+        rows.append(len(states))
+        return problem.evaluate_many(states)
+
+    def delta_many(bits, cost, moves):
+        delta, err = problem.delta_many(bits, cost, moves)
+        est = cost + delta
+        shortlists.append((np.count_nonzero(est - err <= np.min(est + err)), np.min(est - err)))
+        return delta, err
+
+    seen = []
+    operator_round = engine.operator_round
+
+    def counted_round(state, op, *args):
+        before, cost = state.current, state.current_cost
+        rows.clear()
+        shortlists.clear()
+        out = operator_round(state, op, *args)
+        seen.append((op, out.current is not before, cost, list(rows), list(shortlists)))
+        return out
+
+    params = StaParams(max_iters=60, seed=vertices, p2=p2)
+    with mock.patch.object(engine, "operator_round", counted_round):
+        engine.run(replace(problem, evaluate_many=evaluate_many, delta_many=delta_many), params)
+    window = [(kept, cost, r, s) for op, kept, cost, r, s in seen if op in (Operator.SHIFT, Operator.SYMMETRY)]
+    assert len(window) == 2 * params.max_iters and {kept for kept, *_ in window} == {True, False}
+    for kept, cost, r, [(short, bound)] in window:
+        assert r == ([short] if kept or bound < cost else [])
+    assert [] in [r for _, _, r, _ in window]  # some rounds evaluate nothing
+    assert max(short for *_, [(short, _)] in window) < params.se
 
 
 def rosen_state(n, seed, kind):

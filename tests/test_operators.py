@@ -427,3 +427,29 @@ def test_equal_array_bounds_draw_as_the_scalar_form():
         assert end == b.bit_generator.state, (seed, h, m, prior)  # includes has_uint32 and uinteger
         buffered.add(end["has_uint32"])
     assert buffered == {0, 1}
+
+
+def test_two_same_bound_calls_draw_as_one_call():
+    """rng.integers(h, size=m) twice and rng.integers(h, size=2 * m) once give equal values and end states.
+
+    Swap draws i and the first pass of j as one call of twice the size, split
+    in two, which is the same stream as its two calls only if this holds.  An
+    odd m leaves half of a 64-bit output buffered between the two calls, and
+    prior draws of odd count leave one before them.
+    """
+    meta = rng(2025)
+    buffered = set()
+    for _ in range(10_000):
+        seed = int(meta.integers(2**63))
+        wide = (meta.integers(1, 2**31), meta.integers(2**32 - 2, 2**32 + 3), meta.integers(1, 2**62))
+        h = int(meta.choice([1, 2, 3, 200, 2000, *wide]))
+        m, prior = int(meta.integers(0, 40)), int(meta.integers(0, 4))
+        a, b = rng(seed), rng(seed)
+        a.integers(7, size=prior)
+        b.integers(7, size=prior)
+        x, y = np.concatenate((a.integers(h, size=m), a.integers(h, size=m))), b.integers(h, size=2 * m)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (seed, h, m, prior)
+        end = a.bit_generator.state
+        assert end == b.bit_generator.state, (seed, h, m, prior)  # includes has_uint32 and uinteger
+        buffered.add(end["has_uint32"])
+    assert buffered == {0, 1}
