@@ -30,7 +30,7 @@ class NonFiniteCost(DstaError):
 
 
 class ParseError(DstaError):
-    """Malformed instance file; carries a line number when known."""
+    """Malformed instance, result or trace file; carries a line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -3,7 +3,9 @@
 Everything the engine sees is a `Problem`: an initializer plus a pure cost
 function over states, always minimized.  MAX-CUT is therefore handed to the
 engine as the equivalent QUBO minimization with the last vertex fixed, and
-cut weights are recovered for reporting.
+cut weights are recovered for reporting.  TSP and integer Rosenbrock share
+one chain evaluator and one move scorer: each sums a table entry over every
+pair of adjacent entries, of a closed tour or of an open index vector.
 """
 
 from __future__ import annotations
@@ -132,42 +134,69 @@ def tour_length(tour: np.ndarray, inst: TspInstance) -> float:
     return float(inst.matrix[tour, np.roll(tour, -1)].sum())
 
 
-def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
-    """Closed-tour length of each row of `tours` (the batch form of `tour_length`)."""
-    n = inst.n
-    if tours.shape[1] != n:
-        raise DimensionMismatch(f"tour length {tours.shape[1]} != instance size {n}")
-    # one flat gather: leg (a, b) is entry a * n + b of the C-order matrix;
-    # intp arithmetic, so narrow tour dtypes cannot wrap
-    idx = np.multiply(tours, n, dtype=np.intp)
-    idx[:, :-1] += tours[:, 1:]
-    idx[:, -1] += tours[:, 0]
-    return inst.matrix.ravel().take(idx).sum(axis=1)
+def _chain_sums(rows: np.ndarray, flat: np.ndarray, stride: int, closed: bool) -> np.ndarray:
+    """Sum of flat[a * stride + b] over each row's adjacent entries a, b, and its last and first if `closed`."""
+    # one flat gather; intp arithmetic, so narrow state dtypes cannot wrap
+    legs = np.multiply(rows if closed else rows[:, :-1], stride, dtype=np.intp)
+    legs[:, : rows.shape[1] - 1] += rows[:, 1:]
+    if closed:
+        legs[:, -1] += rows[:, 0]
+    return flat.take(legs).sum(axis=1)
 
 
-# a window's legs as pairs of the positions before, first, last and after it
-# and (rotations) its inner seam lo + k - 1, lo + k: old legs, then new legs,
-# and the signs that sum them to (delta, all entries touched)
+# moves are scored on a padded state, pad[p + 1] the entry at position p for p
+# from -1 to n; a window's legs join the entries before, first, last and after
+# it, pad[lo], pad[lo + 1], pad[hi], pad[hi + 1], and (rotations) the two sides of
+# its inner seam lo + k: old legs, then new legs, and the signs that sum them to (delta, touched)
 _REVERSE_LEGS = np.array([[0, 2, 0, 1], [1, 3, 2, 3]])
 _ROTATE_LEGS = np.array([[0, 4, 2, 0, 2, 4], [1, 5, 3, 5, 1, 3]])
-_WINDOW_OFFSETS = np.array([[-1], [0], [-1], [0], [-1], [0]])
 _REVERSE_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
 _ROTATE_SIGNS = np.array([[-1.0, -1, -1, 1, 1, 1], [1, 1, 1, 1, 1, 1]])
 # a pair of writes at i and j: entries at i - 1, i, i + 1, j - 1, j, j + 1,
 # then the values written at i and j; old legs, then new legs
-_PAIR_COLUMNS = np.array([0, 0, 0, 1, 1, 1])
-_PAIR_OFFSETS = np.array([[-1], [0], [1], [-1], [0], [1]])
+_PAIR_OFFSETS = np.array([[0], [1], [2], [0], [1], [2]])
 _PAIR_LEGS = np.array([[0, 1, 3, 4, 0, 6, 3, 7], [1, 2, 4, 5, 6, 2, 7, 5]])
 _PAIR_SIGNS = np.array([[-1.0, -1, -1, -1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]])
 
 
-def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
-    """(delta, touched) of sparse writes: the legs on both sides of each written position, each counted once."""
+def _chain_legs(pad: np.ndarray, moves: Moves, flat: np.ndarray, stride: int):
+    """(delta, touched) of each move on the padded state `pad`: its change, and the sum of legs it replaces or adds.
+
+    A closed chain pads with its own far ends, an open one with a sentinel
+    whose legs are 0.  A reversal's inner legs run backwards, for the caller
+    to count.  Writes are scored on a closed chain only: two with no mask from
+    8 legs unless their positions are adjacent, any others by `_write_legs`.
+    """
+    if isinstance(moves, Writes):
+        p = moves.pos
+        if moves.mask is not None or p.shape[1] != 2:
+            return _write_legs(pad[1:-1], moves, flat, stride)
+        ends = np.concatenate((pad.take(p.T.repeat(3, axis=0) + _PAIR_OFFSETS), moves.val.T))
+        legs, signs = _PAIR_LEGS, _PAIR_SIGNS
+    else:
+        lo, hi, k = moves.lo, moves.hi, moves.k
+        if k is None:
+            at, legs, signs = (lo, lo + 1, hi, hi + 1), _REVERSE_LEGS, _REVERSE_SIGNS
+        else:
+            seam = lo + k
+            at, legs, signs = (lo, lo + 1, hi, hi + 1, seam, seam + 1), _ROTATE_LEGS, _ROTATE_SIGNS
+        ends = pad.take(np.concatenate(at).reshape(len(at), -1))
+    first, second = ends.take(legs, axis=0)  # the entries at each leg's two ends
+    delta, touched = signs @ flat.take(np.multiply(first, stride, dtype=np.intp) + second)
+    if isinstance(moves, Writes):  # adjacent positions share a leg: gap is +-1 or +-(n - 1)
+        adjacent = ((p[:, 1] - p[:, 0] + 1) % (len(pad) - 2) < 3).nonzero()[0]
+        if len(adjacent):
+            delta[adjacent], touched[adjacent] = _write_legs(pad[1:-1], moves.take(adjacent), flat, stride)
+    return delta, touched
+
+
+def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
+    """(delta, touched) of sparse writes on a closed chain: the legs beside each written position, counted once."""
     p, v, mask = moves.pos, moves.val, moves.mask
     rows, w = p.shape
     # positions r | p | q: before, at and after each write; their entries
     # before the move, and after it (a written position takes its value)
-    x = np.remainder(np.concatenate((p - 1, p, p + 1), axis=1), n)
+    x = np.remainder(np.concatenate((p - 1, p, p + 1), axis=1), len(tour))
     written = x[:, :, None] == p[:, None, :]
     if mask is not None:
         written &= mask[:, None, :]
@@ -176,7 +205,7 @@ def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
     ends = np.concatenate((before, np.where(hit, (written @ v[:, :, None])[:, :, 0], before)))
     # legs r -> p, then p -> q, old rows then new rows; a leg r -> p with r
     # written is that write's own p -> q leg, so it counts only there
-    e = flat.take(np.multiply(ends[:, : 2 * w], n, dtype=np.intp) + ends[:, w:]).reshape(2, rows, 2 * w)
+    e = flat.take(np.multiply(ends[:, : 2 * w], stride, dtype=np.intp) + ends[:, w:]).reshape(2, rows, 2 * w)
     e[:, :, :w] *= ~hit[:, :w]
     if mask is not None:
         e *= np.concatenate((mask, mask), axis=1)
@@ -184,29 +213,21 @@ def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
     return new - old, old + new
 
 
-def _pair_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, n: int):
-    """(delta, touched) of mask-free two-write rows, from 8 legs when the positions are not adjacent.
-
-    Rows whose positions are adjacent (0 and n - 1 included) share a leg, and
-    go through `_write_legs`.
-    """
-    p = moves.pos
-    ends = np.concatenate((tour.take(p.T[_PAIR_COLUMNS] + _PAIR_OFFSETS, mode="wrap"), moves.val.T))
-    delta, touched = _PAIR_SIGNS @ flat.take(np.multiply(ends[_PAIR_LEGS[0]], n, dtype=np.intp) + ends[_PAIR_LEGS[1]])
-    gap = p[:, 1] - p[:, 0]
-    adjacent = ((gap + 1) % n < 3).nonzero()[0]  # gap is +-1 or +-(n - 1)
-    if len(adjacent):
-        delta[adjacent], touched[adjacent] = _write_legs(tour, moves.take(adjacent), flat, n)
-    return delta, touched
+def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
+    """Closed-tour length of each row of `tours` (the batch form of `tour_length`)."""
+    if tours.shape[1] != inst.n:
+        raise DimensionMismatch(f"tour length {tours.shape[1]} != instance size {inst.n}")
+    return _chain_sums(tours, inst.matrix.ravel(), inst.n, closed=True)
 
 
 def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     """Change in closed-tour length of each move, with a bound on its error.
 
-    Leg i joins positions i and i + 1 (mod n).  A window rotation replaces 3
-    legs; a reversal replaces 2 and runs the legs inside it backwards; sparse
-    writes replace the legs on both sides of each written position, each leg
-    counted once.  A window spanning the whole tour leaves the cycle as it was.
+    Leg i joins positions i and i + 1 (mod n), and `_chain_legs` scores the
+    tour padded with its own far ends.  A window rotation replaces 3 legs; a
+    reversal replaces 2 and runs the legs inside it backwards; sparse writes
+    replace the legs on both sides of each written position, each leg counted
+    once.  A whole-tour window leaves the cycle as it was, so its delta is 0.
     Two writes with no mask, a pair exchange at the default factors, take 8
     legs from one 6-position gather unless their positions are adjacent.
 
@@ -217,25 +238,14 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     reversal adds one `inst.asymmetry` per leg whose direction it flips.
     """
     n = inst.n
-    flat = inst.matrix.ravel()
-    err_dir = 0.0
+    delta, touched = _chain_legs(np.concatenate((tour[-1:], tour, tour[:1])), moves, inst.matrix.ravel(), n)
+    terms, err_dir = 6, 0.0  # a rotation's 6 legs
     if isinstance(moves, Writes):
-        w = moves.pos.shape[1]
-        score = _pair_legs if moves.mask is None and w == 2 else _write_legs
-        delta, touched = score(tour, moves, flat, n)
-        terms = 4 * w
+        terms = 4 * moves.pos.shape[1]
     else:
-        lo, hi, k = moves.lo, moves.hi, moves.k
-        if k is None:
-            ends, legs, signs = (lo, lo, hi, hi), _REVERSE_LEGS, _REVERSE_SIGNS
-            err_dir = (hi - lo) * inst.asymmetry  # hi - lo - 1 inner legs, + 1 closing leg if whole
-        else:
-            seam = lo + k
-            ends, legs, signs = (lo, lo, hi, hi, seam, seam), _ROTATE_LEGS, _ROTATE_SIGNS
-        t = tour.take(np.concatenate(ends).reshape(len(ends), -1) + _WINDOW_OFFSETS[: len(ends)], mode="wrap")
-        delta, touched = signs @ flat.take(np.multiply(t[legs[0]], n, dtype=np.intp) + t[legs[1]])
-        delta[hi - lo == n] = 0
-        terms = legs.shape[1]
+        delta[moves.hi - moves.lo == n] = 0
+        if moves.k is None:  # 4 legs, and hi - lo - 1 inner legs flipped, + 1 closing leg if whole
+            terms, err_dir = 4, (moves.hi - moves.lo) * inst.asymmetry
     eps = np.finfo(inst.matrix.dtype if inst.matrix.dtype.kind == "f" else np.float64).eps
     return delta, 2 * eps * (2 * n + terms + 1) * (abs(cost) + touched) + err_dir
 
@@ -549,48 +559,36 @@ _ROSEN_TABLE = np.pad(
 )
 _ROSEN_PAIRS = _ROSEN_TABLE.ravel()
 _ROSEN_TURNS = (_ROSEN_TABLE.T - _ROSEN_TABLE).ravel()  # the change when pair (i, j) becomes (j, i)
-_PADDED_OFFSETS = _WINDOW_OFFSETS + 1  # padded position p + 1 holds entry p
 
 
 def _rosenbrock_many(idx: np.ndarray) -> np.ndarray:
     # one pass: read as unsigned, a negative index exceeds every valid one (and 5 is the sentinel)
     if np.asarray(idx, np.int64).view(np.uint64).max(initial=0) >= _ROSEN_END:
         raise DomainViolation("index outside alphabet range")
-    pair = idx[:, :-1] * _ROSEN_STRIDE
-    pair += idx[:, 1:]
-    return _ROSEN_PAIRS.take(pair).sum(axis=1)
+    return _chain_sums(idx, _ROSEN_PAIRS, _ROSEN_STRIDE, closed=False)
 
 
 def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
     """Exact change in integer Rosenbrock of each window move, with err 0.0.
 
-    The state is padded with the sentinel index at both ends, so a window at
-    either end needs no branch.  A rotation replaces 3 pairs: the pairs
-    entering and leaving the window and its inner seam.  A reversal replaces
-    its 2 boundary pairs and turns every pair inside it around; that inner
-    change is a difference of prefix sums of the turned-minus-forward pair
-    terms, built once per call.  Every term is an integer, so each delta is
-    exact.  Sparse writes are not scored: the result is None.
+    `_chain_legs` scores the state padded with the sentinel index at both
+    ends, so a window at either end needs no branch.  A rotation replaces 3
+    pairs: the pairs entering and leaving the window and its inner seam.  A
+    reversal replaces its 2 boundary pairs and turns every pair inside it
+    around; that inner change is a difference of prefix sums of the
+    turned-minus-forward pair terms, built once per call.  Every term is an
+    integer, so each delta is exact.  Sparse writes are not scored, the
+    result is None: most write rounds are kept, and deltas only add to them.
     """
     if isinstance(moves, Writes):
         return None
-    lo, hi, k = moves.lo, moves.hi, moves.k
-    pad = np.concatenate(([_ROSEN_END], idx, [_ROSEN_END]))
-    if k is None:
-        ends, legs, signs = (lo, lo, hi, hi), _REVERSE_LEGS, _REVERSE_SIGNS[0]
-    else:
-        seam = lo + k
-        ends, legs, signs = (lo, lo, hi, hi, seam, seam), _ROTATE_LEGS, _ROTATE_SIGNS[0]
-    t = pad.take(np.concatenate(ends).reshape(len(ends), -1) + _PADDED_OFFSETS[: len(ends)])
-    pair = t[legs[0]] * _ROSEN_STRIDE
-    pair += t[legs[1]]
-    delta = signs @ _ROSEN_PAIRS.take(pair)
-    if k is None:  # pair p, p + 1 is turned around for lo <= p < hi - 1
+    delta, _ = _chain_legs(np.concatenate(([_ROSEN_END], idx, [_ROSEN_END])), moves, _ROSEN_PAIRS, _ROSEN_STRIDE)
+    if moves.k is None:  # pair p, p + 1 is turned around for lo <= p < hi - 1
         fwd = idx[:-1] * _ROSEN_STRIDE
         fwd += idx[1:]
         turned = np.zeros(len(idx))
         np.cumsum(_ROSEN_TURNS.take(fwd), out=turned[1:])
-        delta += turned.take(hi - 1) - turned.take(lo)
+        delta += turned.take(moves.hi - 1) - turned.take(moves.lo)
     return delta, 0.0
 
 

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from typing import IO, Iterable
 
 from .engine import Mode, StaParams
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,24 @@ def write_results(records: Iterable[ResultRecord], sink: IO[str]) -> int:
 
 
 def read_results(source: IO[str]) -> list[ResultRecord]:
-    return [ResultRecord(**json.loads(line)) for line in source if line.strip()]
+    """The records of `write_results`, blank lines skipped; a malformed line raises ParseError with its number."""
+    records = []
+    for number, line in enumerate(source, 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(ResultRecord(**json.loads(line)))
+        except (ValueError, TypeError) as exc:  # not JSON, not an object, or missing or unknown keys
+            raise ParseError(f"not a result record: {exc}", line=number) from None
+    return records
+
+
+_TRACE_HEADER = "iteration,current_cost,incumbent_cost"
 
 
 def write_trace(trace: Iterable[tuple[int, float, float]], sink: IO[str]) -> int:
     """CSV with header iteration,current_cost,incumbent_cost; repr precision."""
-    header = "iteration,current_cost,incumbent_cost\n"
+    header = _TRACE_HEADER + "\n"
     sink.write(header)
     written = len(header.encode())
     for it, cur, inc in trace:
@@ -61,11 +74,17 @@ def write_trace(trace: Iterable[tuple[int, float, float]], sink: IO[str]) -> int
 
 
 def read_trace(source: IO[str]) -> list[tuple[int, float, float]]:
+    """Rows of `write_trace` after its header line, blank lines skipped; a bad line raises ParseError with its line."""
     rows = []
-    for i, line in enumerate(source):
+    for number, line in enumerate(source, 1):
         line = line.strip()
-        if not line or i == 0:
+        if number == 1 and line != _TRACE_HEADER:
+            raise ParseError(f"expected the header {_TRACE_HEADER}, got {line!r}", line=1)
+        if not line or number == 1:
             continue
-        it, cur, inc = line.split(",")
-        rows.append((int(it), float(cur), float(inc)))
+        try:
+            it, cur, inc = line.split(",")
+            rows.append((int(it), float(cur), float(inc)))
+        except ValueError as exc:  # not three fields, or one is not a number
+            raise ParseError(f"not a trace row: {exc}", line=number) from None
     return rows

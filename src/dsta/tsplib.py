@@ -242,4 +242,8 @@ def _explicit_matrix(doc: TsplibDocument) -> np.ndarray:
 
 def load_instance(path: str, rounding: str = "real") -> TspInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return build_distances(parse_tsplib(fh.read()), rounding=rounding)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text, byte {exc.start} is {exc.object[exc.start]:#04x}") from None
+    return build_distances(parse_tsplib(text), rounding=rounding)

@@ -310,6 +310,16 @@ class TestParsing:
         assert code == 1
         assert "QUBO form overflows" in err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("problem", ["tsp", "maxcut"])
+    def test_undecodable_file_exit_code(self, capsys, tmp_path, command, problem):
+        path = tmp_path / "bin.tsp"
+        path.write_bytes(b"\xff" + FIVE_CITIES.encode())
+        code, out, err = run_cli(capsys, command, problem, "--file", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [["solve", "tsp", "--operators", "foo"], ["solve", "tsp", "--no-such-flag"]],

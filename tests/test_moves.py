@@ -5,6 +5,7 @@ full re-evaluation, and whole runs are compared with the delta path switched
 off.
 """
 
+import itertools
 from dataclasses import replace
 from unittest import mock
 
@@ -133,6 +134,17 @@ class TestTourDeltas:
         pos = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
         check_estimates(inst, tour, Writes(pos, tour[pos[:, ::-1]]))
         check_estimates(inst, tour, Writes(pos, g.integers(0, n, size=pos.shape)))
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_window_of_tiny_tours(self, n, kind):
+        """Every window, every rotation of it and its reversal, on every tour of length n."""
+        inst = problems.TspInstance(matrix=tsp_matrix(n, n, kind))
+        spans = [(a, b, k) for a in range(n) for b in range(a + 2, n + 1) for k in range(1, b - a)]
+        lo, hi, k = (np.array(v) for v in zip(*spans))
+        for tour in itertools.permutations(range(n)):
+            check_estimates(inst, np.array(tour), Windows(lo, hi))
+            check_estimates(inst, np.array(tour), Windows(lo, hi, k))
 
     def test_whole_tour_windows_have_zero_delta(self):
         inst = instances.random_euclidean_tsp(9, seed=4)

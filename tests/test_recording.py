@@ -1,7 +1,11 @@
 import io
+import json
+
+import pytest
 
 from dsta import recording
 from dsta.engine import Mode, StaParams
+from dsta.errors import ParseError
 from dsta.operators import Operator
 from dsta.recording import ResultRecord
 
@@ -66,6 +70,24 @@ class TestResults:
         padded = io.StringIO(buf.getvalue() + "\n\n")
         assert len(recording.read_results(padded)) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "seed"}),
+            lambda line: json.dumps(dict(json.loads(line), extra=1)),
+            lambda line: line[:-1],
+            lambda line: "[]",
+        ],
+        ids=["missing-key", "unknown-key", "not-json", "not-an-object"],
+    )
+    def test_malformed_record_names_its_line(self, bad):
+        buf = io.StringIO()
+        recording.write_results(sample_records(), buf)
+        first, second = buf.getvalue().splitlines()
+        with pytest.raises(ParseError, match="^line 3: ") as exc:
+            recording.read_results(io.StringIO(f"{first}\n\n{bad(second)}\n"))
+        assert exc.value.line == 3
+
 
 class TestTraces:
     trace = [(0, 10.5, 10.5), (1, 12.25, 10.5), (2, 0.1 + 0.2, 0.1 + 0.2)]
@@ -86,3 +108,24 @@ class TestTraces:
         recording.write_trace([], buf)
         buf.seek(0)
         assert recording.read_trace(buf) == []
+
+    def test_blank_lines_ignored_on_read(self):
+        buf = io.StringIO()
+        recording.write_trace(self.trace, buf)
+        padded = io.StringIO(buf.getvalue().replace("\n", "\n\n") + "\n")
+        assert recording.read_trace(padded) == self.trace
+
+    def test_missing_header_names_line_1(self):
+        buf = io.StringIO()
+        recording.write_trace(self.trace, buf)
+        with pytest.raises(ParseError, match="^line 1: expected the header") as exc:
+            recording.read_trace(io.StringIO(buf.getvalue().split("\n", 1)[1]))
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("row", ["2,0.5", "2,0.5,x", "2.5,0.5,0.5", "2,0.5,0.5,0.5"])
+    def test_malformed_row_names_its_line(self, row):
+        buf = io.StringIO()
+        recording.write_trace(self.trace, buf)
+        with pytest.raises(ParseError, match="^line 5: ") as exc:
+            recording.read_trace(io.StringIO(buf.getvalue() + row + "\n"))
+        assert exc.value.line == 5
