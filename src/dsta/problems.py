@@ -22,6 +22,22 @@ from .operators import Moves, Writes
 ROSENBROCK_ALPHABET = np.array([-2, -1, 0, 1, 2])
 
 
+_TILE = 256  # a pair of float64 tiles, 2 x 512 KiB, stays in L2
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """Whether square `m` equals its transpose, compared one tile pair at a time.
+
+    Tile (i, j) is compared with the transpose of tile (j, i) while both are
+    in cache; a whole-matrix `m == m.T` reads `m` column by column into an
+    n x n temporary.
+    """
+    n, b = len(m), _TILE
+    return all(
+        (m[i:i + b, j:j + b] == m[j:j + b, i:i + b].T).all() for i in range(0, n, b) for j in range(i, n, b)
+    )
+
+
 @dataclass(frozen=True)
 class TspInstance:
     """Symmetric TSP with a full distance matrix; coords kept when known.
@@ -41,11 +57,12 @@ class TspInstance:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
-        if not np.isfinite(m).all():
+        lo, hi = m.min(), m.max()  # a NaN entry makes both NaN; no n x n temporaries
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DimensionMismatch("distance matrix entries must be finite")
-        # exact equality is one pass with no float temporaries; allclose only when it fails
-        exact = np.array_equal(m, m.T)
-        if not (exact or np.allclose(m, m.T)) or not np.allclose(np.diag(m), 0) or np.any(m < 0):
+        # exact equality reads the matrix once, in tiles; allclose only when it fails
+        exact = _exactly_symmetric(m)
+        if not (exact or np.allclose(m, m.T)) or not np.allclose(np.diag(m), 0) or lo < 0:
             raise DimensionMismatch("distance matrix must be symmetric, nonnegative, zero diagonal")
         if not exact:
             object.__setattr__(self, "asymmetry", float(np.abs(m - m.T).max()))
@@ -83,7 +100,7 @@ class MaxCutInstance:
             total = 2 * np.abs(w).sum()
         if not np.isfinite(total):
             raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
-        exact = np.array_equal(w, w.T)
+        exact = _exactly_symmetric(w)
         if not (exact or np.allclose(w, w.T)):
             raise DimensionMismatch("weight matrix must be symmetric")
         object.__setattr__(self, "abs_bound", float(total))

@@ -310,6 +310,13 @@ class TestParsing:
         assert code == 1
         assert "QUBO form overflows" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_byte_order_mark_is_not_part_of_the_first_keyword(self, tmp_path):
+        path = tmp_path / "bom.tsp"
+        path.write_bytes(b"\xef\xbb\xbf" + FIVE_CITIES.encode())
+        inst = tsplib.load_instance(str(path))
+        assert inst.name == "five" and inst.n == 5
+
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     @pytest.mark.parametrize("problem", ["tsp", "maxcut"])
     def test_undecodable_file_exit_code(self, capsys, tmp_path, command, problem):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dsta import instances
 from dsta.errors import DimensionMismatch, DomainViolation
 from dsta.problems import (
+    _TILE,
     ROSENBROCK_ALPHABET,
     DvsProblem,
     MaxCutInstance,
@@ -145,6 +146,84 @@ class TestCutAndQubo:
         # same affine relationship everywhere, hence identical rank order
         assert np.allclose(cuts, cut_from_qubo(pvals, inst))
         assert np.array_equal(np.argsort(pvals, kind="stable"), np.argsort(-cuts, kind="stable"))
+
+
+# a third, partial tile row and column, wider than one entry
+CHECK_N = 2 * _TILE + 5
+TSP_FINITE = "distance matrix entries must be finite"
+TSP_SHAPE = "distance matrix must be symmetric, nonnegative, zero diagonal"
+CUT_FINITE = "weight matrix entries must be finite"
+CUT_SYMMETRIC = "weight matrix must be symmetric"
+
+
+def check_matrix():
+    g = np.random.default_rng(5)
+    m = g.random((CHECK_N, CHECK_N))
+    m += m.T
+    np.fill_diagonal(m, 0)
+    return m
+
+
+def tile_pair_cells():
+    """One cell in each tile pair (i, j), j >= i, off the diagonal; the last pair is the partial one."""
+    starts = range(0, CHECK_N, _TILE)
+    return [(i + 3, j + 1) for i in starts for j in starts if j >= i]
+
+
+LAST = CHECK_N - 1  # row and column of the last partial tile
+# (cells, value written to each) -> (TspInstance message, MaxCutInstance message), None where accepted
+MATRIX_CHECK_CASES = {
+    "symmetric": ([], 0.0, None, None),
+    **{
+        f"{name}-in-last-tile-lower-triangle": ([(LAST, LAST - 2)], bad, TSP_FINITE, CUT_FINITE)
+        for name, bad in [("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf)]
+    },
+    "one-negative-entry": ([(LAST, LAST - 2)], -1.0, TSP_SHAPE, CUT_SYMMETRIC),
+    "negative-pair": ([(LAST, LAST - 2), (LAST - 2, LAST)], -1.0, TSP_SHAPE, None),
+    # entries of check_matrix() lie in [0, 2], so 5.0 is beyond allclose
+    **{
+        f"asymmetric-at-{r}-{c}": ([(r, c)], 5.0, TSP_SHAPE, CUT_SYMMETRIC)
+        for cell in tile_pair_cells()
+        for r, c in (cell, cell[::-1])
+    },
+}
+
+
+def matrix_outcome(make, m):
+    try:
+        make(m)
+    except DimensionMismatch as exc:
+        return str(exc)
+    return None
+
+
+class TestMatrixChecks:
+    """The checks read the matrix in tiles; they accept and reject as whole-matrix checks would."""
+
+    @pytest.mark.parametrize("case", MATRIX_CHECK_CASES)
+    def test_same_outcome_in_every_tile(self, case):
+        cells, value, tsp_message, cut_message = MATRIX_CHECK_CASES[case]
+        m = check_matrix()
+        for r, c in cells:
+            m[r, c] = value
+        assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == tsp_message
+        assert matrix_outcome(lambda x: MaxCutInstance(weights=x), m) == cut_message
+
+    def test_allclose_only_asymmetry_unchanged(self):
+        m = check_matrix()
+        m += 1e-12 * np.random.default_rng(6).random(m.shape)
+        want = float(np.abs(m - m.T).max())
+        assert want > 0
+        assert TspInstance(matrix=m).asymmetry == want
+        assert MaxCutInstance(weights=m).asymmetry == want
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_integer_matrices_accepted(self, dtype):
+        m = np.rint(100 * check_matrix()).astype(dtype)
+        assert TspInstance(matrix=m).asymmetry == 0.0
+        assert MaxCutInstance(weights=m).asymmetry == 0.0
+        m[LAST, 0] += 1
+        assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == TSP_SHAPE
 
 
 class TestRosenbrock:

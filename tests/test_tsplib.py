@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsta.errors import ParseError, UnsupportedType
-from dsta.tsplib import build_distances, parse_tsplib
+from dsta.problems import TspInstance
+from dsta.tsplib import _ROW_BLOCK, TsplibDocument, build_distances, euclidean_matrix, parse_tsplib
 
 EUC_DOC = """NAME: tiny
 TYPE: TSP
@@ -248,3 +250,77 @@ class TestDistances:
         assert np.allclose(m, m.T)
         assert np.allclose(np.diag(m), 0)
         assert (m >= 0).all()
+
+
+def one_shot_distances(coords):
+    """The whole-matrix formula that euclidean_matrix computes in row blocks."""
+    x, y = coords.T
+    with np.errstate(over="ignore"):
+        d, dy = x[:, None] - x, y[:, None] - y
+        d *= d
+        dy *= dy
+        d += dy
+    return np.sqrt(d, out=d)
+
+
+def traced_peak(f):
+    """(result, peak bytes that `f()` allocates beyond what was live when it started)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("n", [3, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_equals_one_shot_formula_bit_for_bit(self, n):
+        coords = np.random.default_rng(n).normal(scale=100.0, size=(n, 2))
+        got, want = euclidean_matrix(coords), one_shot_distances(coords)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_gives_inf_in_the_same_entries(self):
+        coords = np.random.default_rng(0).random((2 * _ROW_BLOCK + 1, 2))
+        coords[::7] *= 1e200  # squared differences past float64's range
+        got, want = euclidean_matrix(coords), one_shot_distances(coords)
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_tsplib_rounding_in_place_keeps_values(self):
+        coords = np.random.default_rng(4).normal(scale=100.0, size=(2 * _ROW_BLOCK + 1, 2))
+        doc = TsplibDocument(name="r", dimension=len(coords), edge_weight_type="EUC_2D", coords=coords)
+        real = one_shot_distances(coords)
+        np.fill_diagonal(real, 0.0)
+        assert np.array_equal(build_distances(doc, rounding="tsplib").matrix, np.floor(real + 0.5))
+
+
+class TestSetupMemory:
+    """Set-up holds the distance matrix and no second n x n buffer."""
+
+    N = 1000
+
+    def doc(self):
+        coords = np.random.default_rng(3).random((self.N, 2))
+        return TsplibDocument(name="mem", dimension=self.N, edge_weight_type="EUC_2D", coords=coords)
+
+    def test_euclidean_matrix_peak(self):
+        coords = self.doc().coords
+        d, peak = traced_peak(lambda: euclidean_matrix(coords))
+        assert peak <= 1.25 * d.nbytes
+
+    @pytest.mark.parametrize("rounding", ["real", "tsplib"])
+    def test_build_distances_peak(self, rounding):
+        doc = self.doc()
+        inst, peak = traced_peak(lambda: build_distances(doc, rounding=rounding))
+        assert peak <= 1.25 * inst.matrix.nbytes
+
+    def test_instance_check_allocates_little(self):
+        # exactly symmetric, so no allclose pass: at most 5% of the matrix bytes
+        m = one_shot_distances(self.doc().coords)
+        inst, peak = traced_peak(lambda: TspInstance(matrix=m))
+        assert inst.matrix is m and inst.asymmetry == 0.0
+        assert peak <= 0.05 * m.nbytes
