@@ -45,8 +45,13 @@ as `rng.integers(np.full(m, h))` at less cost per call.  Two consecutive calls
 with the same scalar bound are made as one call of their summed size, split
 in two (swap's i and the first pass of its j): `rng.integers(h, size=a + b)`
 gives the values and generator state of `rng.integers(h, size=a)` followed by
-`rng.integers(h, size=b)`.  Both rules are tested in tests/test_operators.py,
-checked on numpy 2.4.6.
+`rng.integers(h, size=b)`.  Same-bound calls may also be drawn ahead (swap's
+redraw passes of j, up to 16 of at most m values each): the first u values of
+`rng.integers(h, size=c)`, u <= c, are those of `rng.integers(h, size=u)`, so
+the passes read one call of size 16 m, and the generator is then put back
+to its saved `bit_generator.state` and advanced by `rng.integers(h, size=u)`
+for the u values they read.  The three rules are tested in
+tests/test_operators.py, checked on numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -87,11 +92,11 @@ class Writes:
         return Writes(self.pos[rows], self.val[rows], None if self.mask is None else self.mask[rows])
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        out = np.repeat(state[None], len(self.pos), axis=0)
+        out = state[None].repeat(len(self.pos), axis=0)
         if self.mask is None:
             out[np.arange(len(self.pos))[:, None], self.pos] = self.val
         else:
-            r, c = np.nonzero(self.mask)
+            r, c = self.mask.nonzero()
             out[r, self.pos[r, c]] = self.val[r, c]
         return out
 
@@ -111,7 +116,7 @@ class Windows:
         return Windows(self.lo[rows], self.hi[rows], None if self.k is None else self.k[rows])
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        out = np.repeat(state[None], len(self.lo), axis=0)
+        out = state[None].repeat(len(self.lo), axis=0)
         if self.k is None:
             for row, a, b in zip(out, self.lo.tolist(), self.hi.tolist()):
                 row[a:b] = state[a:b][::-1]
@@ -132,7 +137,7 @@ def _no_change(state, distinct):
 
 def _still(rows, same):
     """The rows flagged by `same`, of `rows`: a row index array, or slice(None) for every row."""
-    return np.flatnonzero(same) if isinstance(rows, slice) else rows[same]
+    return same.nonzero()[0] if isinstance(rows, slice) else rows[same]
 
 
 def _uniform(rng, lo, hi, size):
@@ -165,7 +170,7 @@ def _floyd(rng, n, ks):
 
 def _boundary_starts(state, k, rng):
     """k random starts b of adjacent differing pairs: exchanging b and b + 1 changes a non-constant state."""
-    bnd = np.flatnonzero(state[:-1] != state[1:])
+    bnd = (state[:-1] != state[1:]).nonzero()[0]
     return bnd[rng.integers(len(bnd), size=k)]
 
 
@@ -186,7 +191,7 @@ def _swap(state, ma, se, rng, distinct):
         ks = _uniform(rng, 2, k_hi, se)
         mask = np.zeros(shape, dtype=bool)
         pair = ks == 2
-        multi = np.flatnonzero(~pair)
+        multi = (~pair).nonzero()[0]
         for _ in range(_MAX_ATTEMPTS):
             if not len(multi):
                 break
@@ -201,22 +206,26 @@ def _swap(state, ma, se, rng, distinct):
             pos[rows, :w], val[rows, :w], mask[rows, :w] = p[done], new[done], live[done]
             multi = multi[~done]
         pair[multi] = True
-        pairs = np.flatnonzero(pair)
+        pairs = pair.nonzero()[0]
     m = se if mask is None else len(pairs)
     i, j = rng.integers(n, size=2 * m).reshape(2, m)  # i, then j's first pass: one call, the stream of two
-    redo, a, b = slice(None), i, j
-    for attempt in range(_MAX_ATTEMPTS + 1):  # j for every row, then for the rows still unchanged
-        if attempt:
-            b = rng.integers(n, size=len(a))
+    redo = (i == j if distinct else state[i] == state[j]).nonzero()[0]
+    if len(redo):  # up to 16 passes redraw j for the rows still unchanged, from one draw made ahead
+        saved, used = rng.bit_generator.state, 0
+        ahead = rng.integers(n, size=_MAX_ATTEMPTS * len(redo))
+        for _ in range(_MAX_ATTEMPTS):
+            a, b = i[redo], ahead[used : used + len(redo)]
+            used += len(redo)
             j[redo] = b
-        redo = _still(redo, a == b if distinct else state[a] == state[b])
-        if not len(redo):
-            break
-        a = i[redo]
-    else:  # uniform pick among the positions whose value differs from state[i]
-        differs = state != state[a, None]
+            redo = redo[a == b if distinct else state[a] == state[b]]
+            if not len(redo):
+                break
+        rng.bit_generator.state = saved  # then draw only the values the passes took
+        rng.integers(n, size=used)
+    if len(redo):  # uniform pick among the positions whose value differs from state[i]
+        differs = state != state[i[redo], None]
         u = rng.integers(differs.sum(axis=1))
-        j[redo] = np.argmax(differs.cumsum(axis=1) > u[:, None], axis=1)
+        j[redo] = (differs.cumsum(axis=1) > u[:, None]).argmax(axis=1)
     pos[pairs, 0], pos[pairs, 1] = i, j
     val[pairs, 0], val[pairs, 1] = state[j], state[i]
     if mask is not None:
@@ -234,7 +243,7 @@ def _shift(state, mb, se, rng, distinct):
     mb = min(mb, n - 1)
     seg = _uniform(rng, 1, mb, se)
     # boundaries before each index: window [lo, hi) is constant iff nb[lo] == nb[hi - 1]
-    nb = None if distinct else np.concatenate(([0], np.cumsum(state[:-1] != state[1:])))
+    nb = None if distinct else np.concatenate(([0], (state[:-1] != state[1:]).cumsum()))
     s, j, redo, L = None, None, slice(None), seg
     for _ in range(_MAX_ATTEMPTS + 1):  # (s, j) for every row, then for the rows still unchanged
         # segment start a and insertion slot b: n - L + 1 slots, and slot a restores the input
@@ -260,7 +269,7 @@ def _shift(state, mb, se, rng, distinct):
     moves = Windows(lo, hi, np.where(j > s, seg, hi - lo - seg))
     if distinct:
         return moves
-    long = np.flatnonzero(seg > 1) if mb > 1 else ()  # at mb = 1 no segment is longer than 1
+    long = (seg > 1).nonzero()[0] if mb > 1 else ()  # at mb = 1 no segment is longer than 1
     if len(long):  # a segment longer than 1 can also rotate a periodic window onto itself
         redo = np.union1d(redo, long[(moves.take(long).apply(state) == state).all(axis=1)])
     if len(redo):  # an exchange of adjacent entries is a length-2 window rotated by one
@@ -310,7 +319,7 @@ def _symmetry(state, mc, se, rng, distinct):
     hi = lo + wlen
     if not distinct:  # a palindromic window reverses onto itself; only one whose ends match can be
         is_palindrome = _palindrome_test(state)
-        rows = np.flatnonzero(state[lo] == state[hi - 1])
+        rows = (state[lo] == state[hi - 1]).nonzero()[0]
         for r, a, b in zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist()):
             if is_palindrome(a, b):
                 lo[r], hi[r] = _redraw_palindrome(state, is_palindrome, c_hi, rng)

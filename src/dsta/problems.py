@@ -38,23 +38,42 @@ def _exactly_symmetric(m: np.ndarray) -> bool:
     )
 
 
+_PIECE = 32768  # entries of a float64 temporary of 256 KiB
+
+
+def _abs_sum(flat: np.ndarray):
+    """`np.abs(flat).sum()`, bit for bit, with no full-size temporary.
+
+    numpy's pairwise sum splits a long run in two halves, the first a
+    multiple of 8 long; the halves are split the same way down to pieces.
+    """
+    n = len(flat)
+    if n <= _PIECE:
+        return np.abs(flat).sum()
+    half = n // 2 - n // 2 % 8
+    return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
+
+
 @dataclass(frozen=True)
 class TspInstance:
     """Symmetric TSP with a full distance matrix; coords kept when known.
 
     Symmetric means `allclose` to the transpose; `asymmetry` is the largest
-    |M - M^T| entry, 0.0 for an exactly symmetric matrix.
+    |M - M^T| entry, 0.0 for an exactly symmetric matrix.  `eps` is the
+    machine epsilon of the float type tour lengths are summed in.
     """
 
     matrix: np.ndarray
     coords: np.ndarray | None = None
     name: str = "tsp"
     asymmetry: float = field(init=False, repr=False, default=0.0)
+    eps: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         # tour_lengths indexes the flattened matrix, so keep it in C order
         m = np.ascontiguousarray(self.matrix)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eps", float(np.finfo(m.dtype if m.dtype.kind == "f" else np.float64).eps))
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
         lo, hi = m.min(), m.max()  # a NaN entry makes both NaN; no n x n temporaries
@@ -94,10 +113,10 @@ class MaxCutInstance:
         w = self.weights
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
             raise DimensionMismatch(f"weight matrix must be square with >= 2 vertices, got {w.shape}")
-        if not np.isfinite(w).all():
+        if not (np.isfinite(w.min()) and np.isfinite(w.max())):  # a NaN entry makes both NaN
             raise DimensionMismatch("weight matrix entries must be finite")
         with np.errstate(over="ignore"):
-            total = 2 * np.abs(w).sum()
+            total = 2 * _abs_sum(w.ravel(order="K"))
         if not np.isfinite(total):
             raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
         exact = _exactly_symmetric(w)
@@ -151,20 +170,29 @@ def tour_length(tour: np.ndarray, inst: TspInstance) -> float:
     return float(inst.matrix[tour, np.roll(tour, -1)].sum())
 
 
+_INTP = np.dtype(np.intp)
+
+
+def _scaled(a: np.ndarray, stride: int) -> np.ndarray:
+    """a * stride in intp arithmetic, so narrow state dtypes cannot wrap; intp states skip the dtype argument."""
+    return a * stride if a.dtype is _INTP else np.multiply(a, stride, dtype=np.intp)
+
+
 def _chain_sums(rows: np.ndarray, flat: np.ndarray, stride: int, closed: bool) -> np.ndarray:
     """Sum of flat[a * stride + b] over each row's adjacent entries a, b, and its last and first if `closed`."""
-    # one flat gather; intp arithmetic, so narrow state dtypes cannot wrap
-    legs = np.multiply(rows if closed else rows[:, :-1], stride, dtype=np.intp)
+    legs = _scaled(rows if closed else rows[:, :-1], stride)  # one flat gather
     legs[:, : rows.shape[1] - 1] += rows[:, 1:]
     if closed:
         legs[:, -1] += rows[:, 0]
-    return flat.take(legs).sum(axis=1)
+    return np.add.reduce(flat.take(legs), axis=1)
 
 
 # moves are scored on a padded state, pad[p + 1] the entry at position p for p
 # from -1 to n; a window's legs join the entries before, first, last and after
 # it, pad[lo], pad[lo + 1], pad[hi], pad[hi + 1], and (rotations) the two sides of
-# its inner seam lo + k: old legs, then new legs, and the signs that sum them to (delta, touched)
+# its inner seam lo + k, each gathered as a start and the position after it:
+# old legs, then new legs, and the signs that sum them to (delta, touched)
+_NEXT = np.array([[0], [1]])
 _REVERSE_LEGS = np.array([[0, 2, 0, 1], [1, 3, 2, 3]])
 _ROTATE_LEGS = np.array([[0, 4, 2, 0, 2, 4], [1, 5, 3, 5, 1, 3]])
 _REVERSE_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
@@ -193,13 +221,12 @@ def _chain_legs(pad: np.ndarray, moves: Moves, flat: np.ndarray, stride: int):
     else:
         lo, hi, k = moves.lo, moves.hi, moves.k
         if k is None:
-            at, legs, signs = (lo, lo + 1, hi, hi + 1), _REVERSE_LEGS, _REVERSE_SIGNS
+            at, legs, signs = (lo, hi), _REVERSE_LEGS, _REVERSE_SIGNS
         else:
-            seam = lo + k
-            at, legs, signs = (lo, lo + 1, hi, hi + 1, seam, seam + 1), _ROTATE_LEGS, _ROTATE_SIGNS
-        ends = pad.take(np.concatenate(at).reshape(len(at), -1))
+            at, legs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
+        ends = pad.take(np.concatenate(at).reshape(len(at), 1, -1) + _NEXT).reshape(2 * len(at), -1)
     first, second = ends.take(legs, axis=0)  # the entries at each leg's two ends
-    delta, touched = signs @ flat.take(np.multiply(first, stride, dtype=np.intp) + second)
+    delta, touched = signs @ flat.take(_scaled(first, stride) + second)
     if isinstance(moves, Writes):  # adjacent positions share a leg: gap is +-1 or +-(n - 1)
         adjacent = ((p[:, 1] - p[:, 0] + 1) % (len(pad) - 2) < 3).nonzero()[0]
         if len(adjacent):
@@ -222,7 +249,7 @@ def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
     ends = np.concatenate((before, np.where(hit, (written @ v[:, :, None])[:, :, 0], before)))
     # legs r -> p, then p -> q, old rows then new rows; a leg r -> p with r
     # written is that write's own p -> q leg, so it counts only there
-    e = flat.take(np.multiply(ends[:, : 2 * w], stride, dtype=np.intp) + ends[:, w:]).reshape(2, rows, 2 * w)
+    e = flat.take(_scaled(ends[:, : 2 * w], stride) + ends[:, w:]).reshape(2, rows, 2 * w)
     e[:, :, :w] *= ~hit[:, :w]
     if mask is not None:
         e *= np.concatenate((mask, mask), axis=1)
@@ -238,7 +265,7 @@ def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
 
 
 def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
-    """Change in closed-tour length of each move, with a bound on its error.
+    """Change in closed-tour length of each move, with one bound on the error of all of them.
 
     Leg i joins positions i and i + 1 (mod n), and `_chain_legs` scores the
     tour padded with its own far ends.  A window rotation replaces 3 legs; a
@@ -248,11 +275,13 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     Two writes with no mask, a pair exchange at the default factors, take 8
     legs from one 6-position gather unless their positions are adjacent.
 
-    Returns (delta, err) with |cost + delta - tour_lengths(row)| <= err for the
-    row of each move, where `cost` is `tour_lengths` of `tour`.  err bounds
-    float summation: each of the two full sums over n legs and the m-entry
-    delta is within (terms) * eps of its absolute sum, doubled for safety.  A
-    reversal adds one `inst.asymmetry` per leg whose direction it flips.
+    Returns (delta, err), one float err for the round, with |cost + delta -
+    tour_lengths(row)| <= err for the row of every move, where `cost` is
+    `tour_lengths` of `tour`.  err bounds float summation: each of the two
+    full sums over n legs and the m-entry delta is within (terms) * eps of its
+    absolute sum, doubled for safety, taken at the round's largest sum of
+    touched legs.  A reversal adds one `inst.asymmetry` per leg whose
+    direction it flips, at the round's widest reversal.
     """
     n = inst.n
     delta, touched = _chain_legs(np.concatenate((tour[-1:], tour, tour[:1])), moves, inst.matrix.ravel(), n)
@@ -260,11 +289,14 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     if isinstance(moves, Writes):
         terms = 4 * moves.pos.shape[1]
     else:
-        delta[moves.hi - moves.lo == n] = 0
+        span = moves.hi - moves.lo
+        delta[span == n] = 0
         if moves.k is None:  # 4 legs, and hi - lo - 1 inner legs flipped, + 1 closing leg if whole
-            terms, err_dir = 4, (moves.hi - moves.lo) * inst.asymmetry
-    eps = np.finfo(inst.matrix.dtype if inst.matrix.dtype.kind == "f" else np.float64).eps
-    return delta, 2 * eps * (2 * n + terms + 1) * (abs(cost) + touched) + err_dir
+            terms = 4
+            if inst.asymmetry:
+                err_dir = int(span.max()) * inst.asymmetry
+    most = float(np.maximum.reduce(touched))
+    return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most) + err_dir
 
 
 # the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
@@ -448,17 +480,18 @@ class RoundBest(NamedTuple):
 class Problem:
     """Engine-facing adapter: representation details plus a pure batch cost function.
 
-    `delta_many(state, cost, moves)`, where given, returns (delta, err) per
-    move, with err >= |cost + delta - evaluate_many(row)| for the move's row
-    evaluated in any batch; `cost` is `evaluate` of `state`.  It lets
-    `best_move` skip most rows.  It returns None for moves it does not score.
+    `delta_many(state, cost, moves)`, where given, returns (delta, err): a
+    delta per move and one float err per round, with err >= |cost + delta -
+    evaluate_many(row)| for every move's row evaluated in any batch; `cost`
+    is `evaluate` of `state`.  It lets `best_move` skip most rows.  It
+    returns None for moves it does not score.
     """
 
     name: str
     size: int
     alphabet_size: int | None  # None marks the permutation representation
     evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
-    delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, np.ndarray] | None] | None = None
+    delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, float] | None] | None = None
 
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
@@ -471,20 +504,19 @@ class Problem:
         will not keep the row never settles, and nothing past the bound is built.
 
         With `delta_many`, only a shortlist S of rows is evaluated: est = cost +
-        delta, U = min(est + err), and S holds every row with est - err <= U.
-        Every row j has F_j <= est_j + err_j, so min F <= U; a row i outside S
-        has F_i >= est_i - err_i > U >= min F, so it is strictly worse than the
-        best row and is not NaN.  Hence every row attaining the minimum (or a
-        NaN) is in S, and the first such row in S is the first over all rows:
-        np.argmin's tie-break holds.  The bound is min(est - err) over S, which
-        no F_j in S falls below (err's factor-2 margin is far wider than the
-        rounding of est - err).  When err is exactly 0.0 (a float, not an
-        array), est is every row's cost, S is the rows tied at min est, only
-        the first of them, the argmin of est, is evaluated, and the bound is
-        min est, that row's cost.  If any est + err is not finite, or
-        `delta_many` returns None for these moves, every row is evaluated at
-        once and the bound is the minimum itself.  Rows are built as
-        `moves.take(S).apply(state)` in `settle()`, so only S is ever
+        delta, and S holds every row with est <= min est + 2 err.  Every row j
+        has F_j <= est_j + err, so min F <= min est + err; a row i outside S has
+        F_i >= est_i - err > min est + err >= min F, so it is strictly worse
+        than the best row and is not NaN.  Hence every row attaining the
+        minimum (or a NaN) is in S, and the first such row in S is the first
+        over all rows: np.argmin's tie-break holds.  The bound is min est - err,
+        which no F_j falls below (err's factor-2 margin is far wider than the
+        rounding of est - err).  When err is 0.0, est is every row's cost, S is
+        the rows tied at min est, only the first of them, the argmin of est, is
+        evaluated, and the bound is min est, that row's cost.  If any est or
+        err is not finite, or `delta_many` returns None for these moves, every
+        row is evaluated at once and the bound is the minimum itself.  Rows are
+        built as `moves.take(S).apply(state)` in `settle()`, so only S is ever
         materialized.  The settled cost is always a full evaluation, and the
         row a new array.
 
@@ -498,17 +530,14 @@ class Problem:
         if scored is not None:
             delta, err = scored
             est = cost + delta
-            exact = isinstance(err, float) and err == 0.0  # a scalar test: array errs skip it
-            hi = est if exact else est + err
-            if math.isfinite(np.add.reduce(hi)):  # every estimate and bound is finite
-                if exact:  # S is the rows tied at min est, and np.argmin picks the first
+            if math.isfinite(np.add.reduce(est) + err):  # every estimate, and err, is finite
+                if err == 0.0:  # S is the rows tied at min est, and np.argmin picks the first
                     short = est.argmin(keepdims=True)
-                    bound = est[short[0]]
+                    low = est[short[0]]
                 else:
-                    lo = est - err
-                    short = (lo <= np.minimum.reduce(hi)).nonzero()[0]
-                    bound = np.minimum.reduce(lo)  # attained in S, as min lo <= min hi
-                return RoundBest(float(bound), lambda: self._settle(state, moves, short))
+                    low = np.minimum.reduce(est)
+                    short = (est <= low + 2 * err).nonzero()[0]
+                return RoundBest(float(low - err), lambda: self._settle(state, moves, short))
         best = self._settle(state, moves, None)
         return RoundBest(best[1], lambda: best)
 
@@ -516,7 +545,7 @@ class Problem:
         """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full."""
         rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
-        best = int(np.argmin(costs))  # stable: first minimum wins; a NaN anywhere wins too
+        best = int(costs.argmin())  # stable: first minimum wins; a NaN anywhere wins too
         return (best if short is None else int(short[best])), float(costs[best]), rows[best].copy()
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
@@ -604,7 +633,7 @@ def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
         fwd = idx[:-1] * _ROSEN_STRIDE
         fwd += idx[1:]
         turned = np.zeros(len(idx))
-        np.cumsum(_ROSEN_TURNS.take(fwd), out=turned[1:])
+        _ROSEN_TURNS.take(fwd).cumsum(out=turned[1:])
         delta += turned.take(moves.hi - 1) - turned.take(moves.lo)
     return delta, 0.0
 

@@ -5,7 +5,9 @@ full re-evaluation, and whole runs are compared with the delta path switched
 off.
 """
 
+import hashlib
 import itertools
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -41,7 +43,7 @@ def check_estimates(inst, tour, moves):
     delta, err = problems.tour_deltas(tour, cost, moves, inst)
     full = problems.tour_lengths(moves.apply(tour), inst)
     gap = np.abs(cost + delta - full)
-    assert np.all(gap <= err), (gap, err)
+    assert type(err) is float and np.all(gap <= err), (gap, err)
 
 
 class TestTspInstance:
@@ -199,6 +201,134 @@ class TestBestMove:
         best, cost, _ = problem.best_move(self.tour, self.cost, self.moves).settle()
         assert calls == [32]
         assert best == int(np.argmin(self.full)) and cost == self.full[best]
+
+
+def tsp_round_moves(n, seed):
+    """One round of each TSP move kind on a random tour: pair exchanges, general writes, rotations, reversals."""
+    g = np.random.default_rng(seed)
+    tour = g.permutation(n)
+    pos = np.array([g.choice(n, 2, replace=False) for _ in range(16)])
+    wide = np.array([g.permutation(n)[:4] for _ in range(16)])
+    val = tour[np.roll(wide, 1, axis=1)]
+    lo = g.integers(0, n - 1, size=16)
+    hi = np.minimum(lo + g.integers(2, n + 1, size=16), n)
+    moves = {
+        "pairs": Writes(pos, tour[pos[:, ::-1]]),
+        "writes": Writes(wide, val, np.arange(4) < g.integers(2, 5, size=16)[:, None]),
+        "rotations": Windows(lo, hi, 1 + g.integers(0, 2**31, size=16) % (hi - lo - 1)),
+        "reversals": Windows(lo, hi),
+    }
+    return tour, moves
+
+
+class TestScalarBound:
+    """`tour_deltas` returns one float err per round, and `best_move` shortlists by it."""
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
+    @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
+    @pytest.mark.parametrize("n", [5, 17, 120])
+    def test_err_is_one_float_at_least_every_gap(self, n, move, kind):
+        for seed in range(5):
+            inst = problems.TspInstance(matrix=tsp_matrix(n, seed, kind))
+            tour, moves = tsp_round_moves(n, seed)
+            check_estimates(inst, tour, moves[move])
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
+    @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
+    def test_err_is_the_bound_of_the_row_with_most_touched_legs(self, move, kind):
+        """The round's err is the largest of its rows' own errs; on an exact matrix, equal to it."""
+        inst = problems.TspInstance(matrix=tsp_matrix(40, 4, kind))
+        tour, moves = tsp_round_moves(40, 4)
+        cost = problems.tour_length(tour, inst)
+        _, err = problems.tour_deltas(tour, cost, moves[move], inst)
+        alone = max(problems.tour_deltas(tour, cost, moves[move].take([r]), inst)[1] for r in range(16))
+        assert err == alone if inst.asymmetry == 0.0 else err >= alone
+
+    @pytest.mark.parametrize("n", [17, 120])
+    def test_reversal_err_counts_the_widest_flip_only_when_asymmetric(self, n):
+        tour, moves = tsp_round_moves(n, 1)
+        widest = int((moves["reversals"].hi - moves["reversals"].lo).max())
+        exact = problems.TspInstance(matrix=tsp_matrix(n, 1, "real"))
+        close = problems.TspInstance(matrix=tsp_matrix(n, 1, "allclose"))
+        cost = problems.tour_length(tour, close)
+        _, err_exact = problems.tour_deltas(tour, cost, moves["reversals"], exact)
+        _, err_close = problems.tour_deltas(tour, cost, moves["reversals"], close)
+        assert err_exact < widest * close.asymmetry <= err_close
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
+    @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
+    def test_shortlist_is_every_row_within_twice_err_of_min_est(self, move, kind):
+        n = 40
+        inst = problems.TspInstance(matrix=tsp_matrix(n, 3, kind))
+        tour, all_moves = tsp_round_moves(n, 3)
+        moves = all_moves[move].take(np.tile(np.arange(16), 2))  # every row twice, so the minimum is tied
+        evaluated = []
+
+        def evaluate_many(rows):
+            evaluated.append(rows)
+            return problems.tour_lengths(rows, inst)
+
+        problem = replace(problems.tsp_problem(inst), evaluate_many=evaluate_many)
+        cost = problem.evaluate(tour)
+        evaluated.clear()
+        delta, err = problems.tour_deltas(tour, cost, moves, inst)
+        est = cost + delta
+        short = (est <= est.min() + 2 * err).nonzero()[0]
+        bound, settle = problem.best_move(tour, cost, moves)
+        assert bound == float(est.min() - err) and not evaluated
+        best, best_cost, _ = settle()
+        assert len(short) >= 2 and len(evaluated) == 1
+        assert np.array_equal(evaluated[0], moves.take(short).apply(tour))
+        full = problems.tour_lengths(moves.apply(tour), inst)
+        assert best == int(np.argmin(full)) and best_cost == full[best] >= bound
+
+    def test_shortlist_ends_at_twice_err(self):
+        """Rows 1.9 err above the minimum estimate are evaluated, rows 2.1 err above it are not."""
+        inst = problems.TspInstance(matrix=tsp_matrix(40, 3, "real"))
+        tour, all_moves = tsp_round_moves(40, 3)
+        moves = all_moves["rotations"]
+        cost = problems.tour_length(tour, inst)
+        _, err = problems.tour_deltas(tour, cost, moves, inst)
+        fake = np.full(16, 1e3 * err)
+        fake[[2, 5, 9, 12]] = [-3.0, -3.0 + 1.9 * err, -3.0 + 2.1 * err, -3.0 + 1.9 * err]
+        evaluated = []
+
+        def evaluate_many(rows):
+            evaluated.append(rows)
+            return problems.tour_lengths(rows, inst)
+
+        problem = replace(
+            problems.tsp_problem(inst), evaluate_many=evaluate_many, delta_many=lambda *_: (fake.copy(), err)
+        )
+        bound, settle = problem.best_move(tour, cost, moves)
+        assert bound == cost - 3.0 - err
+        settle()
+        assert len(evaluated) == 1 and np.array_equal(evaluated[0], moves.take([2, 5, 12]).apply(tour))
+
+    # runs on an allclose-only matrix, whose rows now share the round's widest
+    # bound: seeded outputs are those of the per-row bound (sha256 of the
+    # record: best solution, best cost, trace and evaluations, floats in hex)
+    ALLCLOSE_RUNS = {
+        (12, "sta", 0): "34592678af01985824e998266ddca96a45d8d50f0ce78159a4fcb5d8a366e895",
+        (12, "dsta", 0): "695dbd781be93e719b493974434c53c8fe2645c6969ed3b2e0aa4363509c10f6",
+        (12, "dsta", 3): "367d63388940e056571cbea108ee4205fea831e6d99f27d662cb3f136cef8666",
+        (50, "sta", 0): "9dba4147aea8981abd228e3051b7069eec9d4930374f73124257215411b33082",
+        (50, "dsta", 0): "2294c605b4571577bf37098faf2fca5ab9f8106b7c8d04d36629a290ffcbe835",
+        (50, "dsta", 3): "6aa808456e32ceba801eadafdbd94d9bfb4e4cce6ea21f298e102783d8a4e645",
+        (200, "sta", 0): "c394ce652a485119cd92ba8d7f9b8bbeb949e5104a19d844e47bd66fae738813",
+        (200, "dsta", 0): "0f7061c60a7ba97602c33008a791622161293567df60d160e6c6c1eb2134042c",
+        (200, "dsta", 3): "62e4b8ffa0124756c6623f0a27ed9e4bd46abcabecf0f042e510096ab0aac606",
+    }
+
+    @pytest.mark.parametrize("case", list(ALLCLOSE_RUNS))
+    def test_allclose_seeded_outputs_are_unchanged(self, case):
+        n, mode, factors = case
+        large = {"ma": 4, "mb": 3, "mc": 2} if factors else {}
+        params = StaParams(max_iters=80, seed=n + 1, mode=Mode(mode), **large)
+        r = engine.run(problems.tsp_problem(problems.TspInstance(matrix=tsp_matrix(n, n, "allclose"))), params)
+        trace = [(i, a.hex(), b.hex()) for i, a, b in r.trace]
+        record = json.dumps([r.best_solution.tolist(), r.best_cost.hex(), trace, r.evaluations])
+        assert hashlib.sha256(record.encode()).hexdigest() == self.ALLCLOSE_RUNS[case]
 
 
 # sta, dsta, and dsta with p2 = 1.0, where the risk draw keeps every round whose bound rules out an improvement

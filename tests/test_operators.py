@@ -453,3 +453,37 @@ def test_two_same_bound_calls_draw_as_one_call():
         assert end == b.bit_generator.state, (seed, h, m, prior)  # includes has_uint32 and uinteger
         buffered.add(end["has_uint32"])
     assert buffered == {0, 1}
+
+
+def test_same_bound_passes_drawn_ahead_read_as_their_own_calls():
+    """Passes of rng.integers(h, size=s) read from one call made ahead give their own values and end state.
+
+    Swap's redraw passes of j take their values from the front of one call of
+    16 times the first pass's size, then restore the generator's saved state
+    and draw the count they used, which is the passes' own stream only if the
+    first u values of a call of size c >= u are those of a call of size u.
+    Odd pass sizes and prior draws of odd count leave half of a 64-bit output
+    buffered between calls.
+    """
+    meta = rng(2026)
+    buffered = set()
+    for _ in range(10_000):
+        seed = int(meta.integers(2**63))
+        wide = (meta.integers(1, 2**31), meta.integers(2**32 - 2, 2**32 + 3), meta.integers(1, 2**62))
+        h = int(meta.choice([1, 2, 3, 200, 2000, *wide]))
+        m, prior = int(meta.integers(1, 40)), int(meta.integers(0, 4))
+        sizes = np.sort(meta.integers(1, m + 1, size=int(meta.integers(1, 17))))[::-1].tolist()
+        sizes[0] = m
+        a, b = rng(seed), rng(seed)
+        a.integers(7, size=prior)
+        b.integers(7, size=prior)
+        x = np.concatenate([a.integers(h, size=s) for s in sizes])
+        saved = b.bit_generator.state
+        y = b.integers(h, size=16 * m)[: len(x)]
+        b.bit_generator.state = saved
+        b.integers(h, size=len(x))
+        assert x.dtype == y.dtype and np.array_equal(x, y), (seed, h, sizes, prior)
+        end = a.bit_generator.state
+        assert end == b.bit_generator.state, (seed, h, sizes, prior)  # includes has_uint32 and uinteger
+        buffered.add(end["has_uint32"])
+    assert buffered == {0, 1}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_tsplib import traced_peak
 
 from dsta import instances
 from dsta.errors import DimensionMismatch, DomainViolation
@@ -156,9 +157,9 @@ CUT_FINITE = "weight matrix entries must be finite"
 CUT_SYMMETRIC = "weight matrix must be symmetric"
 
 
-def check_matrix():
+def check_matrix(n=CHECK_N):
     g = np.random.default_rng(5)
-    m = g.random((CHECK_N, CHECK_N))
+    m = g.random((n, n))
     m += m.T
     np.fill_diagonal(m, 0)
     return m
@@ -224,6 +225,31 @@ class TestMatrixChecks:
         assert MaxCutInstance(weights=m).asymmetry == 0.0
         m[LAST, 0] += 1
         assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == TSP_SHAPE
+
+
+class TestMaxCutSetupMemory:
+    """The weight checks make no n x n temporary, and abs_bound is the whole-matrix sum."""
+
+    N = 1000
+
+    def test_instance_check_allocates_little(self):
+        # exactly symmetric, so no allclose pass: at most 5% of the matrix bytes
+        m = check_matrix(self.N)
+        inst, peak = traced_peak(lambda: MaxCutInstance(weights=m))
+        assert inst.weights is m and inst.asymmetry == 0.0
+        assert peak <= 0.05 * m.nbytes
+
+    @pytest.mark.parametrize("n", [2, 3, 181, 182, 401, 1000])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_abs_bound_is_the_whole_matrix_sum(self, n, layout):
+        g = np.random.default_rng(n)
+        a = (g.random((2 * n, 2 * n)) - 0.5) * 10.0 ** g.integers(-3, 4, size=(2 * n, 2 * n))
+        w = a[:n, :n] + a[:n, :n].T
+        if layout == "F":
+            w = np.asfortranarray(w)
+        elif layout == "strided":
+            w = (a + a.T)[::2, ::2]
+        assert MaxCutInstance(weights=w).abs_bound == float(2 * np.abs(w).sum())
 
 
 class TestRosenbrock:
