@@ -9,7 +9,6 @@ from .problems import (
     TspInstance,
     cut_weight,
     dvs_problem,
-    maxcut_error,
     maxcut_problem,
     qubo_value,
     rosenbrock_problem,
@@ -32,7 +31,6 @@ __all__ = [
     "TspInstance",
     "cut_weight",
     "dvs_problem",
-    "maxcut_error",
     "maxcut_problem",
     "qubo_value",
     "rosenbrock_problem",

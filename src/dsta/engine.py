@@ -27,6 +27,9 @@ class Mode(str, Enum):
     DYNAMIC = "dsta"
 
 
+_FACTOR_FIELDS = {Operator.SWAP: "ma", Operator.SHIFT: "mb", Operator.SYMMETRY: "mc", Operator.SUBSTITUTE: "md"}
+
+
 @dataclass(frozen=True)
 class StaParams:
     """All algorithm knobs; defaults follow the reference parameter block."""
@@ -66,12 +69,7 @@ class StaParams:
             raise InvalidParams("operator_set must be non-empty")
 
     def factor(self, op: Operator) -> int:
-        return {
-            Operator.SWAP: self.ma,
-            Operator.SHIFT: self.mb,
-            Operator.SYMMETRY: self.mc,
-            Operator.SUBSTITUTE: self.md,
-        }[op]
+        return getattr(self, _FACTOR_FIELDS[op])
 
 
 @dataclass

@@ -81,7 +81,8 @@ DEFAULT_ORDER = (Operator.SWAP, Operator.SHIFT, Operator.SYMMETRY, Operator.SUBS
 class Writes:
     """Row r sets entry pos[r, c] to val[r, c] wherever mask[r, c] (everywhere if mask is None).
 
-    The positions one row writes are distinct.  All three arrays are (rows, w).
+    The positions of a row's unmasked columns are distinct; its masked columns
+    are padding and may repeat them.  All three arrays are (rows, w).
     """
 
     pos: np.ndarray

@@ -4,7 +4,7 @@ Everything the engine sees is a `Problem`: an initializer plus a pure cost
 function over states, always minimized.  MAX-CUT is therefore handed to the
 engine as the equivalent QUBO minimization with the last vertex fixed, and
 cut weights are recovered for reporting.  TSP and integer Rosenbrock share
-one chain evaluator and one move scorer: each sums a table entry over every
+one chain evaluator and one window scorer: each sums a table entry over every
 pair of adjacent entries, of a closed tour or of an open index vector.
 """
 
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation
-from .operators import Moves, Writes
+from .operators import Moves, Windows, Writes
 
 ROSENBROCK_ALPHABET = np.array([-2, -1, 0, 1, 2])
 
@@ -188,73 +188,73 @@ def _chain_sums(rows: np.ndarray, flat: np.ndarray, stride: int, closed: bool) -
 
 
 # moves are scored on a padded state, pad[p + 1] the entry at position p for p
-# from -1 to n; a window's legs join the entries before, first, last and after
-# it, pad[lo], pad[lo + 1], pad[hi], pad[hi + 1], and (rotations) the two sides of
-# its inner seam lo + k, each gathered as a start and the position after it:
-# old legs, then new legs, and the signs that sum them to (delta, touched)
+# from -1 to n, from rows of the entries at the ends of their legs: a window's
+# are the entries before, first, last and after it, pad[lo], pad[lo + 1],
+# pad[hi], pad[hi + 1], and (rotations) the two sides of its inner seam lo + k,
+# each gathered as a start and the position after it; a write's are the entries
+# before, at and after its position, then the value it writes; the fix-up's for
+# write d at the position after write c's are c's entries at and after, then
+# v_c and v_d.  Each legs table pairs those rows, legs taken out first, then
+# legs put in, and the signs sum them to (delta, touched)
 _NEXT = np.array([[0], [1]])
+_AROUND = np.array([[[0]], [[1]], [[2]]])
 _REVERSE_LEGS = np.array([[0, 2, 0, 1], [1, 3, 2, 3]])
 _ROTATE_LEGS = np.array([[0, 4, 2, 0, 2, 4], [1, 5, 3, 5, 1, 3]])
-_REVERSE_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
+_WRITE_LEGS = np.array([[0, 1, 0, 3], [1, 2, 3, 2]])
+_FOLLOW_LEGS = np.array([[2, 0, 0, 2], [1, 3, 1, 3]])
+_FOUR_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
 _ROTATE_SIGNS = np.array([[-1.0, -1, -1, 1, 1, 1], [1, 1, 1, 1, 1, 1]])
-# a pair of writes at i and j: entries at i - 1, i, i + 1, j - 1, j, j + 1,
-# then the values written at i and j; old legs, then new legs
-_PAIR_OFFSETS = np.array([[0], [1], [2], [0], [1], [2]])
-_PAIR_LEGS = np.array([[0, 1, 3, 4, 0, 6, 3, 7], [1, 2, 4, 5, 6, 2, 7, 5]])
-_PAIR_SIGNS = np.array([[-1.0, -1, -1, -1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 1]])
 
 
-def _chain_legs(pad: np.ndarray, moves: Moves, flat: np.ndarray, stride: int):
-    """(delta, touched) of each move on the padded state `pad`: its change, and the sum of legs it replaces or adds.
+def _leg_lengths(ends: np.ndarray, legs: np.ndarray, flat: np.ndarray, stride: int) -> np.ndarray:
+    """The length of each leg from entry row legs[0] to entry row legs[1] of `ends`, entry by entry."""
+    first, second = ends.take(legs, axis=0)
+    return flat.take(_scaled(first, stride) + second)
+
+
+def _chain_legs(pad: np.ndarray, moves: Windows, flat: np.ndarray, stride: int):
+    """Each window's (delta, touched) on the padded state `pad`: its change, and the sum of legs it replaces or adds.
 
     A closed chain pads with its own far ends, an open one with a sentinel
     whose legs are 0.  A reversal's inner legs run backwards, for the caller
-    to count.  Writes are scored on a closed chain only: two with no mask from
-    8 legs unless their positions are adjacent, any others by `_write_legs`.
+    to count.
     """
-    if isinstance(moves, Writes):
-        p = moves.pos
-        if moves.mask is not None or p.shape[1] != 2:
-            return _write_legs(pad[1:-1], moves, flat, stride)
-        ends = np.concatenate((pad.take(p.T.repeat(3, axis=0) + _PAIR_OFFSETS), moves.val.T))
-        legs, signs = _PAIR_LEGS, _PAIR_SIGNS
+    lo, hi, k = moves.lo, moves.hi, moves.k
+    if k is None:
+        at, legs, signs = (lo, hi), _REVERSE_LEGS, _FOUR_SIGNS
     else:
-        lo, hi, k = moves.lo, moves.hi, moves.k
-        if k is None:
-            at, legs, signs = (lo, hi), _REVERSE_LEGS, _REVERSE_SIGNS
-        else:
-            at, legs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
-        ends = pad.take(np.concatenate(at).reshape(len(at), 1, -1) + _NEXT).reshape(2 * len(at), -1)
-    first, second = ends.take(legs, axis=0)  # the entries at each leg's two ends
-    delta, touched = signs @ flat.take(_scaled(first, stride) + second)
-    if isinstance(moves, Writes):  # adjacent positions share a leg: gap is +-1 or +-(n - 1)
-        adjacent = ((p[:, 1] - p[:, 0] + 1) % (len(pad) - 2) < 3).nonzero()[0]
-        if len(adjacent):
-            delta[adjacent], touched[adjacent] = _write_legs(pad[1:-1], moves.take(adjacent), flat, stride)
-    return delta, touched
+        at, legs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
+    ends = pad.take(np.concatenate(at).reshape(len(at), 1, -1) + _NEXT).reshape(2 * len(at), -1)
+    return signs @ _leg_lengths(ends, legs, flat, stride)
 
 
-def _write_legs(tour: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
-    """(delta, touched) of sparse writes on a closed chain: the legs beside each written position, counted once."""
-    p, v, mask = moves.pos, moves.val, moves.mask
+def _write_legs(pad: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
+    """(delta, touched) of sparse writes on the padded closed chain `pad`, as `_chain_legs` gives them for windows.
+
+    A write of v at position p reads the entries before, at and after p from
+    the chain before the move: legs (before, at) and (at, after) go, and
+    (before, v) and (v, after) come; a masked column adds nothing.  When
+    active write d's position follows active write c's, these legs count leg
+    (at_c, after_c) twice and miss (v_c, v_d), so the row adds L(v_c, v_d) -
+    L(v_c, after_c) - L(at_c, v_d) + L(at_c, after_c).  This holds along runs
+    of consecutive writes and across the wrap.  A tour's entries are
+    distinct, so d follows c exactly when c's entry after is d's entry at.
+    """
+    p, mask = moves.pos, moves.mask
     rows, w = p.shape
-    # positions r | p | q: before, at and after each write; their entries
-    # before the move, and after it (a written position takes its value)
-    x = np.remainder(np.concatenate((p - 1, p, p + 1), axis=1), len(tour))
-    written = x[:, :, None] == p[:, None, :]
+    ends = np.concatenate((pad.take(p.T + _AROUND), moves.val.T[None]))  # (4, w, rows): before, at, after, v
+    lengths = _leg_lengths(ends, _WRITE_LEGS, flat, stride)
+    follows = ends[2][:, None] == ends[1]  # [c, d, row]
     if mask is not None:
-        written &= mask[:, None, :]
-    hit = np.logical_or.reduce(written, axis=2)
-    before = tour[x]
-    ends = np.concatenate((before, np.where(hit, (written @ v[:, :, None])[:, :, 0], before)))
-    # legs r -> p, then p -> q, old rows then new rows; a leg r -> p with r
-    # written is that write's own p -> q leg, so it counts only there
-    e = flat.take(_scaled(ends[:, : 2 * w], stride) + ends[:, w:]).reshape(2, rows, 2 * w)
-    e[:, :, :w] *= ~hit[:, :w]
-    if mask is not None:
-        e *= np.concatenate((mask, mask), axis=1)
-    old, new = e @ np.ones(2 * w)
-    return new - old, old + new
+        live = mask.T
+        lengths *= live
+        follows &= live[:, None] & live
+    sums = _FOUR_SIGNS.repeat(w, axis=1) @ lengths.reshape(4 * w, rows)
+    if np.count_nonzero(follows):
+        c, d, r = follows.nonzero()
+        ends = np.concatenate((ends[1:, c, r], ends[3:, d, r]))  # at_c, after_c, v_c, v_d
+        np.add.at(sums, (slice(None), r), _FOUR_SIGNS @ _leg_lengths(ends, _FOLLOW_LEGS, flat, stride))
+    return sums
 
 
 def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
@@ -267,28 +267,31 @@ def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
 def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     """Change in closed-tour length of each move, with one bound on the error of all of them.
 
-    Leg i joins positions i and i + 1 (mod n), and `_chain_legs` scores the
-    tour padded with its own far ends.  A window rotation replaces 3 legs; a
-    reversal replaces 2 and runs the legs inside it backwards; sparse writes
-    replace the legs on both sides of each written position, each leg counted
-    once.  A whole-tour window leaves the cycle as it was, so its delta is 0.
-    Two writes with no mask, a pair exchange at the default factors, take 8
-    legs from one 6-position gather unless their positions are adjacent.
+    Leg i joins positions i and i + 1 (mod n), and moves are scored on the
+    tour padded with its own far ends, windows by `_chain_legs` and sparse
+    writes by `_write_legs`.  A window rotation replaces 3 legs; a reversal
+    replaces 2 and runs the legs inside it backwards; a write of w positions
+    takes 4 legs a position, and 4 more for each pair of adjacent positions,
+    at most 8w.  A whole-tour window leaves the cycle as it was, so its delta
+    is 0.
 
     Returns (delta, err), one float err for the round, with |cost + delta -
     tour_lengths(row)| <= err for the row of every move, where `cost` is
     `tour_lengths` of `tour`.  err bounds float summation: each of the two
-    full sums over n legs and the m-entry delta is within (terms) * eps of its
-    absolute sum, doubled for safety, taken at the round's largest sum of
+    full sums over n legs and the delta, a sum of `terms` legs (6 for a
+    rotation, 4 for a reversal, 8w for writes), is within (terms) * eps of
+    its absolute sum, doubled for safety, taken at the round's largest sum of
     touched legs.  A reversal adds one `inst.asymmetry` per leg whose
     direction it flips, at the round's widest reversal.
     """
-    n = inst.n
-    delta, touched = _chain_legs(np.concatenate((tour[-1:], tour, tour[:1])), moves, inst.matrix.ravel(), n)
+    n, flat = inst.n, inst.matrix.ravel()
+    pad = np.concatenate((tour[-1:], tour, tour[:1]))
     terms, err_dir = 6, 0.0  # a rotation's 6 legs
     if isinstance(moves, Writes):
-        terms = 4 * moves.pos.shape[1]
+        delta, touched = _write_legs(pad, moves, flat, n)
+        terms = 8 * moves.pos.shape[1]
     else:
+        delta, touched = _chain_legs(pad, moves, flat, n)
         span = moves.hi - moves.lo
         delta[span == n] = 0
         if moves.k is None:  # 4 legs, and hi - lo - 1 inner legs flipped, + 1 closing leg if whole
@@ -457,13 +460,6 @@ def tsp_error(best: float, optimum: float) -> float:
     if optimum == 0:
         raise ZeroDivisionError("reference optimum must be nonzero")
     return (best - optimum) / optimum * 100.0
-
-
-def maxcut_error(best: float, optimum: float) -> float:
-    """Shortfall of the achieved cut versus the reference optimum, percent."""
-    if optimum == 0:
-        raise ZeroDivisionError("reference optimum must be nonzero")
-    return (optimum - best) / optimum * 100.0
 
 
 class RoundBest(NamedTuple):

@@ -110,21 +110,28 @@ class TestTourDeltas:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_writes_with_adjacent_and_wrapping_positions(self, n, kind, data, seed):
-        """k-swaps over distinct positions, with padding, including 0 and n - 1."""
-        inst = problems.TspInstance(matrix=tsp_matrix(n, seed, kind))
-        g = np.random.default_rng(seed)
-        tour = g.permutation(n)
-        w = min(n, 6)
-        # distinct positions per row; row 0 writes both ends of the closing leg, row 1 an adjacent pair
-        lead = [[0, n - 1], [n // 2, n // 2 + 1]] + [[]] * 6
-        pos = np.array([(first + [x for x in g.permutation(n) if x not in first])[:w] for first in lead])
-        ks = data.draw(st.lists(st.integers(2, w), min_size=8, max_size=8))
-        val = tour[pos]
-        for row, k in enumerate(ks):  # the first k positions take each other's entries
-            val[row, :k] = np.roll(val[row, :k], data.draw(st.integers(1, k - 1)))
-        moves = Writes(pos, val, np.arange(w) < np.array(ks)[:, None])
-        assert all(sorted(row) == list(range(n)) for row in moves.apply(tour))
-        check_estimates(inst, tour, moves)
+        """k-swaps over distinct positions, with padding, including 0 and n - 1, at n and at 3, where all are adjacent."""
+        for n in (n, 3):
+            inst = problems.TspInstance(matrix=tsp_matrix(n, seed, kind))
+            g = np.random.default_rng(seed)
+            tour = g.permutation(n)
+            w = min(n, 6)
+            # distinct positions per row; row 0 writes both ends of the closing leg, row 1 an adjacent pair,
+            # row 8 a run of 4 across the wrap (3 at n = 3)
+            run = list(dict.fromkeys([n - 2, n - 1, 0, 1]))
+            lead = [[0, n - 1], [n // 2, n // 2 + 1]] + [[]] * 6 + [run]
+            pos = np.array([(first + [x for x in g.permutation(n) if x not in first])[:w] for first in lead])
+            # row 9 exchanges n // 2 and 0; its padding repeats both and sits next to both
+            a = n // 2
+            pos = np.vstack((pos, ([a, 0] + [a, 1, a - 1, 0])[:w]))
+            ks = data.draw(st.lists(st.integers(2, w), min_size=8, max_size=8)) + [len(run), 2]
+            val = tour[pos]
+            for row, k in enumerate(ks):  # the first k positions take each other's entries
+                val[row, :k] = np.roll(val[row, :k], data.draw(st.integers(1, k - 1)))
+            val[9, 2:] = tour[(pos[9, 2:] + 1) % n]  # padding values that would change the tour if written
+            moves = Writes(pos, val, np.arange(w) < np.array(ks)[:, None])
+            assert all(sorted(row) == list(range(n)) for row in moves.apply(tour))
+            check_estimates(inst, tour, moves)
 
     @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 50])

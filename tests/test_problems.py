@@ -18,7 +18,6 @@ from dsta.problems import (
     cut_weight,
     dvs_decode,
     dvs_problem,
-    maxcut_error,
     maxcut_problem,
     qubo_value,
     rosenbrock_problem,
@@ -310,16 +309,9 @@ class TestErrors:
         assert tsp_error(1.6418e3, 1.6665e3) == pytest.approx(-1.48, abs=0.005)
         assert tsp_error(7.5, 7.5) == 0
 
-    def test_maxcut_error(self):
-        assert maxcut_error(105328, 105328) == 0
-        assert maxcut_error(0, 100) == 100
-        assert maxcut_error(95, 100) == 5
-
     def test_zero_reference_guarded(self):
         with pytest.raises(ZeroDivisionError):
             tsp_error(1.0, 0.0)
-        with pytest.raises(ZeroDivisionError):
-            maxcut_error(1.0, 0.0)
 
 
 class TestAdapters:
