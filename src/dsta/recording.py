@@ -75,12 +75,13 @@ def write_trace(trace: Iterable[tuple[int, float, float]], sink: IO[str]) -> int
 
 def read_trace(source: IO[str]) -> list[tuple[int, float, float]]:
     """Rows of `write_trace` after its header line, blank lines skipped; a bad line raises ParseError with its line."""
+    header = next(source, "").strip()
+    if header != _TRACE_HEADER:
+        raise ParseError(f"expected the header {_TRACE_HEADER}, got {header!r}", line=1)
     rows = []
-    for number, line in enumerate(source, 1):
+    for number, line in enumerate(source, 2):
         line = line.strip()
-        if number == 1 and line != _TRACE_HEADER:
-            raise ParseError(f"expected the header {_TRACE_HEADER}, got {line!r}", line=1)
-        if not line or number == 1:
+        if not line:
             continue
         try:
             it, cur, inc = line.split(",")

@@ -409,6 +409,10 @@ class TestQuboDeltas:
     @example(vertices=60, kind="real", scale=1e-40, density=0.3, op=Operator.SYMMETRY, factor_pick=0, seed=5)
     @example(vertices=120, kind="real", scale=1e-37, density=1.0, op=Operator.SHIFT, factor_pick=0, seed=7)
     @example(vertices=3, kind="integer", scale=1.0, density=1.0, op=Operator.SHIFT, factor_pick=0, seed=6)
+    @example(vertices=400, kind="real", scale=1.0, density=1.0, op=Operator.SHIFT, factor_pick=0, seed=8)
+    @example(vertices=400, kind="allclose", scale=1e3, density=0.3, op=Operator.SYMMETRY, factor_pick=4, seed=9)
+    @example(vertices=800, kind="allclose", scale=1.0, density=1.0, op=Operator.SHIFT, factor_pick=4, seed=10)
+    @example(vertices=800, kind="real", scale=1e-3, density=1.0, op=Operator.SYMMETRY, factor_pick=0, seed=11)
     def test_sampled_moves_within_bound(self, vertices, kind, scale, density, op, factor_pick, seed):
         """Swap at ma 2..6 (masked rows), substitute at md 1..4 (padding columns), and windows.
 

@@ -118,9 +118,10 @@ class TestTraces:
     def test_missing_header_names_line_1(self):
         buf = io.StringIO()
         recording.write_trace(self.trace, buf)
-        with pytest.raises(ParseError, match="^line 1: expected the header") as exc:
-            recording.read_trace(io.StringIO(buf.getvalue().split("\n", 1)[1]))
-        assert exc.value.line == 1
+        for text in (buf.getvalue().split("\n", 1)[1], ""):  # rows without their header, and an empty file
+            with pytest.raises(ParseError, match="^line 1: expected the header") as exc:
+                recording.read_trace(io.StringIO(text))
+            assert exc.value.line == 1
 
     @pytest.mark.parametrize("row", ["2,0.5", "2,0.5,x", "2.5,0.5,0.5", "2,0.5,0.5,0.5"])
     def test_malformed_row_names_its_line(self, row):
