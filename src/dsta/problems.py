@@ -2,10 +2,11 @@
 
 Everything the engine sees is a `Problem`: an initializer plus a pure cost
 function over states, always minimized.  MAX-CUT is therefore handed to the
-engine as the equivalent QUBO minimization with the last vertex fixed, and
-cut weights are recovered for reporting.  TSP and integer Rosenbrock share
-one chain evaluator and one window scorer: each sums a table entry over every
-pair of adjacent entries, of a closed tour or of an open index vector.
+engine as the minimization of 1/2 y'Wy over signs with the last vertex
+fixed, and cut weights are recovered for reporting.  TSP and integer
+Rosenbrock share one chain evaluator and one window scorer: each sums a
+table entry over every pair of adjacent entries, of a closed tour or of an
+open index vector.
 """
 
 from __future__ import annotations
@@ -93,15 +94,16 @@ class TspInstance:
 
 @dataclass(frozen=True)
 class MaxCutInstance:
-    """Weighted graph on n+1 vertices plus its fixed-last-vertex QUBO form.
+    """Weighted graph on n+1 vertices, cut by signs y = (x, +1) with the last vertex fixed.
 
-    Q equals the leading n-by-n block of W and c is minus the column of
-    weights to the fixed vertex, so min P(x) = 1/2 x'Qx - x'c over signs x
-    corresponds to max cut weight of (x, +1).
+    cut_weight(y) = (sum W - y'Wy)/4, so min 1/2 y'Wy over signs x is the max
+    cut.  For symmetric W with a zero diagonal, 1/2 y'Wy equals the QUBO
+    form P(x) = 1/2 x'Qx - x'c of `qubo` (Q the leading n-by-n block of W,
+    c minus its column to the fixed vertex); self-loops add 1/2 tr W to it.
 
     Symmetric means `allclose` to the transpose; `asymmetry` is the largest
     |W - W^T| entry, 0.0 for an exactly symmetric matrix.  `abs_bound`,
-    2 * sum |W|, bounds every partial sum of the QUBO form and of cut_weight.
+    2 * sum |W|, bounds every partial sum of 1/2 y'Wy and of cut_weight.
     """
 
     weights: np.ndarray
@@ -133,13 +135,9 @@ class MaxCutInstance:
 
     @property
     def qubo(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, c) of P(x) = 1/2 x'Qx - x'c, the reference form that `qubo_value` scores."""
         n = self.n
-        return self._qubo_into(np.empty((n, n)))
-
-    def _qubo_into(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`qubo`, with Q written into the float64 (n, n) array `q`."""
-        n = self.n
-        q[...] = self.weights[:n, :n]
+        q = self.weights[:n, :n].astype(np.float64)
         np.fill_diagonal(q, 0.0)
         return q, -self.weights[:n, n]
 
@@ -334,58 +332,68 @@ def qubo_value(bits: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
     return float(0.5 * x @ q @ x - x @ c)
 
 
-def _qubo_form(x: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P(x) = 1/2 x'Qx - x'c for every row of a (rows, n) sign matrix.
+def _fixed(x: np.ndarray) -> np.ndarray:
+    """Signs y = (x, +1): the sign vector `x`, or each row of a sign matrix, with the fixed vertex's +1 appended."""
+    return np.concatenate((x, np.ones(x.shape[:-1] + (1,), x.dtype)), axis=-1)
 
-    The quadratic term is one matrix product so that numpy runs it as a BLAS
-    GEMM; numpy's three-operand contraction runs as an unblocked loop, tens
-    of times slower at n = 400.  Every batch QUBO evaluation in the package
-    goes through here; qubo_value is the independent scalar reference.
+
+def _qubo_form(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """1/2 y'Wy for every row of a (rows, n + 1) sign matrix, the fixed vertex's +1 last.
+
+    The product is one matrix product so that numpy runs it as a BLAS GEMM;
+    numpy's three-operand contraction runs as an unblocked loop, tens of
+    times slower at n = 400.  Every batch MAX-CUT evaluation in the package
+    goes through here; qubo_value and cut_weight are the independent scalar
+    references.
     """
-    x = np.asarray(x, dtype=np.float64)
-    qx = x @ q
-    qx *= x
-    return 0.5 * qx.sum(axis=1) - x @ c
+    y = np.asarray(y, dtype=np.float64)
+    wy = y @ w
+    wy *= y
+    return 0.5 * wy.sum(axis=1)
 
 
 def qubo_deltas(
     bits: np.ndarray,
     cost: float,
     moves: Moves,
-    q: np.ndarray,
-    c: np.ndarray,
+    w: np.ndarray,
     inst: MaxCutInstance,
-    screen: tuple[np.ndarray, np.ndarray] | None = None,
+    screen: np.ndarray | None = None,
 ):
-    """Change in P(x) = 1/2 x'Qx - x'c of each move, with a bound on its error.
+    """Change in 1/2 y'Wy, y = (x, +1), of each move, with a bound on its error.
 
-    A sparse write flips the set S of its written positions whose bit changes.
-    With signs x and g = Qx - c, its delta is -2 sum_S x_i g_i + 2 sum_{i,j in
-    S} x_i x_j Q_ij (Q has a zero diagonal): one GEMV for g and a (rows, w, w)
-    gather of Q.  A window flips about half its length, so its rows are
-    screened whole in float32: `screen` holds the float32 copies of Q and 2c
-    that `maxcut_problem` makes, one GEMM gives 2 P32 of every row, and the
-    delta is P32 - cost.  The GEMM is Q32 X^T, (n, rows), not X Q32: the n-row
-    Q as BLAS's left operand measured faster from n near 200 up (124 against
-    139 us at n = 399, 32 rows, one OpenBLAS thread on a 2-core VM) and slower
-    below 100.  Only rounding differs, as x'Qx equals x'Q^Tx exactly for any
-    Q, allclose-only ones too, and gamma_(2n+2) below holds in any summation
-    order.  Without a screen, windows are not scored: the result is None.
+    A sparse write flips the set S of its k written positions whose bit
+    changes.  With g = W^T y, its delta is -2 sum_S y_i g_i + 2 sum_{i,j in
+    S} y_i y_j W_ij: one GEMV for g and a (rows, k, k) gather of W, where
+    W_ii enters both sums and cancels.  A window flips about half its
+    length, so its rows are screened whole in float32: `screen` is the
+    float32 copy of W that `maxcut_problem` makes, one GEMM gives 2 P32 of
+    every row, and the delta is P32 - cost.  The GEMM is W32 Y^T, not Y W32:
+    the square matrix as BLAS's left operand measured faster from about 200
+    rows up (124 against 139 us at 399, 32 sign rows, one OpenBLAS thread on
+    a 2-core VM) and slower below 100.  Only rounding differs, as y'Wy
+    equals y'W^Ty exactly for any W, allclose-only ones too, and gamma_(2n)
+    below holds in any summation order.  Without a screen, windows are not
+    scored: the result is None.
 
     Returns (delta, err) with |cost + delta - F| <= err, where cost is
     `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
     evaluated in any batch: GEMM rounding changes with the batch's row count,
     so err does not rest on one.  err bounds rounding over the instance's
-    `abs_bound` B, as B/4 bounds 1/2 sum|Q| + sum|c|.  With gamma_k = k u
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3),
-    each bound doubled for safety, which also covers second-order terms:
+    `abs_bound` B = 2 sum|W|; each dot product has n + 1 terms.  With gamma_k
+    = k u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 3), each bound doubled for safety, which also covers second-order
+    terms:
 
-    - a float64 evaluation is within gamma_(2n+1) B/4 of exact;
-    - a write's delta is within gamma_(n+2w+3) 2B, and as g is computed as
-      Q^T x, an instance symmetric only to allclose adds n times
-      `inst.asymmetry` per flipped bit;
-    - a screened row is within 5 u32 B/4 for storing Q and c in float32
-      (see `_qubo_arrays`), gamma_(2n+2) B/4 at float32's u for its
+    - a float64 evaluation is within gamma_(2n+1) B/4 of exact, gamma_n for
+      each entry of yW and for the row sum;
+    - a write's delta is within gamma_(n+2k+3) 2B, as each g_i is within
+      gamma_n of its column's sum of |W| and each gathered sum within gamma_k
+      of its row's, both summing to at most B/2 over distinct positions.
+      With g computed as W^T y, an instance symmetric only to allclose adds
+      n times `inst.asymmetry` per flipped bit, for a row of W - W^T;
+    - a screened row is within 9 u32 B/4 for storing W in float32 (half the
+      bound in `_qubo_arrays`), gamma_(2n) B/4 at float32's u for its
       evaluation (sign products, sums that underflow and halving 2 P32 in
       float64 are exact), gamma_(2n+1) B/4 for F, and 4u B/4 for P32 - cost
       and the caller's cost + delta in float64.
@@ -394,53 +402,40 @@ def qubo_deltas(
     if not isinstance(moves, Writes):
         if screen is None:
             return None
-        q32, twice_c32 = screen
-        x = moves.apply(_SIGN32.take(bits))
-        qx = q32 @ x.T
-        qx *= x.T
-        twice = qx.sum(axis=0)
-        twice -= x @ twice_c32
-        err = (_EPS32 * (2 * n + 7) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
+        y = moves.apply(_fixed(_SIGN32.take(bits)))
+        wy = screen @ y.T
+        wy *= y.T
+        twice = wy.sum(axis=0)
+        err = (_EPS32 * (2 * n + 9) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
         return 0.5 * twice.astype(np.float64) - cost, err
     p = moves.pos
-    x = _SIGN_VALUES.take(bits)
-    g = x @ q - c
+    y = _fixed(_SIGN_VALUES.take(bits))
+    g = y @ w
     flip = moves.val != bits.take(p)
     if moves.mask is not None:
         flip &= moves.mask
-    xs = x.take(p) * flip  # sign of each flipped position, 0 elsewhere
-    d = (q[p[:, :, None], p[:, None, :]] @ xs[:, :, None])[:, :, 0]
+    ys = y.take(p) * flip  # sign of each flipped position, 0 elsewhere
+    d = (w[p[:, :, None], p[:, None, :]] @ ys[:, :, None])[:, :, 0]
     d -= g.take(p)
-    d *= xs
-    w = p.shape[1]
-    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * w + 5) * inst.abs_bound + w * n * inst.asymmetry
+    d *= ys
+    k = p.shape[1]
+    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound + k * n * inst.asymmetry
 
 
 def _qubo_arrays(inst: MaxCutInstance):
-    """`inst.qubo`, and the float32 copies of Q and 2c that screen window moves, or None where float32 cannot serve.
+    """W in float64 and C order, and the float32 copy that screens window moves, or None where float32 cannot serve.
 
     Every partial sum of the screen is at most B/2 (B is `abs_bound`), so B
     up to float32's largest value rules out overflow, and the cast cannot
     warn.  Below float32's smallest normal t, a weight is stored with an
     absolute error of up to t u32 instead of a relative one; with B >= n^2 t
-    those errors sum to at most u32 B, which `qubo_deltas` counts.  Weights
-    outside both limits get no copies.  Two comparisons decide it, so
-    building a problem scans no weight.
-
-    Q and its float32 copy share one allocation.  As two arrays they made
-    repeated builds of a 400-vertex problem about 17% slower (4.3 to 5.0 ms
-    on a shared 2-core VM): the allocator gave back and refaulted heap pages
-    on every build.
+    the (n + 1)^2 <= 4 n^2 such errors sum to at most 4 u32 B, which
+    `qubo_deltas` counts.  Weights outside both limits get no copy.  Two
+    comparisons decide it, so building a problem scans no weight.
     """
-    n = inst.n
-    screened = n * n * _F32_TINY <= inst.abs_bound <= _F32_MAX
-    mem = np.empty((3 if screened else 2) * n * n, np.float32)  # Q in float64 takes the first 2 n^2 entries
-    q, c = inst._qubo_into(mem[: 2 * n * n].view(np.float64).reshape(n, n))
-    if not screened:
-        return q, c, None
-    q32 = mem[2 * n * n :].reshape(n, n)
-    q32[...] = q
-    return q, c, (q32, (2 * c).astype(np.float32))
+    w = np.ascontiguousarray(inst.weights, dtype=np.float64)
+    screened = inst.n * inst.n * _F32_TINY <= inst.abs_bound <= _F32_MAX
+    return w, (w.astype(np.float32) if screened else None)
 
 
 def rosenbrock_value(values: np.ndarray) -> float:
@@ -565,30 +560,32 @@ def tsp_problem(inst: TspInstance) -> Problem:
 
 
 def maxcut_problem(inst: MaxCutInstance) -> Problem:
-    """Minimize the QUBO form; convert best_cost back with cut_from_qubo.
+    """Minimize 1/2 y'Wy over signs y = (x, +1); convert best_cost back with cut_from_qubo.
 
     `delta_many` scores swap and substitute moves by k-flip deltas, and
-    screens shift and symmetry moves in float32 against copies of Q and 2c
-    made here once; `best_move` evaluates in float64 only the rows the screen
+    screens shift and symmetry moves in float32 against a copy of W made
+    here once; `best_move` evaluates in float64 only the rows the screen
     cannot rule out.  When 2 sum|W| exceeds float32's largest value or falls
-    below n^2 times its smallest normal, no copies are made and windows are
+    below n^2 times its smallest normal, no copy is made and windows are
     evaluated whole in float64.
     """
-    q, c, screen = _qubo_arrays(inst)
+    w, screen = _qubo_arrays(inst)
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
-        evaluate_many=lambda bits: _qubo_form(_SIGN_VALUES.take(bits), q, c),
-        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, q, c, inst, screen),
+        evaluate_many=lambda bits: _qubo_form(_fixed(_SIGN_VALUES.take(bits)), w),
+        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, w, inst, screen),
     )
 
 
 def cut_from_qubo(p_value, inst: MaxCutInstance):
-    """Cut weight achieved by sign vectors whose QUBO value is p_value.
+    """Cut weight achieved by sign vectors y = (x, +1) whose value 1/2 y'Wy is p_value.
 
-    Accepts a scalar or an array of QUBO values; the relationship is affine,
-    so rank order is preserved either way.
+    The cut is sum W / 4 - p_value / 2, exact for any diagonal (against
+    `qubo_value`'s P(x) it is off by tr W / 4 with self-loops).  Accepts a
+    scalar or an array of values; the relationship is affine, so rank order
+    is preserved either way.
     """
     out = 0.25 * inst.weights.sum() - 0.5 * np.asarray(p_value, dtype=float)
     return float(out) if out.ndim == 0 else out

@@ -359,7 +359,7 @@ def test_delta_run_equals_full_evaluation_run(n, factors, mode, kind):
 
 
 def maxcut_weights(vertices, seed, kind, scale=1.0, density=1.0):
-    """Mixed-sign MAX-CUT weights: real, integer-valued, or symmetric only to allclose."""
+    """Mixed-sign MAX-CUT weights: real, integer-valued, symmetric only to allclose, or real with self-loops."""
     g = np.random.default_rng(seed)
     a = (g.random((vertices, vertices)) * 2 - 1) * scale
     if kind == "integer":
@@ -368,6 +368,8 @@ def maxcut_weights(vertices, seed, kind, scale=1.0, density=1.0):
     w = a + a.T
     if kind == "allclose":  # off by a relative 1e-7: allclose holds, exact symmetry does not
         w = w * (1 + 1e-7 * g.random((vertices, vertices)))
+    if kind == "loops":  # the diagonal enters a write's gather and g, and cancels only in exact arithmetic
+        np.fill_diagonal(w, (g.random(vertices) * 2 - 1) * scale)
     return w
 
 
@@ -394,7 +396,7 @@ class TestQuboDeltas:
     @settings(max_examples=300, deadline=None)
     @given(
         vertices=st.integers(2, 120),
-        kind=st.sampled_from(["real", "integer", "allclose"]),
+        kind=st.sampled_from(["real", "integer", "allclose", "loops"]),
         scale=st.sampled_from([1e-40, 1e-37, 1e-3, 1.0, 1e3, 1e30]),
         density=st.sampled_from([0.0, 0.3, 1.0]),
         op=st.sampled_from(list(VALUE_OPS)),
@@ -413,6 +415,8 @@ class TestQuboDeltas:
     @example(vertices=400, kind="allclose", scale=1e3, density=0.3, op=Operator.SYMMETRY, factor_pick=4, seed=9)
     @example(vertices=800, kind="allclose", scale=1.0, density=1.0, op=Operator.SHIFT, factor_pick=4, seed=10)
     @example(vertices=800, kind="real", scale=1e-3, density=1.0, op=Operator.SYMMETRY, factor_pick=0, seed=11)
+    @example(vertices=400, kind="loops", scale=1.0, density=1.0, op=Operator.SWAP, factor_pick=4, seed=12)
+    @example(vertices=400, kind="loops", scale=1e3, density=0.3, op=Operator.SHIFT, factor_pick=4, seed=13)
     def test_sampled_moves_within_bound(self, vertices, kind, scale, density, op, factor_pick, seed):
         """Swap at ma 2..6 (masked rows), substitute at md 1..4 (padding columns), and windows.
 

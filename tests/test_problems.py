@@ -147,6 +147,16 @@ class TestCutAndQubo:
         assert np.allclose(cuts, cut_from_qubo(pvals, inst))
         assert np.array_equal(np.argsort(pvals, kind="stable"), np.argsort(-cuts, kind="stable"))
 
+    def test_cut_from_minimized_value_with_self_loops(self):
+        # self-loops used to offset every recovered cut by tr W / 4
+        g = np.random.default_rng(0)
+        w = g.random((6, 6))
+        inst = MaxCutInstance(weights=w + w.T)
+        bits = np.array(list(itertools.product([0, 1], repeat=inst.n)))
+        cuts = cut_from_qubo(maxcut_problem(inst).evaluate_many(bits), inst)
+        ref = [cut_weight(np.append(x, 1), inst) for x in bits]
+        np.testing.assert_allclose(cuts, ref, rtol=0, atol=1e-12)
+
 
 # a third, partial tile row and column, wider than one entry
 CHECK_N = 2 * _TILE + 5
