@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DomainViolation, DstaError
 from .problems import DvsProblem, MaxCutInstance, TspInstance
-from .tsplib import euclidean_matrix
+from .tsplib import euclidean_matrix, triangle_matrix
 
 
 class InvalidSize(DstaError):
@@ -34,18 +34,21 @@ def random_euclidean_tsp(n: int, seed: int) -> TspInstance:
 
 
 def random_weighted_graph(n_vertices: int, density: float, seed: int) -> MaxCutInstance:
-    """Random graph with edge probability `density` and uniform [0,1] weights."""
+    """Random graph with edge probability `density` and uniform [0,1) weights.
+
+    The seed fixes the graph through the order of its draws: first m = n(n-1)/2
+    presence draws, then m weights, each pair (i, j), i < j, taking its place
+    in `np.triu_indices(n, 1)` order.
+    """
     if n_vertices < 2:
         raise InvalidSize(f"need >= 2 vertices, got {n_vertices}")
     if not 0.0 <= density <= 1.0:
         raise InvalidSize(f"density must be in [0,1], got {density}")
     rng = _generator(seed)
-    w = np.zeros((n_vertices, n_vertices))
-    iu = np.triu_indices(n_vertices, k=1)
-    present = rng.random(len(iu[0])) < density
-    values = rng.random(len(iu[0])) * present
-    w[iu] = values
-    w += w.T
+    m = n_vertices * (n_vertices - 1) // 2
+    present = rng.random(m) < density
+    values = rng.random(m) * present
+    w = triangle_matrix(values, n_vertices, "UPPER_ROW")
     return MaxCutInstance(weights=w, name=f"rand-graph-{n_vertices}-s{seed}")
 
 

@@ -22,7 +22,7 @@ from .errors import ParseError, UnsupportedType
 from .problems import TspInstance
 
 _GEO_RADIUS = 6378.388
-_ROW_BLOCK = 32  # rows of the distance matrix built at a time: with the scratch rows, 1 MB at n = 2000
+_ROW_BLOCK = 32  # rows of a matrix built or mirrored at a time: with their y differences, 1 MB at n = 2000
 
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE"}
 _SECTION_KEYS = {
@@ -244,13 +244,33 @@ def _explicit_matrix(doc: TsplibDocument) -> np.ndarray:
     vals = np.array(doc.weights, dtype=float)
     if doc.edge_weight_format == "FULL_MATRIX":
         return vals.reshape(n, n)
-    if doc.edge_weight_format == "LOWER_DIAG_ROW":
-        i, j = np.tril_indices(n)  # row-major: row i lists columns 0..i
-    else:  # UPPER_ROW: row i lists columns i+1..n-1
-        i, j = np.triu_indices(n, k=1)
-    d = np.zeros((n, n))
-    d[i, j] = d[j, i] = vals
-    return d
+    return triangle_matrix(vals, n, doc.edge_weight_format)
+
+
+def triangle_matrix(values: np.ndarray, n: int, fmt: str) -> np.ndarray:
+    """The float64 symmetric n x n matrix of a triangle listed row by row.
+
+    "UPPER_ROW" lists columns i+1..n-1 of each row i (`np.triu_indices(n, 1)`
+    order), "LOWER_DIAG_ROW" columns 0..i (`np.tril_indices(n)` order).  Each
+    row is one slice of `values`; the other triangle is copied _ROW_BLOCK rows
+    at a time from the transposed columns, and in a diagonal tile off the
+    diagonal only.  So every entry is a listed value, unchanged, and no
+    temporary is larger than a tile.
+    """
+    m = np.zeros((n, n))
+    lower = fmt == "LOWER_DIAG_ROW"
+    s = 0
+    for i in range(n):
+        lo, hi = (0, i + 1) if lower else (i + 1, n)
+        m[i, lo:hi] = values[s:s + hi - lo]
+        s += hi - lo
+    u, b = (m.T if lower else m), _ROW_BLOCK  # the listed triangle is the upper one of u
+    below = np.tri(b, k=-1, dtype=bool)
+    for i in range(0, n, b):
+        u[i:i + b, :i] = u[:i, i:i + b].T
+        tile = u[i:i + b, i:i + b]
+        np.copyto(tile, tile.T, where=below[:len(tile), :len(tile)])
+    return m
 
 
 def load_instance(path: str, rounding: str = "real") -> TspInstance:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsta import instances
 from dsta.errors import DomainViolation
 from dsta.instances import InvalidSize
+from dsta.tsplib import _ROW_BLOCK
 
 
 class TestRandomEuclideanTsp:
@@ -70,6 +73,34 @@ class TestRandomWeightedGraph:
             instances.random_weighted_graph(1, density=0.5, seed=0)
         with pytest.raises(InvalidSize):
             instances.random_weighted_graph(5, density=1.5, seed=0)
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 400])
+    def test_weights_equal_index_scatter_bit_for_bit(self, n, density):
+        # the same two draws, scattered by index arrays and mirrored by adding the transpose
+        rng = np.random.default_rng(n)
+        iu = np.triu_indices(n, 1)
+        present = rng.random(len(iu[0])) < density
+        values = rng.random(len(iu[0])) * present
+        want = np.zeros((n, n))
+        want[iu] = values
+        want += want.T
+        got = instances.random_weighted_graph(n, density, seed=n).weights
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_peak_memory_is_the_graph_and_its_draws(self):
+        n, seed = 400, 11
+        m = n * (n - 1) // 2
+        instances.random_weighted_graph(3, 0.5, seed)  # the first draw imports modules; keep them out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            instances.random_weighted_graph(n, 0.5, seed)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 + 2 * m * 8 + 256 * 1024
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from dsta.errors import ParseError, UnsupportedType
 from dsta.problems import TspInstance
-from dsta.tsplib import _ROW_BLOCK, TsplibDocument, build_distances, euclidean_matrix, parse_tsplib
+from dsta.tsplib import (
+    _ROW_BLOCK,
+    TsplibDocument,
+    build_distances,
+    euclidean_matrix,
+    parse_tsplib,
+    triangle_matrix,
+)
 
 EUC_DOC = """NAME: tiny
 TYPE: TSP
@@ -208,6 +215,35 @@ class TestDistances:
     def test_explicit_passthrough(self, text):
         inst = build_distances(parse_tsplib(text))
         assert np.array_equal(inst.matrix, [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+
+    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 130])
+    def test_triangle_formats_equal_full_matrix(self, n):
+        a = np.random.default_rng(n).integers(0, 1000, size=(n, n))
+        m = a + a.T  # symmetric, with a diagonal that loading sets to 0
+
+        def text(fmt, rows):
+            body = "\n".join(" ".join(map(str, row)) for row in rows)
+            head = f"NAME: r{n}\nTYPE: TSP\nDIMENSION: {n}\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+            return f"{head}EDGE_WEIGHT_FORMAT: {fmt}\nEDGE_WEIGHT_SECTION\n{body}\nEOF\n"
+
+        full = build_distances(parse_tsplib(text("FULL_MATRIX", m))).matrix
+        upper = build_distances(parse_tsplib(text("UPPER_ROW", [m[i, i + 1:] for i in range(n - 1)]))).matrix
+        lower = build_distances(parse_tsplib(text("LOWER_DIAG_ROW", [m[i, :i + 1] for i in range(n)]))).matrix
+        assert np.array_equal(upper, full) and np.array_equal(lower, full)
+
+    @pytest.mark.parametrize("n", [1, 2, _ROW_BLOCK, 2 * _ROW_BLOCK + 1])
+    def test_triangle_matrix_copies_each_listed_value_once(self, n):
+        m = np.random.default_rng(n).normal(size=(n, n))
+        m += m.T
+        m[::3, ::2] = m[::2, ::3] = -0.0  # signs of zero survive a copy, not a sum
+        without_diagonal = m.copy()
+        np.fill_diagonal(without_diagonal, 0.0)
+        for fmt, listed, want in (
+            ("UPPER_ROW", np.triu_indices(n, 1), without_diagonal),
+            ("LOWER_DIAG_ROW", np.tril_indices(n), m),
+        ):
+            got = triangle_matrix(m[listed], n, fmt)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), fmt
 
     def test_integer_rounding(self):
         shifted = EUC_DOC.replace("2 3 4", "2 3 4.4")
