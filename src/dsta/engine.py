@@ -28,6 +28,7 @@ class Mode(str, Enum):
 
 
 _FACTOR_FIELDS = {Operator.SWAP: "ma", Operator.SHIFT: "mb", Operator.SYMMETRY: "mc", Operator.SUBSTITUTE: "md"}
+_LOWER_BOUNDS = {"se": 1, "ma": 2, "mb": 1, "mc": 0, "md": 1, "max_iters": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,14 @@ class StaParams:
     operator_set: tuple[Operator, ...] | None = None  # None: default per representation
 
     def validate(self) -> None:
-        if self.se < 1:
-            raise InvalidParams(f"se must be >= 1, got {self.se}")
-        if self.ma < 2:
-            raise InvalidParams(f"ma must be >= 2, got {self.ma}")
-        if self.mb < 1:
-            raise InvalidParams(f"mb must be >= 1, got {self.mb}")
-        if self.mc < 0:
-            raise InvalidParams(f"mc must be >= 0, got {self.mc}")
-        if self.md < 1:
-            raise InvalidParams(f"md must be >= 1, got {self.md}")
-        if not 0.0 <= self.p1 <= 1.0:
-            raise InvalidParams(f"p1 must be in [0,1], got {self.p1}")
-        if not 0.0 <= self.p2 <= 1.0:
-            raise InvalidParams(f"p2 must be in [0,1], got {self.p2}")
-        if self.max_iters < 1:
-            raise InvalidParams(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
+        for name, low in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise InvalidParams(f"{name} must be >= {low}, got {value}")
+        for name in ("p1", "p2"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidParams(f"{name} must be in [0,1], got {value}")
         if self.operator_set is not None and len(self.operator_set) == 0:
             raise InvalidParams("operator_set must be non-empty")
 

@@ -26,17 +26,21 @@ ROSENBROCK_ALPHABET = np.array([-2, -1, 0, 1, 2])
 _TILE = 256  # a pair of float64 tiles, 2 x 512 KiB, stays in L2
 
 
-def _exactly_symmetric(m: np.ndarray) -> bool:
-    """Whether square `m` equals its transpose, compared one tile pair at a time.
+def _asymmetry(m: np.ndarray, message: str) -> float:
+    """0.0 if square `m` equals its transpose, else its largest |m - m^T| entry.
 
-    Tile (i, j) is compared with the transpose of tile (j, i) while both are
-    in cache; a whole-matrix `m == m.T` reads `m` column by column into an
-    n x n temporary.
+    Symmetric means `allclose` to `m.T`; any other `m` raises
+    DimensionMismatch(message).  Exact equality is checked first, tile (i, j)
+    against tile (j, i) while both are in cache, with no n x n temporary.
     """
     n, b = len(m), _TILE
-    return all(
+    if all(
         (m[i:i + b, j:j + b] == m[j:j + b, i:i + b].T).all() for i in range(0, n, b) for j in range(i, n, b)
-    )
+    ):
+        return 0.0
+    if not np.allclose(m, m.T):
+        raise DimensionMismatch(message)
+    return float(np.abs(m - m.T).max())
 
 
 _PIECE = 32768  # entries of a float64 temporary of 256 KiB
@@ -59,9 +63,9 @@ def _abs_sum(flat: np.ndarray):
 class TspInstance:
     """Symmetric TSP with a full distance matrix; coords kept when known.
 
-    Symmetric means `allclose` to the transpose; `asymmetry` is the largest
-    |M - M^T| entry, 0.0 for an exactly symmetric matrix.  `eps` is the
-    machine epsilon of the float type tour lengths are summed in.
+    The matrix must be symmetric as `_asymmetry` defines it, which also gives
+    `asymmetry`.  `eps` is the machine epsilon of the float type tour lengths
+    are summed in.
     """
 
     matrix: np.ndarray
@@ -80,12 +84,10 @@ class TspInstance:
         lo, hi = m.min(), m.max()  # a NaN entry makes both NaN; no n x n temporaries
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DimensionMismatch("distance matrix entries must be finite")
-        # exact equality reads the matrix once, in tiles; allclose only when it fails
-        exact = _exactly_symmetric(m)
-        if not (exact or np.allclose(m, m.T)) or not np.allclose(np.diag(m), 0) or lo < 0:
-            raise DimensionMismatch("distance matrix must be symmetric, nonnegative, zero diagonal")
-        if not exact:
-            object.__setattr__(self, "asymmetry", float(np.abs(m - m.T).max()))
+        message = "distance matrix must be symmetric, nonnegative, zero diagonal"
+        if not np.allclose(np.diag(m), 0) or lo < 0:
+            raise DimensionMismatch(message)
+        object.__setattr__(self, "asymmetry", _asymmetry(m, message))
 
     @property
     def n(self) -> int:
@@ -101,9 +103,9 @@ class MaxCutInstance:
     form P(x) = 1/2 x'Qx - x'c of `qubo` (Q the leading n-by-n block of W,
     c minus its column to the fixed vertex); self-loops add 1/2 tr W to it.
 
-    Symmetric means `allclose` to the transpose; `asymmetry` is the largest
-    |W - W^T| entry, 0.0 for an exactly symmetric matrix.  `abs_bound`,
-    2 * sum |W|, bounds every partial sum of 1/2 y'Wy and of cut_weight.
+    W must be symmetric as `_asymmetry` defines it, which also gives
+    `asymmetry`.  `abs_bound`, 2 * sum |W|, bounds every partial sum of
+    1/2 y'Wy and of cut_weight; it is finite only if every entry is.
     """
 
     weights: np.ndarray
@@ -115,18 +117,14 @@ class MaxCutInstance:
         w = self.weights
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
             raise DimensionMismatch(f"weight matrix must be square with >= 2 vertices, got {w.shape}")
-        if not (np.isfinite(w.min()) and np.isfinite(w.max())):  # a NaN entry makes both NaN
-            raise DimensionMismatch("weight matrix entries must be finite")
         with np.errstate(over="ignore"):
             total = 2 * _abs_sum(w.ravel(order="K"))
         if not np.isfinite(total):
+            if not np.isfinite(w).all():
+                raise DimensionMismatch("weight matrix entries must be finite")
             raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
-        exact = _exactly_symmetric(w)
-        if not (exact or np.allclose(w, w.T)):
-            raise DimensionMismatch("weight matrix must be symmetric")
         object.__setattr__(self, "abs_bound", float(total))
-        if not exact:
-            object.__setattr__(self, "asymmetry", float(np.abs(w - w.T).max()))
+        object.__setattr__(self, "asymmetry", _asymmetry(w, "weight matrix must be symmetric"))
 
     @property
     def n(self) -> int:

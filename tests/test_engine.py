@@ -46,6 +46,28 @@ class TestParams:
         with pytest.raises(InvalidParams):
             StaParams(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"se": 0}, "se must be >= 1, got 0"),
+            ({"ma": 1}, "ma must be >= 2, got 1"),
+            ({"mb": 0}, "mb must be >= 1, got 0"),
+            ({"mc": -1}, "mc must be >= 0, got -1"),
+            ({"md": 0}, "md must be >= 1, got 0"),
+            ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"p1": -0.1}, "p1 must be in [0,1], got -0.1"),
+            ({"p1": 1.1}, "p1 must be in [0,1], got 1.1"),
+            ({"p2": -0.5}, "p2 must be in [0,1], got -0.5"),
+            ({"p2": 2.0}, "p2 must be in [0,1], got 2.0"),
+            ({"operator_set": ()}, "operator_set must be non-empty"),
+        ],
+    )
+    def test_invalid_message(self, kwargs, message):
+        with pytest.raises(InvalidParams) as exc:
+            StaParams(**kwargs).validate()
+        assert str(exc.value) == message
+
     def test_factor_lookup(self):
         p = StaParams(ma=3, mb=2, mc=1, md=4)
         assert p.factor(Operator.SWAP) == 3

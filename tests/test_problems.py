@@ -84,10 +84,21 @@ class TestCutAndQubo:
         inst = MaxCutInstance(weights=np.array([[0.0, 5], [5, 0]]))
         assert cut_weight(np.array([1, 0]), inst) == 5
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(DimensionMismatch, match="finite"):
             MaxCutInstance(weights=np.array([[0.0, bad, 1], [bad, 0, 1], [1, 1, 0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_reported_even_where_the_sum_overflows(self):
+        # 2 * sum |w| of the finite entries alone is past float64's range
+        w = np.full((3, 3), 1.4e308)
+        np.fill_diagonal(w, 0)
+        w[0, 2] = w[2, 0] = np.nan
+        with pytest.raises(DimensionMismatch) as exc:
+            MaxCutInstance(weights=w)
+        assert str(exc.value) == CUT_FINITE
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_weights_whose_qubo_form_overflows(self):

@@ -40,6 +40,9 @@ EDGE_WEIGHT_SECTION
 EOF
 """
 
+# an EXPLICIT document may carry coordinates too; they are placed by node number as well
+EXPLICIT_COORDS = EXPLICIT_FULL.replace("EOF\n", "NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 0\nEOF\n")
+
 LOWER_DIAG = """NAME: ld
 TYPE: TSP
 DIMENSION: 3
@@ -130,6 +133,14 @@ READER_CASES = {
         EUC_DOC.replace("3 6 0", "4 6 0"), "real",
         ParseError, "line 8: node number 4 outside 1..3",
     ),
+    "explicit-repeated-node-number": (
+        EXPLICIT_COORDS.replace("2 3 4", "1 3 4"), "real",
+        ParseError, "line 12: node number 1 repeated",
+    ),
+    "explicit-node-number-out-of-range": (
+        EXPLICIT_COORDS.replace("3 6 0", "4 6 0"), "real",
+        ParseError, "line 13: node number 4 outside 1..3",
+    ),
     "ignored-keys-do-not-warn": (
         EUC_DOC.replace(
             "NAME: tiny",
@@ -148,8 +159,10 @@ class TestParse:
         assert doc.edge_weight_type == "EUC_2D"
         assert doc.coords.shape == (3, 2)
 
-    def test_rows_are_placed_by_node_number(self):
-        shuffled = EUC_DOC.replace("1 0 0\n2 3 4\n3 6 0", "3 6 0\n1 0 0\n2 3 4")
+    @pytest.mark.parametrize("text", [EUC_DOC, EXPLICIT_COORDS], ids=["euc-2d", "explicit"])
+    def test_rows_are_placed_by_node_number(self, text):
+        shuffled = text.replace("1 0 0\n2 3 4\n3 6 0", "3 6 0\n1 0 0\n2 3 4")
+        assert shuffled != text
         assert np.array_equal(parse_tsplib(shuffled).coords, [[0, 0], [3, 4], [6, 0]])
 
     def test_dimension_mismatch(self):
