@@ -98,28 +98,23 @@ def _echo_config(args, params: StaParams) -> None:
         print("config:", json.dumps(cfg, sort_keys=True))
 
 
-def _trial_records(instance: str, params: StaParams, stats: bench.TrialStats, timed: bool):
-    """One ResultRecord per trial of `bench.run_trials(..., base_seed=params.seed)`.
+def _trial_records(instance: str, stats: bench.TrialStats, timed: bool):
+    """One ResultRecord per trial, from the params it ran with, so `engine.run` on them repeats it.
 
-    Each carries the trial's own seed and the exact params it ran with, so
-    `engine.run` on them reproduces its best cost.  `timed` False leaves
-    wall_time None, which keeps a file byte-identical across reruns.
+    `timed` False leaves wall_time None, which keeps a file byte-identical across reruns.
     """
-    records = []
-    for i, r in enumerate(stats.results):
-        seed = bench.derive_seed(params.seed, i)
-        records.append(
-            recording.ResultRecord(
-                instance=instance,
-                algorithm=params.mode.value,
-                params=recording.params_dict(replace(params, seed=seed)),
-                seed=seed,
-                best_cost=r.best_cost,
-                wall_time=r.wall_time if timed else None,
-                best_solution=[int(v) for v in r.best_solution],
-            )
+    return [
+        recording.ResultRecord(
+            instance=instance,
+            algorithm=r.params.mode.value,
+            params=recording.params_dict(r.params),
+            seed=r.params.seed,
+            best_cost=r.best_cost,
+            wall_time=r.wall_time if timed else None,
+            best_solution=[int(v) for v in r.best_solution],
         )
-    return records
+        for r in stats.results
+    ]
 
 
 def cmd_solve(args) -> int:
@@ -150,7 +145,7 @@ def cmd_solve(args) -> int:
             recording.write_trace(best.trace, fh)
     if args.out:
         with open(args.out, "a") as fh:
-            recording.write_results(_trial_records(problem.name, params, stats, timed=True), fh)
+            recording.write_results(_trial_records(problem.name, stats, timed=True), fh)
     return 0
 
 
@@ -186,10 +181,11 @@ def cmd_bench(args) -> int:
     rows, records = [], []
     for name, prob, p, error in cases:
         sta, dsta, _ = bench.compare_modes(prob, p, args.trials, base_seed=params.seed)
-        for mode, stats in zip(Mode, (sta, dsta)):
-            rows.append((name, mode.value, stats, error(stats.best) if error else None))
+        for stats in (sta, dsta):
+            mode = stats.results[0].params.mode.value
+            rows.append((name, mode, stats, error(stats.best) if error else None))
             # untimed, so that reruns write byte-identical files
-            records += _trial_records(prob.name, replace(p, mode=mode), stats, timed=False)
+            records += _trial_records(prob.name, stats, timed=False)
     print(f"{'instance':<22}{'algorithm':<11}{'best':>14}{'mean':>14}{'std':>12}{'error':>9}")
     for name, mode, stats, err in rows:
         err_s = "-" if err is None else f"{err:.2f}%"

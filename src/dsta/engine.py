@@ -73,6 +73,7 @@ class SearchState:
 
 @dataclass
 class RunResult:
+    params: StaParams  # exactly as run: derived seed and mode included
     best_solution: np.ndarray
     best_cost: float
     trace: list[tuple[int, float, float]] = field(repr=False)
@@ -178,6 +179,7 @@ def run(problem, params: StaParams) -> RunResult:
         trace.append((it, state.current_cost, state.incumbent_cost))
 
     return RunResult(
+        params=params,
         best_solution=state.incumbent,
         best_cost=state.incumbent_cost,
         trace=trace,

@@ -444,11 +444,16 @@ def rosenbrock_value(values: np.ndarray) -> float:
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1) ** 2))
 
 
+def _check_indices(idx: np.ndarray, m: int) -> None:
+    """Raise unless every index lies in 0..m-1; one pass, as read unsigned a negative index exceeds them all."""
+    if np.asarray(idx, np.int64).view(np.uint64).max(initial=0) >= m:
+        raise DomainViolation("index outside alphabet range")
+
+
 def dvs_decode(indices: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
     """Map index vectors to real vectors by alphabet lookup."""
     idx = np.asarray(indices)
-    if np.any(idx < 0) or np.any(idx >= len(alphabet)):
-        raise DomainViolation("index outside alphabet range")
+    _check_indices(idx, len(alphabet))
     return np.asarray(alphabet)[idx]
 
 
@@ -603,9 +608,7 @@ _ROSEN_TURNS = (_ROSEN_TABLE.T - _ROSEN_TABLE).ravel()  # the change when pair (
 
 
 def _rosenbrock_many(idx: np.ndarray) -> np.ndarray:
-    # one pass: read as unsigned, a negative index exceeds every valid one (and 5 is the sentinel)
-    if np.asarray(idx, np.int64).view(np.uint64).max(initial=0) >= _ROSEN_END:
-        raise DomainViolation("index outside alphabet range")
+    _check_indices(idx, _ROSEN_END)  # 5 is the sentinel
     return _chain_sums(idx, _ROSEN_PAIRS, _ROSEN_STRIDE, closed=False)
 
 

@@ -52,8 +52,10 @@ class TestRunTrials:
         params = StaParams(max_iters=30)
         stats = bench.run_trials(prob, params, 3, base_seed=7)
         assert [r.best_cost for r in stats.results] == stats.costs
-        for i, r in enumerate(stats.results):  # trial order, each on its derived seed
-            alone = engine.run(prob, replace(params, seed=bench.derive_seed(7, i)))
+        for i, r in enumerate(stats.results):  # trial order, each on its derived seed, which it carries
+            assert r.params == replace(params, seed=bench.derive_seed(7, i))
+            alone = engine.run(prob, r.params)
+            assert alone.best_cost == r.best_cost
             assert np.array_equal(r.best_solution, alone.best_solution)
             assert r.trace == alone.trace
 
@@ -65,9 +67,17 @@ class TestRunTrials:
 class TestCompareModes:
     def test_paired_and_labeled(self):
         prob = problems.rosenbrock_problem(5)
-        sta, dsta, diff = bench.compare_modes(prob, StaParams(max_iters=8), 5, base_seed=2)
+        params = StaParams(max_iters=8)
+        sta, dsta, diff = bench.compare_modes(prob, params, 5, base_seed=2)
         assert sta.trials == dsta.trials == len(diff) == 5
         assert diff == [s - d for s, d in zip(sta.costs, dsta.costs)]
+        for mode, stats in ((Mode.SIMPLE, sta), (Mode.DYNAMIC, dsta)):  # each result carries its params
+            expected = [replace(params, mode=mode, seed=bench.derive_seed(2, i)) for i in range(5)]
+            assert [r.params for r in stats.results] == expected
+            for r in stats.results:
+                again = engine.run(prob, r.params)
+                assert again.best_cost == r.best_cost
+                assert np.array_equal(again.best_solution, r.best_solution)
 
 
 class TestBruteForceTsp:
@@ -84,6 +94,24 @@ class TestBruteForceTsp:
         opt, tour = bench.brute_force_tsp(inst)
         assert opt == pytest.approx(4)
         assert problems.tour_length(tour, inst) == pytest.approx(4)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_equals_scalar_enumeration(self, n):
+        # a loop over the same tours in the same order, each scored by the scalar reference
+        inst = instances.random_euclidean_tsp(n, seed=n)
+        rests = (rest for rest in itertools.permutations(range(1, n)) if rest[0] < rest[-1])
+        tours = [np.array((0,) + rest) for rest in rests]
+        lengths = [problems.tour_length(t, inst) for t in tours]
+        opt, tour = bench.brute_force_tsp(inst)
+        assert opt == min(lengths)
+        assert np.array_equal(tour, tours[int(np.argmin(lengths))])
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_optimum_is_tour_lengths_of_its_tour(self, n):
+        # both sum the legs in the same order, so they agree to the last bit
+        inst = instances.random_euclidean_tsp(n, seed=0)
+        opt, tour = bench.brute_force_tsp(inst)
+        assert opt == problems.tour_lengths(tour[None], inst)[0]
 
     def test_no_finite_tour(self):
         # finite weights whose every tour sum overflows

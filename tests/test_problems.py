@@ -320,8 +320,9 @@ class TestDvsDecode:
         assert len(images) == 27
 
     def test_range_check(self):
-        with pytest.raises(DomainViolation):
-            dvs_decode(np.array([0, 3]), np.array([1.0, 2.0, 3.0]))
+        for bad in (np.array([0, 3]), np.array([0, -1], dtype=np.int64), np.array([0, -1], dtype=np.int8)):
+            with pytest.raises(DomainViolation, match="index outside alphabet range"):
+                dvs_decode(bad, np.array([1.0, 2.0, 3.0]))
 
 
 class TestErrors:
