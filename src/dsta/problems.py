@@ -330,22 +330,33 @@ def qubo_value(bits: np.ndarray, q: np.ndarray, c: np.ndarray) -> float:
     return float(0.5 * x @ q @ x - x @ c)
 
 
-def _fixed(x: np.ndarray) -> np.ndarray:
-    """Signs y = (x, +1): the sign vector `x`, or each row of a sign matrix, with the fixed vertex's +1 appended."""
-    return np.concatenate((x, np.ones(x.shape[:-1] + (1,), x.dtype)), axis=-1)
+def _signs(bits: np.ndarray, values: np.ndarray = _SIGN_VALUES) -> np.ndarray:
+    """Signs y = (x, +1) of a 0/1 vector or of each row of a 0/1 matrix, in one array whose last column is 1."""
+    y = np.empty(bits.shape[:-1] + (bits.shape[-1] + 1,), values.dtype)
+    y[..., -1] = 1
+    y[..., :-1] = values.take(bits)
+    return y
 
 
-def _qubo_form(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """1/2 y'Wy for every row of a (rows, n + 1) sign matrix, the fixed vertex's +1 last.
+def _qubo_form(bits: np.ndarray, w: np.ndarray, held: list) -> np.ndarray:
+    """1/2 y'Wy for every row of a 0/1 matrix, y its signs with the fixed vertex's +1 last.
 
     The product is one matrix product so that numpy runs it as a BLAS GEMM;
     numpy's three-operand contraction runs as an unblocked loop, tens of
     times slower at n = 400.  Every batch MAX-CUT evaluation in the package
     goes through here; qubo_value and cut_weight are the independent scalar
     references.
+
+    A one-row batch's product row is g = W^T y of that row, and `held`, the
+    [bits, g] pair of `qubo_deltas`, takes a copy of both.  numpy forms a
+    (1, n + 1) @ W product as the vector product y @ W, so the held g has
+    the bits of one formed afresh.  A batch of two or more rows is a GEMM,
+    whose rows may differ in the last bits, so it leaves `held` as it was.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _signs(bits)
     wy = y @ w
+    if len(wy) == 1:
+        held[:] = bits[0].copy(), wy[0].copy()
     wy *= y
     return 0.5 * wy.sum(axis=1)
 
@@ -356,23 +367,31 @@ def qubo_deltas(
     moves: Moves,
     w: np.ndarray,
     inst: MaxCutInstance,
-    screen: np.ndarray | None = None,
+    screen: np.ndarray | None,
+    held: list,
 ):
     """Change in 1/2 y'Wy, y = (x, +1), of each move, with a bound on its error.
 
     A sparse write flips the set S of its k written positions whose bit
     changes.  With g = W^T y, its delta is -2 sum_S y_i g_i + 2 sum_{i,j in
-    S} y_i y_j W_ij: one GEMV for g and a (rows, k, k) gather of W, where
-    W_ii enters both sums and cancels.  A window flips about half its
-    length, so its rows are screened whole in float32: `screen` is the
-    float32 copy of W that `maxcut_problem` makes, one GEMM gives 2 P32 of
-    every row, and the delta is P32 - cost.  The GEMM is W32 Y^T, not Y W32:
-    the square matrix as BLAS's left operand measured faster from about 200
-    rows up (124 against 139 us at 399, 32 sign rows, one OpenBLAS thread on
-    a 2-core VM) and slower below 100.  Only rounding differs, as y'Wy
-    equals y'W^Ty exactly for any W, allclose-only ones too, and gamma_(2n)
-    below holds in any summation order.  Without a screen, windows are not
-    scored: the result is None.
+    S} y_i y_j W_ij: g and a (rows, k, k) gather of W, where W_ii enters
+    both sums and cancels.  g comes from `held`, the [bits, g] pair that
+    `maxcut_problem` keeps, when `bits` equals its bits: `_qubo_form` holds
+    the product of every one-row evaluation, and a round is settled by
+    evaluating its shortlist, usually one row, so a kept state's g is
+    usually held.  Otherwise one GEMV forms g as y @ W, and the pair holds
+    it with a copy of `bits`.  A held g has the bits of a fresh one (see
+    `_qubo_form`), so no result depends on which it was.
+
+    A window flips about half its length, so its rows are screened whole in
+    float32: `screen` is the float32 copy of W that `maxcut_problem` makes,
+    one GEMM gives 2 P32 of every row, and the delta is P32 - cost.  The GEMM
+    is W32 Y^T, not Y W32: the square matrix as BLAS's left operand measured
+    faster from about 200 rows up (124 against 139 us at 399, 32 sign rows,
+    one OpenBLAS thread on a 2-core VM) and slower below 100.  Only rounding
+    differs, as y'Wy equals y'W^Ty exactly for any W, allclose-only ones
+    too, and gamma_(2n) below holds in any summation order.  Without a
+    screen, windows are not scored: the result is None.
 
     Returns (delta, err) with |cost + delta - F| <= err, where cost is
     `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
@@ -400,19 +419,22 @@ def qubo_deltas(
     if not isinstance(moves, Writes):
         if screen is None:
             return None
-        y = moves.apply(_fixed(_SIGN32.take(bits)))
+        y = moves.apply(_signs(bits, _SIGN32))
         wy = screen @ y.T
         wy *= y.T
         twice = wy.sum(axis=0)
         err = (_EPS32 * (2 * n + 9) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
         return 0.5 * twice.astype(np.float64) - cost, err
     p = moves.pos
-    y = _fixed(_SIGN_VALUES.take(bits))
-    g = y @ w
-    flip = moves.val != bits.take(p)
+    held_bits, g = held  # one read, so bits and g are of one state
+    if not np.array_equal(bits, held_bits):
+        g = _signs(bits) @ w
+        held[:] = bits.copy(), g
+    at = bits.take(p)
+    flip = moves.val != at
     if moves.mask is not None:
         flip &= moves.mask
-    ys = y.take(p) * flip  # sign of each flipped position, 0 elsewhere
+    ys = _SIGN_VALUES.take(at) * flip  # sign of each flipped position, 0 elsewhere
     d = (w[p[:, :, None], p[:, None, :]] @ ys[:, :, None])[:, :, 0]
     d -= g.take(p)
     d *= ys
@@ -570,15 +592,19 @@ def maxcut_problem(inst: MaxCutInstance) -> Problem:
     here once; `best_move` evaluates in float64 only the rows the screen
     cannot rule out.  When 2 sum|W| exceeds float32's largest value or falls
     below n^2 times its smallest normal, no copy is made and windows are
-    evaluated whole in float64.
+    evaluated whole in float64.  Both functions share one held pair of a
+    state's bits and its product g = W^T y: a one-row evaluation sets it,
+    and a write round on that state takes g from it instead of a pass over
+    W (see `qubo_deltas`).
     """
     w, screen = _qubo_arrays(inst)
+    held = [None, None]  # a state's bits and its g = W^T y, from a one-row evaluation or a write round
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
-        evaluate_many=lambda bits: _qubo_form(_fixed(_SIGN_VALUES.take(bits)), w),
-        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, w, inst, screen),
+        evaluate_many=lambda bits: _qubo_form(bits, w, held),
+        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, w, inst, screen, held),
     )
 
 

@@ -193,6 +193,38 @@ def euclidean_matrix(coords: np.ndarray) -> np.ndarray:
     return d
 
 
+def geo_matrix(coords: np.ndarray) -> np.ndarray:
+    """Great-circle distances of (n, 2) DDD.MM latitude, longitude pairs, unrounded.
+
+    Built as `euclidean_matrix` builds its matrix, _ROW_BLOCK rows at a
+    time with two scratch blocks, so the matrix is the only n x n buffer.
+    Each entry takes the steps of the whole-matrix formula R arccos(clip(1/2
+    ((1 + q1) q2 - (1 - q1) q3), -1, 1)), q1 = cos(lon_i - lon_j), q2 =
+    cos(lat_i - lat_j), q3 = cos(lat_i + lat_j), so the values are identical.
+    """
+    lat, lon = _geo_radians(coords[:, 0]), _geo_radians(coords[:, 1])
+    n = len(lat)
+    d = np.empty((n, n))
+    scratch = np.empty((2, min(_ROW_BLOCK, n), n))
+    for s in range(0, n, _ROW_BLOCK):
+        rows = d[s:s + _ROW_BLOCK]
+        q, minus = scratch[:, :len(rows)]
+        block_lat, block_lon = lat[s:s + _ROW_BLOCK, None], lon[s:s + _ROW_BLOCK, None]
+        np.cos(np.subtract(block_lon, lon, out=rows), out=rows)  # q1
+        np.cos(np.subtract(block_lat, lat, out=q), out=q)  # q2
+        np.subtract(1.0, rows, out=minus)
+        rows += 1.0
+        rows *= q
+        np.cos(np.add(block_lat, lat, out=q), out=q)  # q3
+        minus *= q
+        rows -= minus
+        rows *= 0.5
+        np.clip(rows, -1.0, 1.0, out=rows)
+        np.arccos(rows, out=rows)
+        rows *= _GEO_RADIUS
+    return d
+
+
 def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
     """Realize the document's metric as a full symmetric matrix.
 
@@ -207,15 +239,10 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
             d += 0.5
             np.floor(d, out=d)
     elif doc.edge_weight_type == "GEO":
-        lat = _geo_radians(doc.coords[:, 0])
-        lon = _geo_radians(doc.coords[:, 1])
-        q1 = np.cos(lon[:, None] - lon[None, :])
-        q2 = np.cos(lat[:, None] - lat[None, :])
-        q3 = np.cos(lat[:, None] + lat[None, :])
-        arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
-        d = _GEO_RADIUS * np.arccos(arg)
+        d = geo_matrix(doc.coords)
         if rounding == "tsplib":
-            d = np.trunc(d + 1.0)
+            d += 1.0
+            np.trunc(d, out=d)
     elif doc.edge_weight_type == "EXPLICIT":
         d = _explicit_matrix(doc)
     else:

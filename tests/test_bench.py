@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dsta import bench, engine, instances, problems
 from dsta.engine import Mode, StaParams
 from dsta.errors import DimensionMismatch, InvalidParams, NonFiniteCost, TooLarge
-from dsta.problems import Problem, TspInstance, _fixed, _qubo_form
+from dsta.problems import Problem, TspInstance, _qubo_form
 
 
 class TestDeriveSeed:
@@ -178,7 +178,7 @@ class TestBruteForceQubo:
         np.fill_diagonal(q, 0.0)
         c = np.full(3, 1e308)
         w = np.block([[q, -c[:, None]], [-c[None], 0.0]])  # 1/2 y'Wy of y = (x, +1) is 1/2 x'Qx - x'c
-        prob = Problem("huge-qubo", 3, 2, lambda bits: _qubo_form(_fixed(2 * bits - 1), w))
+        prob = Problem("huge-qubo", 3, 2, lambda bits: _qubo_form(bits, w, [None, None]))
         with pytest.raises(NonFiniteCost, match="huge-qubo optimum"):
             bench.brute_force_dvs(prob)
 

@@ -569,6 +569,90 @@ def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
     assert max(short for *_, [(short, _)] in window) < params.se
 
 
+def fresh_g_problem(inst):
+    """maxcut_problem(inst) whose delta_many forms g afresh every write round: each call gets an empty pair."""
+    w, screen = problems._qubo_arrays(inst)
+    return replace(
+        problems.maxcut_problem(inst),
+        delta_many=lambda bits, cost, moves: problems.qubo_deltas(bits, cost, moves, w, inst, screen, [None, None]),
+    )
+
+
+def run_bytes(problem, params):
+    r = engine.run(problem, params)
+    return r.best_solution.tobytes(), np.float64(r.best_cost).tobytes(), np.array(r.trace).tobytes(), r.evaluations
+
+
+@pytest.mark.parametrize("mode", RUN_MODES, ids=RUN_MODE_IDS)
+@pytest.mark.parametrize("factors", VALUE_FACTORS, ids=["default", "large"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("vertices", [13, 40, 101])
+def test_qubo_held_product_run_equals_fresh_product_run(vertices, seed, factors, mode):
+    """Float weights: taking g from a one-row evaluation changes no bit of a run."""
+    inst = instances.random_weighted_graph(vertices, 0.5, seed)
+    params = StaParams(max_iters=60, seed=seed + 1, **mode, **factors)
+    assert run_bytes(problems.maxcut_problem(inst), params) == run_bytes(fresh_g_problem(inst), params)
+
+
+def test_one_row_product_equals_vector_product():
+    """The numpy fact the held product rests on: (1, n + 1) @ W has the bits of y @ W."""
+    g = np.random.default_rng(0)
+    for vertices in (2, 13, 40, 101, 401):
+        for _ in range(40):
+            w = g.random((vertices, vertices)) * 2 - 1
+            y = g.choice([-1.0, 1.0], size=vertices)
+            assert (y[None] @ w)[0].tobytes() == (y @ w).tobytes()
+
+
+class TestHeldProduct:
+    W = maxcut_weights(41, 3, "real")
+
+    def test_one_row_evaluation_holds_its_bits_and_vector_product(self):
+        bits = np.random.default_rng(1).integers(0, 2, size=40)
+        state, held = bits[None].copy(), [None, None]
+        problems._qubo_form(state, self.W, held)
+        assert np.array_equal(held[0], bits)
+        assert held[1].tobytes() == (problems._signs(bits) @ self.W).tobytes()
+        state[0, 0] ^= 1  # the caller's array changes after the evaluation; the held bits do not
+        assert np.array_equal(held[0], bits)
+
+    def test_batch_of_two_rows_leaves_the_pair(self):
+        bits = np.random.default_rng(2).integers(0, 2, size=(2, 40))
+        held = [None, None]
+        problems._qubo_form(bits[:1], self.W, held)
+        before = held[:]
+        problems._qubo_form(bits, self.W, held)
+        assert held[0] is before[0] and held[1] is before[1]
+
+    def test_write_round_takes_g_from_the_pair_of_its_state(self):
+        inst = problems.MaxCutInstance(weights=self.W)
+        w, screen = problems._qubo_arrays(inst)
+        g = np.random.default_rng(3)
+        bits = g.integers(0, 2, size=40)
+        moves = sample_moves(bits, Operator.SUBSTITUTE, 3, 32, g, alphabet_size=2)
+        fresh = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, [None, None])[0]
+        wrong = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, [bits.copy(), np.zeros(41)])[0]
+        assert not np.array_equal(wrong, fresh)  # a pair with these bits is used as it stands
+        held = [None, None]
+        assert np.array_equal(problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, held)[0], fresh)
+        assert np.array_equal(held[0], bits) and held[0] is not bits  # a miss holds a copy of the bits
+        other = [1 - bits, np.zeros(41)]  # another state's pair is not used
+        assert np.array_equal(problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, other)[0], fresh)
+
+    def test_maxcut_problem_shares_the_pair(self):
+        problem = problems.maxcut_problem(problems.MaxCutInstance(weights=self.W))
+        g = np.random.default_rng(4)
+        bits, other = g.integers(0, 2, size=(2, 40))
+        moves = sample_moves(bits, Operator.SWAP, 2, 32, g, alphabet_size=2)
+        cost = problem.evaluate(bits)
+        with mock.patch.object(problems, "_signs", wraps=problems._signs) as signs:
+            problem.delta_many(bits, cost, moves)
+            assert signs.call_count == 0  # g held from the one-row evaluation
+            problem.delta_many(other, cost, moves)
+            problem.delta_many(other, cost, moves)
+            assert signs.call_count == 1  # formed once, then held
+
+
 def rosen_state(n, seed, kind):
     """Alphabet indices: uniform, or all 3 (the value 1) but for a few entries."""
     g = np.random.default_rng(seed)

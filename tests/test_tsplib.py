@@ -11,6 +11,7 @@ from dsta.problems import TspInstance
 from dsta.tsplib import (
     _ROW_BLOCK,
     TsplibDocument,
+    _geo_radians,
     build_distances,
     euclidean_matrix,
     parse_tsplib,
@@ -312,6 +313,26 @@ def one_shot_distances(coords):
     return np.sqrt(d, out=d)
 
 
+def one_shot_geo(coords, rounding):
+    """The whole-matrix great-circle formula that build_distances computes in row blocks for GEO."""
+    lat, lon = _geo_radians(coords[:, 0]), _geo_radians(coords[:, 1])
+    q1 = np.cos(lon[:, None] - lon[None, :])
+    q2 = np.cos(lat[:, None] - lat[None, :])
+    q3 = np.cos(lat[:, None] + lat[None, :])
+    arg = np.clip(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3), -1.0, 1.0)
+    d = 6378.388 * np.arccos(arg)
+    if rounding == "tsplib":
+        d = np.trunc(d + 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def geo_coords(n, seed):
+    """n random DDD.MM latitude, longitude pairs."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack((rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))).round(2)
+
+
 def traced_peak(f):
     """(result, peak bytes that `f()` allocates beyond what was live when it started)."""
     tracemalloc.start()
@@ -347,6 +368,16 @@ class TestBlockedBuild:
         assert np.array_equal(build_distances(doc, rounding="tsplib").matrix, np.floor(real + 0.5))
 
 
+class TestBlockedGeoBuild:
+    @pytest.mark.parametrize("rounding", ["real", "tsplib"])
+    @pytest.mark.parametrize("n", [3, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 700])
+    def test_equals_one_shot_formula_bit_for_bit(self, n, rounding):
+        coords = geo_coords(n, n)
+        doc = TsplibDocument(name="g", dimension=n, edge_weight_type="GEO", coords=coords)
+        got, want = build_distances(doc, rounding=rounding).matrix, one_shot_geo(coords, rounding)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSetupMemory:
     """Set-up holds the distance matrix and no second n x n buffer."""
 
@@ -364,6 +395,12 @@ class TestSetupMemory:
     @pytest.mark.parametrize("rounding", ["real", "tsplib"])
     def test_build_distances_peak(self, rounding):
         doc = self.doc()
+        inst, peak = traced_peak(lambda: build_distances(doc, rounding=rounding))
+        assert peak <= 1.25 * inst.matrix.nbytes
+
+    @pytest.mark.parametrize("rounding", ["real", "tsplib"])
+    def test_geo_build_distances_peak(self, rounding):
+        doc = TsplibDocument(name="mem", dimension=self.N, edge_weight_type="GEO", coords=geo_coords(self.N, 3))
         inst, peak = traced_peak(lambda: build_distances(doc, rounding=rounding))
         assert peak <= 1.25 * inst.matrix.nbytes
 
