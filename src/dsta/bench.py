@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from math import isfinite
 
@@ -62,17 +61,38 @@ def compare_modes(problem: Problem, params: StaParams, trials: int, base_seed: i
     return sta, dsta, diff
 
 
+def _led_by(v: int, p: np.ndarray) -> np.ndarray:
+    """v, then each row of p with its values from v up raised by one.
+
+    If p's rows are the permutations of range(k) in `itertools.permutations`
+    order, these are the permutations of range(k + 1) that start with v, in
+    that order.
+    """
+    return np.column_stack((np.full(len(p), v, p.dtype), p + (p >= v)))
+
+
+def _permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m), one int8 row each, in `itertools.permutations` order."""
+    p = np.zeros((1, 0), np.int8)
+    for k in range(m):
+        p = np.concatenate([_led_by(v, p) for v in range(k + 1)])
+    return p
+
+
 def brute_force_tsp(inst: TspInstance) -> tuple[float, np.ndarray]:
     """Exact optimum over all (n-1)!/2 distinct tours; n <= 10 only.
 
     Tours start at city 0, in `itertools.permutations` order, each once (rest[0] < rest[-1] of a
-    tour and its reversal), and are scored in one gather by `tour_length`'s formula.
+    tour and its reversal), and are scored in one gather by `tour_length`'s formula.  Only those
+    tours are made: rest[0] = 1 + v comes before rest[-1] = 1 + u + (u >= v) exactly when u >= v,
+    for each last value u of a permutation of the other n - 2 cities.
     """
     n = inst.n
     if n > 10:
         raise TooLarge(f"brute-force TSP limited to n <= 10, got {n}")
-    rest = np.fromiter(itertools.permutations(range(1, n)), dtype=(np.int8, n - 1))  # (n-1)! small rows
-    tours = np.insert(rest[rest[:, 0] < rest[:, -1]], 0, 0, axis=1)
+    others = _permutations(n - 2)
+    rest = np.concatenate([_led_by(v, others[others[:, -1] >= v]) for v in range(n - 1)])
+    tours = np.insert(rest + 1, 0, 0, axis=1)  # (n-1)!/2 small rows
     with np.errstate(over="ignore"):  # an overflowing sum is inf
         lengths = inst.matrix[tours, np.roll(tours, -1, axis=1)].sum(axis=1)
     best = int(lengths.argmin())

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DomainViolation, DstaError
 from .problems import DvsProblem, MaxCutInstance, TspInstance
-from .tsplib import euclidean_matrix, triangle_matrix
+from .tsplib import triangle_matrix
 
 
 class InvalidSize(DstaError):
@@ -25,12 +25,12 @@ def maxcut_from_tsp(inst: TspInstance) -> MaxCutInstance:
 
 
 def random_euclidean_tsp(n: int, seed: int) -> TspInstance:
-    """n uniform points on the unit square with exact Euclidean distances."""
+    """n uniform points on the unit square, legs their exact Euclidean distances (see `TspInstance`)."""
     if n < 3:
         raise InvalidSize(f"need n >= 3 cities, got {n}")
     rng = _generator(seed)
     coords = rng.random((n, 2))
-    return TspInstance(matrix=euclidean_matrix(coords), coords=coords, name=f"rand-euc-{n}-s{seed}")
+    return TspInstance(coords=coords, name=f"rand-euc-{n}-s{seed}")
 
 
 def random_weighted_graph(n_vertices: int, density: float, seed: int) -> MaxCutInstance:

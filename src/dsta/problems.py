@@ -4,15 +4,17 @@ Everything the engine sees is a `Problem`: an initializer plus a pure cost
 function over states, always minimized.  MAX-CUT is therefore handed to the
 engine as the minimization of 1/2 y'Wy over signs with the last vertex
 fixed, and cut weights are recovered for reporting.  TSP and integer
-Rosenbrock share one chain evaluator and one window scorer: each sums a
-table entry over every pair of adjacent entries, of a closed tour or of an
-open index vector.
+Rosenbrock share one chain evaluator and one window scorer: each sums a leg
+length over every pair of adjacent entries, of a closed tour or of an open
+index vector.  A leg is read from a table, a distance matrix or Rosenbrock's
+pair terms, or computed from the points of a Euclidean TSP instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,39 +61,142 @@ def _abs_sum(flat: np.ndarray):
     return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
 
 
-@dataclass(frozen=True)
-class TspInstance:
-    """Symmetric TSP with a full distance matrix; coords kept when known.
+_TSP_FINITE = "distance matrix entries must be finite"
+_EPS64 = float(np.finfo(np.float64).eps)
+_ROW_BLOCK = 32  # rows of a matrix built or mirrored at a time: with their temporaries, 1.5 MB at n = 2000
 
-    The matrix must be symmetric as `_asymmetry` defines it, which also gives
-    `asymmetry`.  `eps` is the machine epsilon of the float type tour lengths
-    are summed in.
+
+def _euclidean_legs(coords: np.ndarray, rounding: str):
+    """legs(a, b) of (n, 2) float64 points: each leg's sqrt((x_a - x_b)^2 + (y_a - y_b)^2).
+
+    These are TSPLIB's EUC_2D distances (G. Reinelt, "TSPLIB - A Traveling
+    Salesman Problem Library", ORSA J. Computing 3(4), 1991); rounding
+    "tsplib" takes floor(d + 0.5) of each.  Every leg takes the same IEEE
+    steps, subtract, square, add, sqrt, so it has the same bits wherever it
+    is scored, and `euclidean_matrix` is built of legs.  a and b broadcast.
+    """
+    def legs(a, b):
+        d = coords.take(a, axis=0) - coords.take(b, axis=0)
+        d *= d
+        out = np.add(d[..., 0], d[..., 1])
+        np.sqrt(out, out=out)
+        if rounding == "tsplib":
+            out += 0.5
+            np.floor(out, out=out)
+        return out
+
+    return legs
+
+
+def _euclidean_rows(coords: np.ndarray, rounding: str):
+    """The distance matrix of points `coords`, _ROW_BLOCK rows at a time, each entry a leg of `_euclidean_legs`."""
+    legs, cities = _euclidean_legs(coords, rounding), np.arange(len(coords))
+    for s in range(0, len(coords), _ROW_BLOCK):
+        yield legs(cities[s:s + _ROW_BLOCK, None], cities)
+
+
+def euclidean_matrix(coords: np.ndarray, rounding: str = "real") -> np.ndarray:
+    """Pairwise Euclidean distances of (n, 2) float64 points, the legs of `_euclidean_legs` under `rounding`.
+
+    The matrix is the only n x n buffer: it is filled _ROW_BLOCK rows at a
+    time.  Distances that overflow come out as inf, which `TspInstance`
+    rejects, so the overflow is not also warned about here.
+    """
+    n = len(coords)
+    d = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        for s, rows in zip(range(0, n, _ROW_BLOCK), _euclidean_rows(coords, rounding)):
+            d[s:s + _ROW_BLOCK] = rows
+    return d
+
+
+def _check_points(c: np.ndarray) -> np.ndarray:
+    """`c` if `TspInstance` accepts the `euclidean_matrix` of these (n, 2) points; else the error it raises.
+
+    With n >= 3, the matrix check passes exactly when every leg is finite,
+    which takes O(n) to decide: rounding is monotone, so no coordinate
+    difference exceeds its axis's span, max - min, and no leg's sum of
+    squares exceeds the sum of the spans' squares.  Only when that sum is
+    not finite are the legs themselves computed, _ROW_BLOCK rows at a time.
+    """
+    if c.ndim != 2 or c.shape[1] != 2:
+        raise DimensionMismatch(f"coordinates must be an (n, 2) array, got shape {c.shape}")
+    if len(c) < 3:
+        raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {(len(c),) * 2}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = c.max(axis=0) - c.min(axis=0)  # NaN or inf if a coordinate is
+        span *= span
+        if not np.isfinite(span[0] + span[1]) and not (
+            np.isfinite(c).all() and all(np.isfinite(rows).all() for rows in _euclidean_rows(c, "real"))
+        ):
+            raise DimensionMismatch(_TSP_FINITE)
+    return c
+
+
+_INTP = np.dtype(np.intp)
+
+
+def _scaled(a: np.ndarray, stride: int) -> np.ndarray:
+    """a * stride in intp arithmetic, so narrow state dtypes cannot wrap; intp states skip the dtype argument."""
+    return a * stride if a.dtype is _INTP else np.multiply(a, stride, dtype=np.intp)
+
+
+def _table_legs(flat: np.ndarray, stride: int):
+    """legs(a, b) read from a table: the leg from entry a to entry b is flat[a * stride + b]."""
+    def legs(a, b):
+        at = _scaled(a, stride)
+        at += b
+        return flat.take(at)
+
+    return legs
+
+
+class TspInstance:
+    """Symmetric TSP: a distance matrix, or the points of a Euclidean instance.
+
+    Given `matrix`, each leg is an entry of it, and `coords`, if given, are
+    only kept: a GEO document's are DDD.MM pairs.  The matrix must be
+    symmetric as `_asymmetry` defines it, which also gives `asymmetry`.
+
+    Given (n, 2) `coords` alone, each leg is computed when it is scored, by
+    `_euclidean_legs` under `rounding` ("real" or "tsplib"): the steps that
+    `euclidean_matrix` takes, so every leg has the bits of its matrix entry.
+    The n x n matrix is built only when `matrix` is read.  The points are
+    checked in O(n) (see `_check_points`), and such an instance is exactly
+    symmetric.
+
+    `legs(a, b)` is the length of each leg from city a to city b, entry by
+    entry.  `eps` is the machine epsilon of the float type tour lengths are
+    summed in.
     """
 
-    matrix: np.ndarray
-    coords: np.ndarray | None = None
-    name: str = "tsp"
-    asymmetry: float = field(init=False, repr=False, default=0.0)
-    eps: float = field(init=False, repr=False, default=0.0)
-
-    def __post_init__(self):
-        # tour_lengths indexes the flattened matrix, so keep it in C order
-        m = np.ascontiguousarray(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eps", float(np.finfo(m.dtype if m.dtype.kind == "f" else np.float64).eps))
+    def __init__(self, matrix=None, coords=None, name: str = "tsp", rounding: str = "real"):
+        self.coords, self.name, self.asymmetry = coords, name, 0.0
+        if matrix is None:
+            if rounding not in ("real", "tsplib"):
+                raise ValueError(f"rounding must be 'real' or 'tsplib', got {rounding!r}")
+            self.coords = _check_points(np.ascontiguousarray(coords, dtype=np.float64))
+            self.n, self.eps, self.rounding = len(self.coords), _EPS64, rounding
+            self.legs = _euclidean_legs(self.coords, rounding)
+            return
+        # legs index the flattened matrix, so keep it in C order
+        m = self.matrix = np.ascontiguousarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
         lo, hi = m.min(), m.max()  # a NaN entry makes both NaN; no n x n temporaries
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise DimensionMismatch("distance matrix entries must be finite")
+            raise DimensionMismatch(_TSP_FINITE)
         message = "distance matrix must be symmetric, nonnegative, zero diagonal"
         if not np.allclose(np.diag(m), 0) or lo < 0:
             raise DimensionMismatch(message)
-        object.__setattr__(self, "asymmetry", _asymmetry(m, message))
+        self.asymmetry = _asymmetry(m, message)
+        self.n, self.eps = len(m), float(np.finfo(m.dtype if m.dtype.kind == "f" else np.float64).eps)
+        self.legs = _table_legs(m.ravel(), self.n)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The n x n distance matrix; a Euclidean instance builds it on the first read, each entry its leg."""
+        return euclidean_matrix(self.coords, self.rounding)
 
 
 @dataclass(frozen=True)
@@ -166,21 +271,11 @@ def tour_length(tour: np.ndarray, inst: TspInstance) -> float:
     return float(inst.matrix[tour, np.roll(tour, -1)].sum())
 
 
-_INTP = np.dtype(np.intp)
-
-
-def _scaled(a: np.ndarray, stride: int) -> np.ndarray:
-    """a * stride in intp arithmetic, so narrow state dtypes cannot wrap; intp states skip the dtype argument."""
-    return a * stride if a.dtype is _INTP else np.multiply(a, stride, dtype=np.intp)
-
-
-def _chain_sums(rows: np.ndarray, flat: np.ndarray, stride: int, closed: bool) -> np.ndarray:
-    """Sum of flat[a * stride + b] over each row's adjacent entries a, b, and its last and first if `closed`."""
-    legs = _scaled(rows if closed else rows[:, :-1], stride)  # one flat gather
-    legs[:, : rows.shape[1] - 1] += rows[:, 1:]
+def _chain_sums(rows: np.ndarray, legs, closed: bool) -> np.ndarray:
+    """Sum of legs(a, b) over each row's adjacent entries a, b, and its last and first if `closed`."""
     if closed:
-        legs[:, -1] += rows[:, 0]
-    return np.add.reduce(flat.take(legs), axis=1)
+        rows = np.concatenate((rows, rows[:, :1]), axis=1)
+    return np.add.reduce(legs(rows[:, :-1], rows[:, 1:]), axis=1)
 
 
 # moves are scored on a padded state, pad[p + 1] the entry at position p for p
@@ -202,13 +297,13 @@ _FOUR_SIGNS = np.array([[-1.0, -1, 1, 1], [1, 1, 1, 1]])
 _ROTATE_SIGNS = np.array([[-1.0, -1, -1, 1, 1, 1], [1, 1, 1, 1, 1, 1]])
 
 
-def _leg_lengths(ends: np.ndarray, legs: np.ndarray, flat: np.ndarray, stride: int) -> np.ndarray:
-    """The length of each leg from entry row legs[0] to entry row legs[1] of `ends`, entry by entry."""
-    first, second = ends.take(legs, axis=0)
-    return flat.take(_scaled(first, stride) + second)
+def _leg_lengths(ends: np.ndarray, pairs: np.ndarray, legs) -> np.ndarray:
+    """The length of each leg from entry row pairs[0] to entry row pairs[1] of `ends`, entry by entry."""
+    first, second = ends.take(pairs, axis=0)
+    return legs(first, second)
 
 
-def _chain_legs(pad: np.ndarray, moves: Windows, flat: np.ndarray, stride: int):
+def _chain_legs(pad: np.ndarray, moves: Windows, legs):
     """Each window's (delta, touched) on the padded state `pad`: its change, and the sum of legs it replaces or adds.
 
     A closed chain pads with its own far ends, an open one with a sentinel
@@ -217,14 +312,14 @@ def _chain_legs(pad: np.ndarray, moves: Windows, flat: np.ndarray, stride: int):
     """
     lo, hi, k = moves.lo, moves.hi, moves.k
     if k is None:
-        at, legs, signs = (lo, hi), _REVERSE_LEGS, _FOUR_SIGNS
+        at, pairs, signs = (lo, hi), _REVERSE_LEGS, _FOUR_SIGNS
     else:
-        at, legs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
+        at, pairs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
     ends = pad.take(np.concatenate(at).reshape(len(at), 1, -1) + _NEXT).reshape(2 * len(at), -1)
-    return signs @ _leg_lengths(ends, legs, flat, stride)
+    return signs @ _leg_lengths(ends, pairs, legs)
 
 
-def _write_legs(pad: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
+def _write_legs(pad: np.ndarray, moves: Writes, legs):
     """(delta, touched) of sparse writes on the padded closed chain `pad`, as `_chain_legs` gives them for windows.
 
     A write of v at position p reads the entries before, at and after p from
@@ -239,7 +334,7 @@ def _write_legs(pad: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
     p, mask = moves.pos, moves.mask
     rows, w = p.shape
     ends = np.concatenate((pad.take(p.T + _AROUND), moves.val.T[None]))  # (4, w, rows): before, at, after, v
-    lengths = _leg_lengths(ends, _WRITE_LEGS, flat, stride)
+    lengths = _leg_lengths(ends, _WRITE_LEGS, legs)
     follows = ends[2][:, None] == ends[1]  # [c, d, row]
     if mask is not None:
         live = mask.T
@@ -249,7 +344,7 @@ def _write_legs(pad: np.ndarray, moves: Writes, flat: np.ndarray, stride: int):
     if np.count_nonzero(follows):
         c, d, r = follows.nonzero()
         ends = np.concatenate((ends[1:, c, r], ends[3:, d, r]))  # at_c, after_c, v_c, v_d
-        np.add.at(sums, (slice(None), r), _FOUR_SIGNS @ _leg_lengths(ends, _FOLLOW_LEGS, flat, stride))
+        np.add.at(sums, (slice(None), r), _FOUR_SIGNS @ _leg_lengths(ends, _FOLLOW_LEGS, legs))
     return sums
 
 
@@ -257,7 +352,7 @@ def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
     """Closed-tour length of each row of `tours` (the batch form of `tour_length`)."""
     if tours.shape[1] != inst.n:
         raise DimensionMismatch(f"tour length {tours.shape[1]} != instance size {inst.n}")
-    return _chain_sums(tours, inst.matrix.ravel(), inst.n, closed=True)
+    return _chain_sums(tours, inst.legs, closed=True)
 
 
 def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
@@ -280,14 +375,14 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     touched legs.  A reversal adds one `inst.asymmetry` per leg whose
     direction it flips, at the round's widest reversal.
     """
-    n, flat = inst.n, inst.matrix.ravel()
+    n = inst.n
     pad = np.concatenate((tour[-1:], tour, tour[:1]))
     terms, err_dir = 6, 0.0  # a rotation's 6 legs
     if isinstance(moves, Writes):
-        delta, touched = _write_legs(pad, moves, flat, n)
+        delta, touched = _write_legs(pad, moves, inst.legs)
         terms = 8 * moves.pos.shape[1]
     else:
-        delta, touched = _chain_legs(pad, moves, flat, n)
+        delta, touched = _chain_legs(pad, moves, inst.legs)
         span = moves.hi - moves.lo
         delta[span == n] = 0
         if moves.k is None:  # 4 legs, and hi - lo - 1 inner legs flipped, + 1 closing leg if whole
@@ -301,7 +396,7 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
 # the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
 _SIGN_VALUES = np.array([-1.0, 1.0])
 _SIGN32 = _SIGN_VALUES.astype(np.float32)
-_EPS32, _EPS64 = float(np.finfo(np.float32).eps), float(np.finfo(np.float64).eps)
+_EPS32 = float(np.finfo(np.float32).eps)
 _F32_MAX, _F32_TINY = float(np.finfo(np.float32).max), float(np.finfo(np.float32).smallest_normal)
 
 
@@ -629,13 +724,13 @@ _ROSEN_TABLE = np.pad(
     100.0 * (ROSENBROCK_ALPHABET - ROSENBROCK_ALPHABET[:, None] ** 2) ** 2 + (ROSENBROCK_ALPHABET[:, None] - 1) ** 2,
     (0, 1),
 )
-_ROSEN_PAIRS = _ROSEN_TABLE.ravel()
+_ROSEN_LEGS = _table_legs(_ROSEN_TABLE.ravel(), _ROSEN_STRIDE)
 _ROSEN_TURNS = (_ROSEN_TABLE.T - _ROSEN_TABLE).ravel()  # the change when pair (i, j) becomes (j, i)
 
 
 def _rosenbrock_many(idx: np.ndarray) -> np.ndarray:
     _check_indices(idx, _ROSEN_END)  # 5 is the sentinel
-    return _chain_sums(idx, _ROSEN_PAIRS, _ROSEN_STRIDE, closed=False)
+    return _chain_sums(idx, _ROSEN_LEGS, closed=False)
 
 
 def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
@@ -652,7 +747,7 @@ def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
     """
     if isinstance(moves, Writes):
         return None
-    delta, _ = _chain_legs(np.concatenate(([_ROSEN_END], idx, [_ROSEN_END])), moves, _ROSEN_PAIRS, _ROSEN_STRIDE)
+    delta, _ = _chain_legs(np.concatenate(([_ROSEN_END], idx, [_ROSEN_END])), moves, _ROSEN_LEGS)
     if moves.k is None:  # pair p, p + 1 is turned around for lo <= p < hi - 1
         fwd = idx[:-1] * _ROSEN_STRIDE
         fwd += idx[1:]

@@ -7,7 +7,9 @@ radius.  Distances can be built either unrounded ("real") or with the
 TSPLIB nearest-integer convention ("tsplib").  `parse_tsplib` checks the
 header values, every data row and each count against DIMENSION; it places
 every document's coordinate rows by node number, 1..rows each exactly once.
-`build_distances` re-checks the weight count of hand-built documents.
+`build_distances` keeps an EUC_2D document's points, whose legs are computed
+as they are scored, builds the GEO and EXPLICIT matrices, and re-checks the
+weight count of hand-built documents.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, UnsupportedType
-from .problems import TspInstance
+from .problems import _ROW_BLOCK, TspInstance, euclidean_matrix  # noqa: F401  importable here, next to geo_matrix
 
 _GEO_RADIUS = 6378.388
-_ROW_BLOCK = 32  # rows of a matrix built or mirrored at a time: with their y differences, 1 MB at n = 2000
 
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE"}
 _SECTION_KEYS = {
@@ -166,33 +167,6 @@ def _geo_radians(coords: np.ndarray) -> np.ndarray:
     return math.pi * (deg + 5.0 * minutes / 3.0) / 180.0
 
 
-def euclidean_matrix(coords: np.ndarray) -> np.ndarray:
-    """Exact pairwise Euclidean distances of (n, 2) float64 points.
-
-    The matrix dominates set-up memory, so it is the only n x n buffer: it
-    is filled _ROW_BLOCK rows at a time, with the y terms of each block in
-    one small scratch buffer that stays in cache.  Each entry takes the same
-    steps as the whole-matrix formula (subtract, square, add, sqrt), so the
-    values are identical.  Distances that overflow come out as inf, which
-    `TspInstance` rejects, so the overflow is not also warned about here.
-    """
-    x, y = coords.T
-    n = len(x)
-    d = np.empty((n, n))
-    scratch = np.empty((min(_ROW_BLOCK, n), n))
-    with np.errstate(over="ignore"):
-        for s in range(0, n, _ROW_BLOCK):
-            rows = d[s:s + _ROW_BLOCK]
-            dy = scratch[:len(rows)]
-            np.subtract(x[s:s + _ROW_BLOCK, None], x, out=rows)
-            np.subtract(y[s:s + _ROW_BLOCK, None], y, out=dy)
-            rows *= rows
-            dy *= dy
-            rows += dy
-            np.sqrt(rows, out=rows)
-    return d
-
-
 def geo_matrix(coords: np.ndarray) -> np.ndarray:
     """Great-circle distances of (n, 2) DDD.MM latitude, longitude pairs, unrounded.
 
@@ -226,19 +200,19 @@ def geo_matrix(coords: np.ndarray) -> np.ndarray:
 
 
 def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
-    """Realize the document's metric as a full symmetric matrix.
+    """The document's instance: EUC_2D keeps its points, GEO and EXPLICIT a full symmetric matrix.
 
     rounding "real" keeps exact values; "tsplib" applies the standard
-    nearest-integer (EUC_2D) / truncation (GEO) conventions.
+    nearest-integer (EUC_2D) / truncation (GEO) conventions.  An EUC_2D
+    instance computes each leg from the points, and builds its matrix, with
+    the same bits, only when `matrix` is read.
     """
     if rounding not in ("real", "tsplib"):
         raise ValueError(f"rounding must be 'real' or 'tsplib', got {rounding!r}")
+    name = doc.name or "tsplib"
     if doc.edge_weight_type == "EUC_2D":
-        d = euclidean_matrix(doc.coords)
-        if rounding == "tsplib":
-            d += 0.5
-            np.floor(d, out=d)
-    elif doc.edge_weight_type == "GEO":
+        return TspInstance(coords=doc.coords, name=name, rounding=rounding)
+    if doc.edge_weight_type == "GEO":
         d = geo_matrix(doc.coords)
         if rounding == "tsplib":
             d += 1.0
@@ -248,7 +222,7 @@ def build_distances(doc: TsplibDocument, rounding: str = "real") -> TspInstance:
     else:
         raise UnsupportedType(f"cannot build distances for {doc.edge_weight_type!r}")
     np.fill_diagonal(d, 0.0)
-    return TspInstance(matrix=d, coords=doc.coords, name=doc.name or "tsplib")
+    return TspInstance(matrix=d, coords=doc.coords, name=name)
 
 
 def _explicit_matrix(doc: TsplibDocument) -> np.ndarray:

@@ -113,6 +113,10 @@ class TestBruteForceTsp:
         opt, tour = bench.brute_force_tsp(inst)
         assert opt == problems.tour_lengths(tour[None], inst)[0]
 
+    @pytest.mark.parametrize("m", range(9))
+    def test_permutations_in_itertools_order(self, m):
+        assert bench._permutations(m).tolist() == [list(p) for p in itertools.permutations(range(m))]
+
     def test_no_finite_tour(self):
         # finite weights whose every tour sum overflows
         d = np.full((4, 4), 1e308)
