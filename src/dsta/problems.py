@@ -265,10 +265,11 @@ class DvsProblem:
 
 
 def tour_length(tour: np.ndarray, inst: TspInstance) -> float:
-    """Closed-tour length: consecutive edges plus the edge back to the start."""
+    """Closed-tour length: consecutive edges plus the edge back to the start, each from `inst.legs`."""
     if len(tour) != inst.n:
         raise DimensionMismatch(f"tour length {len(tour)} != instance size {inst.n}")
-    return float(inst.matrix[tour, np.roll(tour, -1)].sum())
+    tour = np.asarray(tour)
+    return float(inst.legs(tour, np.roll(tour, -1)).sum())
 
 
 def _chain_sums(rows: np.ndarray, legs, closed: bool) -> np.ndarray:
@@ -391,6 +392,51 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
                 err_dir = int(span.max()) * inst.asymmetry
     most = float(np.maximum.reduce(touched))
     return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most) + err_dir
+
+
+_HELD_LEGS_FROM = 1000  # cities; below, editing held legs measured no faster than a full evaluation
+
+
+def tour_settle(tour: np.ndarray, move: Moves, inst: TspInstance, held: list) -> tuple[float, np.ndarray]:
+    """(cost, row) of one move's row, the cost `tour_lengths` of the row, bit for bit.
+
+    `held` is the [tour bytes, legs] pair of the last row settled here, leg i
+    joining positions i and i + 1 (mod n).  When `tour` is the held tour, the
+    row's legs are the held legs with a few replaced: a reversal of [lo, hi)
+    runs legs lo..hi - 2 backwards and replaces legs lo - 1 and hi - 1, a
+    rotation by k moves its two inner runs and replaces legs lo - 1, hi - k - 1
+    and hi - 1, and a write at p replaces legs p - 1 and p (mod n).  Each new
+    leg is `inst.legs` of its two cities.  Reversed legs keep their bits
+    only where L(a, b) has the bits of L(b, a), so on an instance with
+    nonzero `asymmetry` a reversal's row is evaluated in full, as is the row
+    of a tour that is not held.  Either way the row's n legs are summed by
+    one pairwise np.add.reduce, as `_chain_sums` sums them, and the pair
+    then holds the row.
+    """
+    row = move.apply(tour)[0]
+    key, old = held  # one read, so the bytes and legs are of one tour
+    reverse = isinstance(move, Windows) and move.k is None
+    if key != tour.tobytes() or reverse and inst.asymmetry:
+        closed = np.concatenate((row, row[:1]))
+        legs = inst.legs(closed[:-1], closed[1:])
+    else:
+        legs = old.copy()
+        if isinstance(move, Writes):
+            at = np.concatenate((move.pos[0] - 1, move.pos[0]))
+        else:
+            lo, hi = int(move.lo[0]), int(move.hi[0])
+            if reverse:
+                legs[lo:hi - 1] = old[lo:hi - 1][::-1]
+                at = np.array([lo - 1, hi - 1])
+            else:
+                k = int(move.k[0])
+                legs[lo:hi - k - 1] = old[lo + k:hi - 1]
+                legs[hi - k:hi - 1] = old[lo:lo + k - 1]
+                at = np.array([lo - 1, hi - k - 1, hi - 1])
+        a, b = row.take(at + _NEXT, mode="wrap")  # leg -1 is leg n - 1, and city n is city 0
+        legs[at] = inst.legs(a, b)
+    held[:] = row.tobytes(), legs
+    return float(np.add.reduce(legs)), row
 
 
 # the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
@@ -600,6 +646,11 @@ class Problem:
     evaluate_many(row)| for every move's row evaluated in any batch; `cost`
     is `evaluate` of `state`.  It lets `best_move` skip most rows.  It
     returns None for moves it does not score.
+
+    `settle_one(state, move)`, where given, returns (cost, row) of a
+    one-row `move`: the row built as `move.apply(state)[0]`, and a cost with
+    the bits of `evaluate_many` of it.  `best_move` settles a one-row
+    shortlist through it.
     """
 
     name: str
@@ -607,6 +658,7 @@ class Problem:
     alphabet_size: int | None  # None marks the permutation representation
     evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
     delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, float] | None] | None = None
+    settle_one: Callable[[np.ndarray, Moves], tuple[float, np.ndarray]] | None = None
 
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
@@ -632,8 +684,9 @@ class Problem:
         err is not finite, or `delta_many` returns None for these moves, every
         row is evaluated at once and the bound is the minimum itself.  Rows are
         built as `moves.take(S).apply(state)` in `settle()`, so only S is ever
-        materialized.  The settled cost is always a full evaluation, and the
-        row a new array.
+        materialized.  The settled cost always has the bits of a full
+        evaluation, and the row is a new array; a one-row S is settled by
+        `settle_one` where the problem gives one (see `_settle`).
 
         A row's evaluation can depend on its batch: a BLAS product rounds
         differently with the row count, so on non-integer QUBO weights the
@@ -657,7 +710,12 @@ class Problem:
         return RoundBest(best[1], lambda: best)
 
     def _settle(self, state: np.ndarray, moves: Moves, short: np.ndarray | None) -> tuple[int, float, np.ndarray]:
-        """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full."""
+        """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full.
+
+        A one-row `short` goes to `settle_one` where the problem gives one.
+        """
+        if self.settle_one is not None and short is not None and len(short) == 1:
+            return int(short[0]), *self.settle_one(state, moves.take(short))
         rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
         best = int(costs.argmin())  # stable: first minimum wins; a NaN anywhere wins too
@@ -670,12 +728,15 @@ class Problem:
 
 
 def tsp_problem(inst: TspInstance) -> Problem:
+    """Minimize closed-tour length; from _HELD_LEGS_FROM cities up, one-row settles edit held legs (`tour_settle`)."""
+    held = [None, None]  # the bytes of the last tour settled through `tour_settle`, and its legs
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=None,
         evaluate_many=lambda tours: tour_lengths(tours, inst),
         delta_many=lambda tour, cost, moves: tour_deltas(tour, cost, moves, inst),
+        settle_one=(lambda tour, move: tour_settle(tour, move, inst, held)) if inst.n >= _HELD_LEGS_FROM else None,
     )
 
 

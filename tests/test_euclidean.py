@@ -111,6 +111,14 @@ class TestMatrixOnRequest:
         assert inst.matrix.shape == (300, 300)
 
     @pytest.mark.parametrize("rounding", ROUNDINGS)
+    def test_tour_length_builds_no_matrix(self, rounding):
+        inst = tsplib_instance(60, 2, rounding)
+        tour = np.random.default_rng(2).permutation(60)
+        length = problems.tour_length(tour, inst)
+        assert "matrix" not in inst.__dict__
+        assert bits(length) == bits(inst.matrix[tour, np.roll(tour, -1)].sum())
+
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
     def test_tsplib_set_up_stays_small(self, rounding):
         text = euc_2d_text("u2000", np.random.default_rng(2000).random((2000, 2)))
         _, peak = traced_peak(lambda: build_distances(parse_tsplib(text), rounding=rounding))

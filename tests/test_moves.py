@@ -653,6 +653,102 @@ class TestHeldProduct:
             assert signs.call_count == 1  # formed once, then held
 
 
+def held_legs_instance(n, kind):
+    """n cities: coordinates under either rounding, their matrix, or a matrix symmetric only to allclose."""
+    points = instances.random_euclidean_tsp(n, n).coords
+    if kind == "real":
+        return problems.TspInstance(coords=points)
+    if kind == "tsplib":
+        return problems.TspInstance(coords=points * 1000, rounding="tsplib")
+    if kind == "matrix":
+        return problems.TspInstance(matrix=problems.euclidean_matrix(points))
+    return problems.TspInstance(matrix=tsp_matrix(n, n, "allclose"))
+
+
+def held_legs_problem(inst, held, hits):
+    """tsp_problem(inst) whose one-row settles run `tour_settle` on the pair `held` at any n; `hits` logs which hit."""
+
+    def settle_one(tour, move):
+        hits.append(held[0] == tour.tobytes())
+        return problems.tour_settle(tour, move, inst, held)
+
+    return replace(problems.tsp_problem(inst), settle_one=settle_one)
+
+
+@pytest.mark.parametrize("mode", RUN_MODES[:2], ids=RUN_MODE_IDS[:2])
+@pytest.mark.parametrize("kind", ["real", "tsplib", "matrix", "allclose"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 128, 129, 256, 300])
+def test_tsp_held_legs_run_equals_emptied_hold_run(n, kind, mode):
+    """Settling from held legs changes no bit of a run: against a hold emptied every round, and against no hook."""
+    inst = held_legs_instance(n, kind)
+    params = StaParams(max_iters=60, seed=n + 1, ma=4, mb=3, mc=2, **mode)
+    hits = []
+    held = run_bytes(held_legs_problem(inst, [None, None], hits), params)
+    emptied = replace(
+        problems.tsp_problem(inst), settle_one=lambda tour, move: problems.tour_settle(tour, move, inst, [None, None])
+    )
+    assert held == run_bytes(emptied, params) == run_bytes(replace(emptied, settle_one=None), params)
+    assert any(hits) or n < 7  # the held path ran; smaller tours settle a row of their own seldom, or never
+
+
+class TestTourSettle:
+    """`tour_settle` on the held tour: the row `move.apply` builds, and the bits of `tour_lengths` of it."""
+
+    N = (5, 12, 129)
+
+    @staticmethod
+    def wrap_moves(n):
+        """Windows and writes at the tour's ends and across its wrap."""
+        k = n // 2
+        windows = [
+            Windows(np.array([0]), np.array([k])),
+            Windows(np.array([k]), np.array([n])),
+            Windows(np.array([0]), np.array([n])),
+            Windows(np.array([1]), np.array([n - 1])),
+        ]
+        rotations = [Windows(w.lo, w.hi, np.array([t])) for w in windows for t in (1, int(w.hi[0] - w.lo[0]) - 1)]
+        writes = [[0, n - 1], [n - 1, 0], [k, k + 1], [0, 1], [n - 2, n - 1], [n - 1, 0, 1]]
+        tour = np.random.default_rng(n).permutation(n)
+        swaps = [Writes(np.array([p]), tour[np.roll(p, 1)][None]) for p in map(np.array, writes)]
+        masked = Writes(np.array([[k, k + 1, k]]), np.array([[tour[k + 1], tour[k], 0]]), np.array([[1, 1, 0]]) == 1)
+        return tour, windows + rotations + swaps + [masked]
+
+    @pytest.mark.parametrize("kind", ["real", "tsplib", "allclose"])
+    @pytest.mark.parametrize("n", N)
+    def test_settled_cost_and_held_legs_are_a_full_evaluation(self, n, kind):
+        inst = held_legs_instance(n, kind)
+        tour, moves = self.wrap_moves(n)
+        for move in moves:
+            held = [None, None]
+            problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), inst, held)  # holds `tour` itself
+            assert held[0] == tour.tobytes()
+            cost, row = problems.tour_settle(tour, move, inst, held)
+            assert np.array_equal(row, move.apply(tour)[0]) and sorted(row) == list(range(n))
+            assert np.float64(cost).tobytes() == problems.tour_lengths(row[None], inst)[0].tobytes()
+            closed = np.concatenate((row, row[:1]))
+            assert held[0] == row.tobytes() and held[1].tobytes() == inst.legs(closed[:-1], closed[1:]).tobytes()
+
+    def test_reversal_on_an_allclose_matrix_recomputes_every_leg(self):
+        inst = held_legs_instance(12, "allclose")
+        tour, _ = self.wrap_moves(12)
+        held = [None, None]
+        problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), inst, held)
+        with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
+            _, row = problems.tour_settle(tour, Windows(np.array([2]), np.array([9])), inst, held)
+            assert legs.call_args.args[0].shape == (12,)  # a reversal: every leg
+            problems.tour_settle(row, Windows(np.array([2]), np.array([9]), np.array([3])), inst, held)
+            assert legs.call_args.args[0].shape == (3,)  # a rotation on the held row: its 3 new legs
+
+    def test_tsp_problem_holds_legs_from_its_size_on(self):
+        small = held_legs_instance(problems._HELD_LEGS_FROM - 1, "real")
+        large = held_legs_instance(problems._HELD_LEGS_FROM, "real")
+        assert problems.tsp_problem(small).settle_one is None
+        problem = problems.tsp_problem(large)
+        assert problem.settle_one is not None
+        params = StaParams(max_iters=10, seed=1, ma=4, mb=3, mc=2)
+        assert run_bytes(problem, params) == run_bytes(replace(problem, settle_one=None), params)
+
+
 def rosen_state(n, seed, kind):
     """Alphabet indices: uniform, or all 3 (the value 1) but for a few entries."""
     g = np.random.default_rng(seed)
