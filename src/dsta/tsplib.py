@@ -6,7 +6,11 @@ are DDD.MM degree-minute pairs and distances use the 6378.388 km earth
 radius.  Distances can be built either unrounded ("real") or with the
 TSPLIB nearest-integer convention ("tsplib").  `parse_tsplib` checks the
 header values, every data row and each count against DIMENSION; it places
-every document's coordinate rows by node number, 1..rows each exactly once.
+every document's coordinate rows by node number, 1..rows each exactly once,
+and allows one NODE_COORD_SECTION and one EDGE_WEIGHT_SECTION.  Data rows are
+converted _BLOCK_LINES lines at a time by Python's own int and float; only
+the block where a section ends is walked line by line, and a section that
+fails a check is read again row by row, which names its first bad row.
 `build_distances` keeps an EUC_2D document's points, whose legs are computed
 as they are scored, builds the GEO and EXPLICIT matrices, and re-checks the
 weight count of hand-built documents.
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .errors import ParseError, UnsupportedType
 from .problems import _ROW_BLOCK, TspInstance, euclidean_matrix  # noqa: F401  importable here, next to geo_matrix
 
 _GEO_RADIUS = 6378.388
+_BLOCK_LINES = 256  # data lines converted at a time; the peak memory of a read grows with it
 
 _IGNORED_KEYS = {"COMMENT", "DISPLAY_DATA_TYPE", "NODE_COORD_TYPE"}
 _SECTION_KEYS = {
@@ -35,6 +42,8 @@ _SECTION_KEYS = {
     "DEPOT_SECTION",
     "FIXED_EDGES_SECTION",
 }
+_ENDS = _SECTION_KEYS | {"EOF"}  # no data row that converts starts with one of these
+_first_token = methodcaller("split", None, 1)  # [first token, rest of the line], or [] for a blank line
 _WEIGHT_COUNTS = {
     "FULL_MATRIX": lambda n: n * n,
     "LOWER_DIAG_ROW": lambda n: n * (n + 1) // 2,
@@ -56,6 +65,7 @@ def parse_tsplib(text: str) -> TsplibDocument:
     """Parse TSPLIB text into a structured document; raises ParseError with line info."""
     doc = TsplibDocument()
     lines = text.splitlines()
+    read = set()
     i = 0
     while i < len(lines):
         line = lines[i].strip()
@@ -65,12 +75,16 @@ def parse_tsplib(text: str) -> TsplibDocument:
         key, _, value = (part.strip() for part in line.partition(":"))
         head = key.split()[0] if key else ""
         if head in _SECTION_KEYS:
-            body = list(_section_lines(lines, i))
-            i += len(body)
+            if head in read:
+                raise ParseError(f"{head} repeated", line=i)
             if head == "NODE_COORD_SECTION":
-                doc.coords = _read_coords(body)
+                doc.coords, i = _read_coords(lines, i)
+                read.add(head)
             elif head == "EDGE_WEIGHT_SECTION":
-                doc.weights += _read_weights(body)
+                doc.weights, i = _read_weights(lines, i)
+                read.add(head)
+            else:
+                i += sum(1 for _ in _section_lines(lines, i))
             continue
         if key == "NAME":
             doc.name = value
@@ -108,14 +122,77 @@ def parse_tsplib(text: str) -> TsplibDocument:
     return doc
 
 
+def _ends_section(line: str) -> bool:
+    line = line.strip()
+    return not line or line == "EOF" or line.split(None, 1)[0] in _SECTION_KEYS or ":" in line
+
+
 def _section_lines(lines: list[str], i: int):
     """Yield (index, stripped line) for each data line of the section starting at i."""
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line == "EOF" or line.split()[0] in _SECTION_KEYS or ":" in line:
-            return
-        yield i, line
+    while i < len(lines) and not _ends_section(lines[i]):
+        yield i, lines[i].strip()
         i += 1
+
+
+def _section_blocks(lines: list[str], i: int, convert) -> tuple[list, int]:
+    """(the converted blocks, the index past the section) of the section's data lines from i.
+
+    No line that ends a section converts (a blank line, EOF, a section
+    keyword, a line holding ':'), so a block of _BLOCK_LINES lines that
+    converts whole is all data rows.  Only the block that does not is walked
+    line by line, to the section's end; ValueError if a data row does not convert.
+    """
+    blocks = []
+    while block := lines[i:i + _BLOCK_LINES]:
+        try:
+            blocks.append(convert(block))
+        except ValueError:
+            end = next((k for k, line in enumerate(block) if _ends_section(line)), None)
+            if end is None:
+                raise
+            if end:
+                blocks.append(convert(block[:end]))
+            return blocks, i + end
+        i += len(block)
+    return blocks, i
+
+
+def _coord_block(block: list[str]) -> tuple[list[int], list[float], list[float]]:
+    rows = list(map(str.split, block))
+    if set(map(len, rows)) != {3}:
+        raise ValueError  # a row without three fields
+    numbers, x, y = zip(*rows)
+    return list(map(int, numbers)), list(map(float, x)), list(map(float, y))
+
+
+def _weight_block(block: list[str]) -> list[float]:
+    # each line is split as it is read, so a block of long rows never holds all its tokens at once
+    if not all(map(str.strip, block)) or not _ENDS.isdisjoint(map(itemgetter(0), map(_first_token, block))):
+        raise ValueError  # a blank line, EOF or a section keyword, found before converting
+    return list(map(float, chain.from_iterable(map(str.split, block))))
+
+
+def _read_coords(lines: list[str], start: int) -> tuple[np.ndarray, int]:
+    """(the coordinate rows placed by node number, the index past them) of the section from start.
+
+    The node numbers must be 1..rows, each once: checked and placed as whole
+    arrays.  A section that fails a check, or is empty, is read again by
+    `_walk_coords`, which names its first bad row.
+    """
+    try:
+        blocks, end = _section_blocks(lines, start, _coord_block)
+        numbers, xs, ys = (list(chain.from_iterable(column)) for column in zip(*blocks))
+    except ValueError:  # a bad row, or no blocks to unpack
+        numbers = []
+    n = len(numbers)
+    if n and 1 <= min(numbers) and max(numbers) <= n:
+        at = np.array(numbers) - 1
+        if np.bincount(at, minlength=n).all():  # n numbers in 1..n, none missing, so none repeated
+            coords = np.empty((n, 2))
+            coords[at] = np.array((xs, ys)).T
+            return coords, end
+    body = list(_section_lines(lines, start))
+    return _walk_coords(body), start + len(body)
 
 
 def _row_floats(k: int, line: str, tokens: list[str], what: str) -> list[float]:
@@ -125,7 +202,7 @@ def _row_floats(k: int, line: str, tokens: list[str], what: str) -> list[float]:
         raise ParseError(f"bad {what} row {line!r}", line=k + 1) from None
 
 
-def _read_coords(body: list[tuple[int, str]]) -> np.ndarray:
+def _walk_coords(body: list[tuple[int, str]]) -> np.ndarray:
     """The coordinate rows placed by node number, each of 1..len(body) once, checked row by row."""
     n = len(body)
     placed = [None] * n
@@ -145,8 +222,14 @@ def _read_coords(body: list[tuple[int, str]]) -> np.ndarray:
     return np.array(placed)
 
 
-def _read_weights(body: list[tuple[int, str]]) -> list[float]:
-    return [w for k, line in body for w in _row_floats(k, line, line.split(), "weight")]
+def _read_weights(lines: list[str], start: int) -> tuple[list[float], int]:
+    """(the weights, the index past them) of the section from start; a bad row is named by a walk."""
+    try:
+        blocks, end = _section_blocks(lines, start, _weight_block)
+        return list(chain.from_iterable(blocks)), end
+    except ValueError:
+        body = list(_section_lines(lines, start))
+        return [w for k, line in body for w in _row_floats(k, line, line.split(), "weight")], start + len(body)
 
 
 def _check_weight_count(doc: TsplibDocument) -> None:

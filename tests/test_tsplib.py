@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dsta.errors import ParseError, UnsupportedType
 from dsta.problems import TspInstance
 from dsta.tsplib import (
+    _BLOCK_LINES,
     _ROW_BLOCK,
+    _SECTION_KEYS,
     TsplibDocument,
     _geo_radians,
     build_distances,
@@ -142,6 +144,14 @@ READER_CASES = {
         EXPLICIT_COORDS.replace("3 6 0", "4 6 0"), "real",
         ParseError, "line 13: node number 4 outside 1..3",
     ),
+    "repeated-coord-section": (
+        EUC_DOC.replace("EOF\n", "NODE_COORD_SECTION\n1 9 9\n2 8 8\n3 7 7\nEOF\n"), "real",
+        ParseError, "line 9: NODE_COORD_SECTION repeated",
+    ),
+    "repeated-weight-section": (
+        EXPLICIT_FULL.replace("EOF\n", "EDGE_WEIGHT_SECTION\n0 1 2\n1 0 3\n2 3 0\nEOF\n"), "real",
+        ParseError, "line 10: EDGE_WEIGHT_SECTION repeated",
+    ),
     "ignored-keys-do-not-warn": (
         EUC_DOC.replace(
             "NAME: tiny",
@@ -213,6 +223,185 @@ class TestParse:
                 parse_tsplib(text)
             except (ParseError, UnsupportedType):
                 pass
+
+
+def row_by_row_parse(text):
+    """The reference: the row-by-row reader that parse_tsplib's blocked one replaced.
+
+    Its sections are read as they were; of the header it keeps the keywords
+    that the documents below hold, and of the final checks the coordinate ones.
+    """
+    doc = TsplibDocument()
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line == "EOF":
+            continue
+        key, _, value = (part.strip() for part in line.partition(":"))
+        head = key.split()[0] if key else ""
+        if head in _SECTION_KEYS:
+            body = []
+            while i < len(lines):
+                line = lines[i].strip()
+                if not line or line == "EOF" or line.split()[0] in _SECTION_KEYS or ":" in line:
+                    break
+                body.append((i, line))
+                i += 1
+            if head == "NODE_COORD_SECTION":
+                doc.coords = row_by_row_coords(body)
+            elif head == "EDGE_WEIGHT_SECTION":
+                doc.weights += [w for k, line in body for w in row_floats(k, line, line.split(), "weight")]
+        elif key == "NAME":
+            doc.name = value
+        elif key == "DIMENSION":
+            try:
+                doc.dimension = int(value)
+            except ValueError:
+                raise ParseError(f"bad DIMENSION {value!r}", line=i) from None
+        elif key == "EDGE_WEIGHT_TYPE":
+            doc.edge_weight_type = value
+    if doc.dimension <= 0:
+        raise ParseError("missing or non-positive DIMENSION")
+    if doc.coords is None:
+        raise ParseError("coordinate instance without NODE_COORD_SECTION")
+    if len(doc.coords) != doc.dimension:
+        raise ParseError(f"DIMENSION {doc.dimension} but {len(doc.coords)} coordinate rows")
+    return doc
+
+
+def row_floats(k, line, tokens, what):
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        raise ParseError(f"bad {what} row {line!r}", line=k + 1) from None
+
+
+def row_by_row_coords(body):
+    n = len(body)
+    placed = [None] * n
+    for k, line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'index x y', got {line!r}", line=k + 1)
+        try:
+            number = int(parts[0])
+        except ValueError:
+            raise ParseError(f"bad node number {parts[0]!r}", line=k + 1) from None
+        if not 1 <= number <= n:
+            raise ParseError(f"node number {number} outside 1..{n}", line=k + 1)
+        if placed[number - 1] is not None:
+            raise ParseError(f"node number {number} repeated", line=k + 1)
+        placed[number - 1] = row_floats(k, line, parts[1:], "coordinate")
+    return np.array(placed)
+
+
+# tokens that Python's int and float accept, written as a file might: each converts as int() or float() does
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+NUMBER_SPELLINGS = [str, "+{}".format, "0{}".format, lambda k: str(k).translate(ARABIC_INDIC)]
+FLOAT_SPELLINGS = ["1_000", "+3", "nan", "-nan", "inf", "-Infinity", "٣", "1e999", "-0.0"]
+# each way a section ends, then rows that are not its data rows and a NAME read after it
+ENDINGS = [
+    "\n\n1 0 0", "\n\n1 0 0\nNAME: after", "\nEOF\n1 0 0\nNAME: after", "\nTOUR_SECTION\n1 0 0\nNAME: after",
+    "\nCOMMENT : x\nNAME: after", "\n1 0: 0\nNAME: after", "", "\n",
+]
+COORD_FAULTS = [
+    "two-fields", "four-fields", "number-1.0", "number-0", "number-past-rows", "number-repeated",
+    "bad-coordinate", "ends-here",
+]
+WEIGHT_FAULTS = ["bad-weight", "weight-EOF", "row-starts-EOF", "keyword-inside-row", "ends-here"]
+
+
+def coord_text(rng, rows, fault, at, ending):
+    numbers = rng.permutation(rows) + 1
+    body = []
+    for k, number in enumerate(numbers):
+        spell = NUMBER_SPELLINGS[rng.integers(len(NUMBER_SPELLINGS))] if rng.random() < 0.1 else str
+        xy = [repr(v) if rng.random() > 0.05 else FLOAT_SPELLINGS[rng.integers(len(FLOAT_SPELLINGS))]
+              for v in rng.normal(scale=1e3, size=2).tolist()]
+        body.append([spell(int(number))] + xy)
+    row = body[at]
+    if fault == "two-fields":
+        row.pop()
+    elif fault == "four-fields":
+        row.append("0")
+    elif fault == "number-1.0":
+        row[0] = f"{numbers[at]}.0"
+    elif fault == "number-0":
+        row[0] = "0"
+    elif fault == "number-past-rows":
+        row[0] = str(rows + 1)
+    elif fault == "number-repeated":
+        row[0] = str(numbers[rng.integers(rows)])
+    elif fault == "bad-coordinate":
+        row[1 + rng.integers(2)] = ["x", "1,5", "1.0.0"][rng.integers(3)]
+    lines = [" ".join(r) for r in body]
+    if fault == "ends-here":
+        lines.insert(at, ending.splitlines()[1] if ending.strip() else "")
+    head = f"TYPE: TSP\nDIMENSION: {rows}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+    return head + "\n".join(lines) + ending
+
+
+def weight_text(rng, rows, fault, at, ending):
+    body = [[repr(v) if rng.random() > 0.05 else FLOAT_SPELLINGS[rng.integers(len(FLOAT_SPELLINGS))]
+             for v in rng.normal(scale=1e3, size=rng.integers(1, 5)).tolist()] for _ in range(rows)]
+    row = body[at]
+    if fault == "bad-weight":
+        row[rng.integers(len(row))] = ["zero", "1,5", "1.0.0"][rng.integers(3)]
+    elif fault == "weight-EOF":
+        row.append("EOF")
+    elif fault == "row-starts-EOF":
+        row.insert(0, "EOF")
+    elif fault == "keyword-inside-row":
+        row.append("TOUR_SECTION")
+    lines = [" ".join(r) for r in body]
+    if fault == "ends-here":
+        lines.insert(at, ending.splitlines()[1] if ending.strip() else "")
+    # a coordinate document, so its weights are kept whatever their count
+    head = "TYPE: TSP\nDIMENSION: 1\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEDGE_WEIGHT_SECTION\n"
+    return head + "\n".join(lines) + ending
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+SECTIONS = {"coords": (coord_text, COORD_FAULTS), "weights": (weight_text, WEIGHT_FAULTS)}
+
+
+class TestBlockedReader:
+    """parse_tsplib converts data rows a block at a time and gives what a row-by-row read gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(sorted(SECTIONS)),
+        st.sampled_from([1, _BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1, 2 * _BLOCK_LINES + 1]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["first", "later"]),
+        st.sampled_from(ENDINGS),
+        st.data(),
+    )
+    def test_equals_row_by_row_read(self, section, rows, seed, where, ending, data):
+        make, faults = SECTIONS[section]
+        fault = data.draw(st.one_of(st.none(), st.sampled_from(faults)), label="fault")
+        rng = np.random.default_rng(seed)
+        later = where == "later" and rows > _BLOCK_LINES  # the bad row in a block after the first
+        at = int(rng.integers(_BLOCK_LINES, rows) if later else rng.integers(min(rows, _BLOCK_LINES)))
+        text = make(rng, rows, fault, at, ending)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rows past an ending read as unknown keywords
+            try:
+                want = row_by_row_parse(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    parse_tsplib(text)
+                assert type(got.value) is ParseError and str(got.value) == str(exc)
+                return
+            got = parse_tsplib(text)
+        assert np.array_equal(bits(got.coords), bits(want.coords))
+        assert np.array_equal(bits(got.weights), bits(want.weights)) and type(got.weights) is list
+        assert (got.coords.shape, got.dimension, got.name) == (want.coords.shape, want.dimension, want.name)
 
 
 class TestDistances:
