@@ -28,21 +28,23 @@ ROSENBROCK_ALPHABET = np.array([-2, -1, 0, 1, 2])
 _TILE = 256  # a pair of float64 tiles, 2 x 512 KiB, stays in L2
 
 
-def _asymmetry(m: np.ndarray, message: str) -> float:
-    """0.0 if square `m` equals its transpose, else its largest |m - m^T| entry.
+def _symmetric(m: np.ndarray, message: str) -> np.ndarray:
+    """Square `m` itself if it equals its transpose, else 0.5 m + 0.5 m^T if `allclose` to it.
 
-    Symmetric means `allclose` to `m.T`; any other `m` raises
-    DimensionMismatch(message).  Exact equality is checked first, tile (i, j)
-    against tile (j, i) while both are in cache, with no n x n temporary.
+    Exact equality is checked tile (i, j) against tile (j, i), while both
+    are in cache, with no n x n temporary and no copy.  Float addition
+    commutes, so the halves' sum is exactly symmetric, and halves of finite
+    entries cannot overflow.  Any other `m` raises DimensionMismatch(message).
     """
     n, b = len(m), _TILE
     if all(
         (m[i:i + b, j:j + b] == m[j:j + b, i:i + b].T).all() for i in range(0, n, b) for j in range(i, n, b)
     ):
-        return 0.0
+        return m
     if not np.allclose(m, m.T):
         raise DimensionMismatch(message)
-    return float(np.abs(m - m.T).max())
+    half = 0.5 * m
+    return half + half.T
 
 
 _PIECE = 32768  # entries of a float64 temporary of 256 KiB
@@ -155,15 +157,15 @@ class TspInstance:
     """Symmetric TSP: a distance matrix, or the points of a Euclidean instance.
 
     Given `matrix`, each leg is an entry of it, and `coords`, if given, are
-    only kept: a GEO document's are DDD.MM pairs.  The matrix must be
-    symmetric as `_asymmetry` defines it, which also gives `asymmetry`.
+    only kept: a GEO document's are DDD.MM pairs.  The matrix is held as
+    `_symmetric` returns it, so L(a, b) has the bits of L(b, a).
 
     Given (n, 2) `coords` alone, each leg is computed when it is scored, by
     `_euclidean_legs` under `rounding` ("real" or "tsplib"): the steps that
     `euclidean_matrix` takes, so every leg has the bits of its matrix entry.
     The n x n matrix is built only when `matrix` is read.  The points are
-    checked in O(n) (see `_check_points`), and such an instance is exactly
-    symmetric.
+    checked in O(n) (see `_check_points`), and L(a, b) has the bits of
+    L(b, a), as (x_a - x_b)^2 equals (x_b - x_a)^2.
 
     `legs(a, b)` is the length of each leg from city a to city b, entry by
     entry.  `eps` is the machine epsilon of the float type tour lengths are
@@ -171,7 +173,7 @@ class TspInstance:
     """
 
     def __init__(self, matrix=None, coords=None, name: str = "tsp", rounding: str = "real"):
-        self.coords, self.name, self.asymmetry = coords, name, 0.0
+        self.coords, self.name = coords, name
         if matrix is None:
             if rounding not in ("real", "tsplib"):
                 raise ValueError(f"rounding must be 'real' or 'tsplib', got {rounding!r}")
@@ -180,7 +182,7 @@ class TspInstance:
             self.legs = _euclidean_legs(self.coords, rounding)
             return
         # legs index the flattened matrix, so keep it in C order
-        m = self.matrix = np.ascontiguousarray(matrix)
+        m = np.ascontiguousarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
             raise DimensionMismatch(f"distance matrix must be square with n >= 3, got {m.shape}")
         lo, hi = m.min(), m.max()  # a NaN entry makes both NaN; no n x n temporaries
@@ -189,7 +191,7 @@ class TspInstance:
         message = "distance matrix must be symmetric, nonnegative, zero diagonal"
         if not np.allclose(np.diag(m), 0) or lo < 0:
             raise DimensionMismatch(message)
-        self.asymmetry = _asymmetry(m, message)
+        m = self.matrix = _symmetric(m, message)
         self.n, self.eps = len(m), float(np.finfo(m.dtype if m.dtype.kind == "f" else np.float64).eps)
         self.legs = _table_legs(m.ravel(), self.n)
 
@@ -208,14 +210,13 @@ class MaxCutInstance:
     form P(x) = 1/2 x'Qx - x'c of `qubo` (Q the leading n-by-n block of W,
     c minus its column to the fixed vertex); self-loops add 1/2 tr W to it.
 
-    W must be symmetric as `_asymmetry` defines it, which also gives
-    `asymmetry`.  `abs_bound`, 2 * sum |W|, bounds every partial sum of
-    1/2 y'Wy and of cut_weight; it is finite only if every entry is.
+    `weights` is held as `_symmetric` returns it.  `abs_bound`, 2 * sum |W|
+    of the held weights, bounds every partial sum of 1/2 y'Wy and of
+    cut_weight; it is finite only if every entry is.
     """
 
     weights: np.ndarray
     name: str = "maxcut"
-    asymmetry: float = field(init=False, repr=False, default=0.0)
     abs_bound: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -228,8 +229,11 @@ class MaxCutInstance:
             if not np.isfinite(w).all():
                 raise DimensionMismatch("weight matrix entries must be finite")
             raise DimensionMismatch("weight matrix too large: its QUBO form overflows")
+        exact = _symmetric(w, "weight matrix must be symmetric")
+        if exact is not w:
+            object.__setattr__(self, "weights", exact)
+            total = 2 * _abs_sum(exact.ravel())
         object.__setattr__(self, "abs_bound", float(total))
-        object.__setattr__(self, "asymmetry", _asymmetry(w, "weight matrix must be symmetric"))
 
     @property
     def n(self) -> int:
@@ -362,7 +366,8 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     Leg i joins positions i and i + 1 (mod n), and moves are scored on the
     tour padded with its own far ends, windows by `_chain_legs` and sparse
     writes by `_write_legs`.  A window rotation replaces 3 legs; a reversal
-    replaces 2 and runs the legs inside it backwards; a write of w positions
+    replaces 2 and runs the legs inside it backwards, each of the length it
+    had, as every instance is exactly symmetric; a write of w positions
     takes 4 legs a position, and 4 more for each pair of adjacent positions,
     at most 8w.  A whole-tour window leaves the cycle as it was, so its delta
     is 0.
@@ -373,25 +378,21 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     full sums over n legs and the delta, a sum of `terms` legs (6 for a
     rotation, 4 for a reversal, 8w for writes), is within (terms) * eps of
     its absolute sum, doubled for safety, taken at the round's largest sum of
-    touched legs.  A reversal adds one `inst.asymmetry` per leg whose
-    direction it flips, at the round's widest reversal.
+    touched legs.
     """
     n = inst.n
     pad = np.concatenate((tour[-1:], tour, tour[:1]))
-    terms, err_dir = 6, 0.0  # a rotation's 6 legs
+    terms = 6  # a rotation's 6 legs
     if isinstance(moves, Writes):
         delta, touched = _write_legs(pad, moves, inst.legs)
         terms = 8 * moves.pos.shape[1]
     else:
         delta, touched = _chain_legs(pad, moves, inst.legs)
-        span = moves.hi - moves.lo
-        delta[span == n] = 0
-        if moves.k is None:  # 4 legs, and hi - lo - 1 inner legs flipped, + 1 closing leg if whole
+        delta[moves.hi - moves.lo == n] = 0
+        if moves.k is None:  # a reversal's 4 legs
             terms = 4
-            if inst.asymmetry:
-                err_dir = int(span.max()) * inst.asymmetry
     most = float(np.maximum.reduce(touched))
-    return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most) + err_dir
+    return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most)
 
 
 _HELD_LEGS_FROM = 1000  # cities; below, editing held legs measured no faster than a full evaluation
@@ -406,17 +407,15 @@ def tour_settle(tour: np.ndarray, move: Moves, inst: TspInstance, held: list) ->
     runs legs lo..hi - 2 backwards and replaces legs lo - 1 and hi - 1, a
     rotation by k moves its two inner runs and replaces legs lo - 1, hi - k - 1
     and hi - 1, and a write at p replaces legs p - 1 and p (mod n).  Each new
-    leg is `inst.legs` of its two cities.  Reversed legs keep their bits
-    only where L(a, b) has the bits of L(b, a), so on an instance with
-    nonzero `asymmetry` a reversal's row is evaluated in full, as is the row
-    of a tour that is not held.  Either way the row's n legs are summed by
-    one pairwise np.add.reduce, as `_chain_sums` sums them, and the pair
-    then holds the row.
+    leg is `inst.legs` of its two cities, and a reversed leg keeps its bits,
+    as L(a, b) has the bits of L(b, a) on every instance (see `TspInstance`).
+    The row of a tour that is not held is evaluated in full.  Either way the
+    row's n legs are summed by one pairwise np.add.reduce, as `_chain_sums`
+    sums them, and the pair then holds the row.
     """
     row = move.apply(tour)[0]
     key, old = held  # one read, so the bytes and legs are of one tour
-    reverse = isinstance(move, Windows) and move.k is None
-    if key != tour.tobytes() or reverse and inst.asymmetry:
+    if key != tour.tobytes():
         closed = np.concatenate((row, row[:1]))
         legs = inst.legs(closed[:-1], closed[1:])
     else:
@@ -425,7 +424,7 @@ def tour_settle(tour: np.ndarray, move: Moves, inst: TspInstance, held: list) ->
             at = np.concatenate((move.pos[0] - 1, move.pos[0]))
         else:
             lo, hi = int(move.lo[0]), int(move.hi[0])
-            if reverse:
+            if move.k is None:
                 legs[lo:hi - 1] = old[lo:hi - 1][::-1]
                 at = np.array([lo - 1, hi - 1])
             else:
@@ -514,15 +513,16 @@ def qubo_deltas(
     """Change in 1/2 y'Wy, y = (x, +1), of each move, with a bound on its error.
 
     A sparse write flips the set S of its k written positions whose bit
-    changes.  With g = W^T y, its delta is -2 sum_S y_i g_i + 2 sum_{i,j in
-    S} y_i y_j W_ij: g and a (rows, k, k) gather of W, where W_ii enters
-    both sums and cancels.  g comes from `held`, the [bits, g] pair that
-    `maxcut_problem` keeps, when `bits` equals its bits: `_qubo_form` holds
-    the product of every one-row evaluation, and a round is settled by
-    evaluating its shortlist, usually one row, so a kept state's g is
-    usually held.  Otherwise one GEMV forms g as y @ W, and the pair holds
-    it with a copy of `bits`.  A held g has the bits of a fresh one (see
-    `_qubo_form`), so no result depends on which it was.
+    changes.  W is exactly symmetric (see `MaxCutInstance`), so with g = W^T
+    y its delta is -2 sum_S y_i g_i + 2 sum_{i,j in S} y_i y_j W_ij: g and a
+    (rows, k, k) gather of W, where W_ii enters both sums and cancels.  g
+    comes from `held`, the [bits, g] pair that `maxcut_problem` keeps, when
+    `bits` equals its bits: `_qubo_form` holds the product of every one-row
+    evaluation, and a round is settled by evaluating its shortlist, usually
+    one row, so a kept state's g is usually held.  Otherwise one GEMV forms
+    g as y @ W, and the pair holds it with a copy of `bits`.  A held g has
+    the bits of a fresh one (see `_qubo_form`), so no result depends on
+    which it was.
 
     A window flips about half its length, so its rows are screened whole in
     float32: `screen` is the float32 copy of W that `maxcut_problem` makes,
@@ -530,9 +530,9 @@ def qubo_deltas(
     is W32 Y^T, not Y W32: the square matrix as BLAS's left operand measured
     faster from about 200 rows up (124 against 139 us at 399, 32 sign rows,
     one OpenBLAS thread on a 2-core VM) and slower below 100.  Only rounding
-    differs, as y'Wy equals y'W^Ty exactly for any W, allclose-only ones
-    too, and gamma_(2n) below holds in any summation order.  Without a
-    screen, windows are not scored: the result is None.
+    differs, as y'Wy equals y'W^Ty exactly for any W, and gamma_(2n) below
+    holds in any summation order.  Without a screen, windows are not
+    scored: the result is None.
 
     Returns (delta, err) with |cost + delta - F| <= err, where cost is
     `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
@@ -547,9 +547,7 @@ def qubo_deltas(
       each entry of yW and for the row sum;
     - a write's delta is within gamma_(n+2k+3) 2B, as each g_i is within
       gamma_n of its column's sum of |W| and each gathered sum within gamma_k
-      of its row's, both summing to at most B/2 over distinct positions.
-      With g computed as W^T y, an instance symmetric only to allclose adds
-      n times `inst.asymmetry` per flipped bit, for a row of W - W^T;
+      of its row's, both summing to at most B/2 over distinct positions;
     - a screened row is within 9 u32 B/4 for storing W in float32 (half the
       bound in `_qubo_arrays`), gamma_(2n) B/4 at float32's u for its
       evaluation (sign products, sums that underflow and halving 2 P32 in
@@ -580,7 +578,7 @@ def qubo_deltas(
     d -= g.take(p)
     d *= ys
     k = p.shape[1]
-    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound + k * n * inst.asymmetry
+    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound
 
 
 def _qubo_arrays(inst: MaxCutInstance):

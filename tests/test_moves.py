@@ -5,9 +5,7 @@ full re-evaluation, and whole runs are compared with the delta path switched
 off.
 """
 
-import hashlib
 import itertools
-import json
 from dataclasses import replace
 from unittest import mock
 
@@ -46,15 +44,20 @@ def check_estimates(inst, tour, moves):
     assert type(err) is float and np.all(gap <= err), (gap, err)
 
 
-class TestTspInstance:
-    def test_exact_symmetry_has_no_asymmetry(self):
-        inst = problems.TspInstance(matrix=tsp_matrix(20, 0, "real"))
-        assert inst.asymmetry == 0.0
+def halves_sum(m):
+    """0.5 m + 0.5 m^T: what an instance holds for a matrix symmetric only to allclose."""
+    return 0.5 * m + 0.5 * m.T
 
-    def test_allclose_matrix_records_its_asymmetry(self):
+
+class TestTspInstance:
+    def test_exact_symmetry_is_held_without_a_copy(self):
+        m = tsp_matrix(20, 0, "real")
+        assert problems.TspInstance(matrix=m).matrix is m
+
+    def test_allclose_matrix_is_held_as_its_halves_sum(self):
         m = tsp_matrix(20, 0, "allclose")
-        inst = problems.TspInstance(matrix=m)
-        assert inst.asymmetry == np.abs(m - m.T).max() > 0
+        assert not (m == m.T).all()
+        assert problems.TspInstance(matrix=m).matrix.tobytes() == halves_sum(m).tobytes()
 
     def test_asymmetric_matrix_still_rejected(self):
         m = tsp_matrix(6, 0, "real")
@@ -243,24 +246,13 @@ class TestScalarBound:
     @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
     @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
     def test_err_is_the_bound_of_the_row_with_most_touched_legs(self, move, kind):
-        """The round's err is the largest of its rows' own errs; on an exact matrix, equal to it."""
+        """The round's err is the largest of its rows' own errs, equal to it on every instance."""
         inst = problems.TspInstance(matrix=tsp_matrix(40, 4, kind))
         tour, moves = tsp_round_moves(40, 4)
         cost = problems.tour_length(tour, inst)
         _, err = problems.tour_deltas(tour, cost, moves[move], inst)
         alone = max(problems.tour_deltas(tour, cost, moves[move].take([r]), inst)[1] for r in range(16))
-        assert err == alone if inst.asymmetry == 0.0 else err >= alone
-
-    @pytest.mark.parametrize("n", [17, 120])
-    def test_reversal_err_counts_the_widest_flip_only_when_asymmetric(self, n):
-        tour, moves = tsp_round_moves(n, 1)
-        widest = int((moves["reversals"].hi - moves["reversals"].lo).max())
-        exact = problems.TspInstance(matrix=tsp_matrix(n, 1, "real"))
-        close = problems.TspInstance(matrix=tsp_matrix(n, 1, "allclose"))
-        cost = problems.tour_length(tour, close)
-        _, err_exact = problems.tour_deltas(tour, cost, moves["reversals"], exact)
-        _, err_close = problems.tour_deltas(tour, cost, moves["reversals"], close)
-        assert err_exact < widest * close.asymmetry <= err_close
+        assert err == alone
 
     @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
     @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
@@ -312,30 +304,15 @@ class TestScalarBound:
         settle()
         assert len(evaluated) == 1 and np.array_equal(evaluated[0], moves.take([2, 5, 12]).apply(tour))
 
-    # runs on an allclose-only matrix, whose rows now share the round's widest
-    # bound: seeded outputs are those of the per-row bound (sha256 of the
-    # record: best solution, best cost, trace and evaluations, floats in hex)
-    ALLCLOSE_RUNS = {
-        (12, "sta", 0): "34592678af01985824e998266ddca96a45d8d50f0ce78159a4fcb5d8a366e895",
-        (12, "dsta", 0): "695dbd781be93e719b493974434c53c8fe2645c6969ed3b2e0aa4363509c10f6",
-        (12, "dsta", 3): "367d63388940e056571cbea108ee4205fea831e6d99f27d662cb3f136cef8666",
-        (50, "sta", 0): "9dba4147aea8981abd228e3051b7069eec9d4930374f73124257215411b33082",
-        (50, "dsta", 0): "2294c605b4571577bf37098faf2fca5ab9f8106b7c8d04d36629a290ffcbe835",
-        (50, "dsta", 3): "6aa808456e32ceba801eadafdbd94d9bfb4e4cce6ea21f298e102783d8a4e645",
-        (200, "sta", 0): "c394ce652a485119cd92ba8d7f9b8bbeb949e5104a19d844e47bd66fae738813",
-        (200, "dsta", 0): "0f7061c60a7ba97602c33008a791622161293567df60d160e6c6c1eb2134042c",
-        (200, "dsta", 3): "62e4b8ffa0124756c6623f0a27ed9e4bd46abcabecf0f042e510096ab0aac606",
-    }
-
-    @pytest.mark.parametrize("case", list(ALLCLOSE_RUNS))
-    def test_allclose_seeded_outputs_are_unchanged(self, case):
-        n, mode, factors = case
-        large = {"ma": 4, "mb": 3, "mc": 2} if factors else {}
+    @pytest.mark.parametrize("mode", ["sta", "dsta"])
+    @pytest.mark.parametrize("large", [{}, {"ma": 4, "mb": 3, "mc": 2}], ids=["default", "large"])
+    @pytest.mark.parametrize("n", [12, 50, 200])
+    def test_allclose_run_equals_run_on_its_halves_sum(self, n, large, mode):
+        """An allclose-only matrix is its halves' sum from the start: the two runs agree byte for byte."""
+        m = tsp_matrix(n, n, "allclose")
         params = StaParams(max_iters=80, seed=n + 1, mode=Mode(mode), **large)
-        r = engine.run(problems.tsp_problem(problems.TspInstance(matrix=tsp_matrix(n, n, "allclose"))), params)
-        trace = [(i, a.hex(), b.hex()) for i, a, b in r.trace]
-        record = json.dumps([r.best_solution.tolist(), r.best_cost.hex(), trace, r.evaluations])
-        assert hashlib.sha256(record.encode()).hexdigest() == self.ALLCLOSE_RUNS[case]
+        close, halves = (problems.tsp_problem(problems.TspInstance(matrix=x)) for x in (m, halves_sum(m)))
+        assert run_bytes(close, params) == run_bytes(halves, params)
 
 
 # sta, dsta, and dsta with p2 = 1.0, where the risk draw keeps every round whose bound rules out an improvement
@@ -379,14 +356,16 @@ def qubo_err(problem, bits):
 
 
 class TestMaxCutInstance:
-    def test_exact_symmetry_has_no_asymmetry(self):
+    def test_exact_symmetry_is_held_without_a_copy(self):
         w = maxcut_weights(20, 0, "real")
         inst = problems.MaxCutInstance(weights=w)
-        assert inst.asymmetry == 0.0 and inst.abs_bound == 2 * np.abs(w).sum()
+        assert inst.weights is w and inst.abs_bound == 2 * np.abs(w).sum()
 
-    def test_allclose_matrix_records_its_asymmetry(self):
+    def test_allclose_matrix_is_held_as_its_halves_sum(self):
         w = maxcut_weights(20, 0, "allclose")
-        assert problems.MaxCutInstance(weights=w).asymmetry == np.abs(w - w.T).max() > 0
+        assert not (w == w.T).all()
+        inst = problems.MaxCutInstance(weights=w)
+        assert inst.weights.tobytes() == halves_sum(w).tobytes() and inst.abs_bound == 2 * np.abs(inst.weights).sum()
 
 
 VALUE_OPS = {Operator.SWAP: (2, 6), Operator.SHIFT: (1, 5), Operator.SYMMETRY: (0, 4), Operator.SUBSTITUTE: (1, 4)}
@@ -728,14 +707,14 @@ class TestTourSettle:
             closed = np.concatenate((row, row[:1]))
             assert held[0] == row.tobytes() and held[1].tobytes() == inst.legs(closed[:-1], closed[1:]).tobytes()
 
-    def test_reversal_on_an_allclose_matrix_recomputes_every_leg(self):
+    def test_reversal_on_an_allclose_matrix_computes_only_its_new_legs(self):
         inst = held_legs_instance(12, "allclose")
         tour, _ = self.wrap_moves(12)
         held = [None, None]
         problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), inst, held)
         with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
             _, row = problems.tour_settle(tour, Windows(np.array([2]), np.array([9])), inst, held)
-            assert legs.call_args.args[0].shape == (12,)  # a reversal: every leg
+            assert legs.call_args.args[0].shape == (2,)  # a reversal on the held tour: its 2 new legs
             problems.tour_settle(row, Windows(np.array([2]), np.array([9]), np.array([3])), inst, held)
             assert legs.call_args.args[0].shape == (3,)  # a rotation on the held row: its 3 new legs
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_moves import halves_sum
 from test_tsplib import traced_peak
 
 from dsta import instances
@@ -175,6 +176,7 @@ TSP_FINITE = "distance matrix entries must be finite"
 TSP_SHAPE = "distance matrix must be symmetric, nonnegative, zero diagonal"
 CUT_FINITE = "weight matrix entries must be finite"
 CUT_SYMMETRIC = "weight matrix must be symmetric"
+CUT_TOO_LARGE = "weight matrix too large: its QUBO form overflows"
 
 
 def check_matrix(n=CHECK_N):
@@ -230,21 +232,72 @@ class TestMatrixChecks:
         assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == tsp_message
         assert matrix_outcome(lambda x: MaxCutInstance(weights=x), m) == cut_message
 
-    def test_allclose_only_asymmetry_unchanged(self):
+    def test_allclose_only_matrix_is_held_as_its_halves_sum(self):
         m = check_matrix()
         m += 1e-12 * np.random.default_rng(6).random(m.shape)
-        want = float(np.abs(m - m.T).max())
-        assert want > 0
-        assert TspInstance(matrix=m).asymmetry == want
-        assert MaxCutInstance(weights=m).asymmetry == want
+        assert not (m == m.T).all()
+        want = 0.5 * m + 0.5 * m.T
+        assert TspInstance(matrix=m).matrix.tobytes() == want.tobytes()
+        assert MaxCutInstance(weights=m).weights.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_integer_matrices_accepted(self, dtype):
         m = np.rint(100 * check_matrix()).astype(dtype)
-        assert TspInstance(matrix=m).asymmetry == 0.0
-        assert MaxCutInstance(weights=m).asymmetry == 0.0
+        assert TspInstance(matrix=m).matrix is m
+        assert MaxCutInstance(weights=m).weights is m
         m[LAST, 0] += 1
         assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == TSP_SHAPE
+
+
+def allclose_only(m, value, bumped):
+    """`m` with entry (0, -1) set to `value` and entry (-1, 0) to `bumped`, a value allclose to it but not equal."""
+    m[0, -1], m[-1, 0] = value, bumped
+    return m
+
+
+class TestHalvesSum:
+    """A matrix symmetric only to allclose is held as 0.5 m + 0.5 m^T, on both instance types."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        m = allclose_only(check_matrix(), 1.7e308, 1.7e308 * (1 + 1e-12))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((m + m.T) / 2).all()  # the plain mean overflows
+        held = TspInstance(matrix=m).matrix
+        assert np.isfinite(held).all() and (held == held.T).all()
+        assert held.tobytes() == halves_sum(m).tobytes()
+        # 2 * sum |W| overflows for such weights, so MAX-CUT rejects them; it loads the largest it can bound
+        assert matrix_outcome(lambda x: MaxCutInstance(weights=x), m) == CUT_TOO_LARGE
+        w = allclose_only(np.zeros((3, 3)), 4e307, 4e307 * (1 + 1e-12))
+        inst = MaxCutInstance(weights=w)
+        assert np.isfinite(inst.weights).all() and (inst.weights == inst.weights.T).all()
+        assert inst.weights.tobytes() == halves_sum(w).tobytes() and np.isfinite(inst.abs_bound)
+
+    def test_integer_matrix_loads_exactly_symmetric(self):
+        m = allclose_only(np.rint(100 * check_matrix()).astype(np.int64), 10**9, 10**9 + 1)
+        for held in (TspInstance(matrix=m).matrix, MaxCutInstance(weights=m).weights):
+            assert held.dtype == np.float64 and (held == held.T).all()
+            assert held.tobytes() == halves_sum(m).tobytes()
+
+    def test_float32_stays_float32(self):
+        one = np.float32(1.5)
+        m = allclose_only(check_matrix().astype(np.float32), one, np.nextafter(one, np.float32(2)))
+        tsp = TspInstance(matrix=m)
+        for held in (tsp.matrix, MaxCutInstance(weights=m).weights):
+            assert held.dtype == np.float32 and (held == held.T).all()
+            assert held.tobytes() == halves_sum(m).tobytes()
+        assert tsp.eps == float(np.finfo(np.float32).eps)
+
+    def test_nan_raises_the_finiteness_message(self):
+        m = allclose_only(check_matrix(), 1.0, 1.0 + 1e-12)
+        m[LAST, LAST - 2] = np.nan
+        assert matrix_outcome(lambda x: TspInstance(matrix=x), m) == TSP_FINITE
+        assert matrix_outcome(lambda x: MaxCutInstance(weights=x), m) == CUT_FINITE
+
+    def test_abs_bound_is_the_sum_of_the_held_weights(self):
+        w = allclose_only(np.zeros((3, 3)), 1e-9, -1e-9)  # within allclose's absolute tolerance; halves sum to 0
+        inst = MaxCutInstance(weights=w)
+        assert not inst.weights.any() and inst.abs_bound == 0.0 < 2 * np.abs(w).sum()
 
 
 class TestMaxCutSetupMemory:
@@ -256,7 +309,7 @@ class TestMaxCutSetupMemory:
         # exactly symmetric, so no allclose pass: at most 5% of the matrix bytes
         m = check_matrix(self.N)
         inst, peak = traced_peak(lambda: MaxCutInstance(weights=m))
-        assert inst.weights is m and inst.asymmetry == 0.0
+        assert inst.weights is m
         assert peak <= 0.05 * m.nbytes
 
     @pytest.mark.parametrize("n", [2, 3, 181, 182, 401, 1000])
@@ -360,11 +413,11 @@ class TestAdapters:
     def test_tour_lengths_equal_two_index_gather(self, n, layout, dtype, seed):
         g = np.random.default_rng(seed)
         m = g.random((n, n))
-        m = m + m.T + 1e-12 * g.random((n, n))  # symmetric only to allclose, so the layout shows
+        m = m + m.T + 1e-12 * g.random((n, n))  # symmetric only to allclose: the instance holds its halves' sum
         np.fill_diagonal(m, 0)
         matrix = {"C": m, "F": np.asfortranarray(m), "transposed": m.T}[layout]
         tours = np.stack([g.permutation(n) for _ in range(17)]).astype(dtype)
-        ref = matrix[tours, np.roll(tours, -1, 1)].sum(1)
+        ref = (0.5 * matrix + 0.5 * matrix.T)[tours, np.roll(tours, -1, 1)].sum(1)
         assert np.array_equal(tour_lengths(tours, TspInstance(matrix=matrix)), ref)
 
     def test_maxcut_problem_minimizes_negated_cut(self):

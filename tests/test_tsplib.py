@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsta import instances
 from dsta.errors import ParseError, UnsupportedType
 from dsta.problems import TspInstance
 from dsta.tsplib import (
@@ -16,6 +17,8 @@ from dsta.tsplib import (
     _geo_radians,
     build_distances,
     euclidean_matrix,
+    geo_matrix,
+    load_instance,
     parse_tsplib,
     triangle_matrix,
 )
@@ -567,6 +570,26 @@ class TestBlockedGeoBuild:
         assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestExactSymmetry:
+    """Every loaded instance is exactly symmetric; a GEO matrix already is, so it is held without a copy."""
+
+    def test_allclose_only_full_matrix_loads_exactly_symmetric(self, tmp_path):
+        path = tmp_path / "close.tsp"
+        path.write_text(EXPLICIT_FULL.replace("2 3 0\n", "2.00000001 3 0\n"))
+        inst = load_instance(str(path))
+        m = np.array([[0, 1, 2], [1, 0, 3], [2.00000001, 3, 0]])
+        assert inst.matrix.tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+        assert (inst.matrix == inst.matrix.T).all()
+        cut = instances.maxcut_from_tsp(inst)
+        assert cut.weights.tobytes() == inst.matrix.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_geo_matrix_equals_its_transpose(self, seed):
+        n = int(np.random.default_rng(seed).integers(3, 701))
+        d = geo_matrix(geo_coords(n, seed))
+        assert d.tobytes() == d.T.copy().tobytes()
+
+
 class TestSetupMemory:
     """Set-up holds the distance matrix and no second n x n buffer."""
 
@@ -597,5 +620,5 @@ class TestSetupMemory:
         # exactly symmetric, so no allclose pass: at most 5% of the matrix bytes
         m = one_shot_distances(self.doc().coords)
         inst, peak = traced_peak(lambda: TspInstance(matrix=m))
-        assert inst.matrix is m and inst.asymmetry == 0.0
+        assert inst.matrix is m
         assert peak <= 0.05 * m.nbytes
