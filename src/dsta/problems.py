@@ -309,11 +309,13 @@ def _leg_lengths(ends: np.ndarray, pairs: np.ndarray, legs) -> np.ndarray:
 
 
 def _chain_legs(pad: np.ndarray, moves: Windows, legs):
-    """Each window's (delta, touched) on the padded state `pad`: its change, and the sum of legs it replaces or adds.
+    """Each window's (delta, touched) on the padded state `pad`, with the lengths of the legs it replaces or adds.
 
     A closed chain pads with its own far ends, an open one with a sentinel
-    whose legs are 0.  A reversal's inner legs run backwards, for the caller
-    to count.
+    whose legs are 0.  delta is each window's change, touched the sum of
+    the legs it replaces or adds; a reversal's inner legs run backwards, for
+    the caller to count.  The lengths are a (4 or 6, rows) array, the legs
+    taken out in its first half and those put in in its second.
     """
     lo, hi, k = moves.lo, moves.hi, moves.k
     if k is None:
@@ -321,11 +323,12 @@ def _chain_legs(pad: np.ndarray, moves: Windows, legs):
     else:
         at, pairs, signs = (lo, hi, lo + k), _ROTATE_LEGS, _ROTATE_SIGNS
     ends = pad.take(np.concatenate(at).reshape(len(at), 1, -1) + _NEXT).reshape(2 * len(at), -1)
-    return signs @ _leg_lengths(ends, pairs, legs)
+    lengths = _leg_lengths(ends, pairs, legs)
+    return signs @ lengths, lengths
 
 
 def _write_legs(pad: np.ndarray, moves: Writes, legs):
-    """(delta, touched) of sparse writes on the padded closed chain `pad`, as `_chain_legs` gives them for windows.
+    """(delta, touched) of sparse writes on the padded closed chain `pad`, as `_chain_legs` gives them, and legs put in.
 
     A write of v at position p reads the entries before, at and after p from
     the chain before the move: legs (before, at) and (at, after) go, and
@@ -335,6 +338,11 @@ def _write_legs(pad: np.ndarray, moves: Writes, legs):
     L(v_c, after_c) - L(at_c, v_d) + L(at_c, after_c).  This holds along runs
     of consecutive writes and across the wrap.  A tour's entries are
     distinct, so d follows c exactly when c's entry after is d's entry at.
+
+    The legs put in are a (2w, rows) array, L(before, v) of each column, then
+    L(v, after) of each: the new legs p - 1, then p, of each written position
+    p.  They are None when a column is masked or a write follows another,
+    where the legs of the row differ from these.
     """
     p, mask = moves.pos, moves.mask
     rows, w = p.shape
@@ -350,7 +358,8 @@ def _write_legs(pad: np.ndarray, moves: Writes, legs):
         c, d, r = follows.nonzero()
         ends = np.concatenate((ends[1:, c, r], ends[3:, d, r]))  # at_c, after_c, v_c, v_d
         np.add.at(sums, (slice(None), r), _FOUR_SIGNS @ _leg_lengths(ends, _FOLLOW_LEGS, legs))
-    return sums
+        return sums, None
+    return sums, (None if mask is not None else lengths[2:].reshape(2 * w, rows))
 
 
 def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
@@ -360,7 +369,10 @@ def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
     return _chain_sums(tours, inst.legs, closed=True)
 
 
-def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
+_NO_HOLD = (None, None, None, None)  # a `tour_settle` hold that holds no tour
+
+
+def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, held=_NO_HOLD):
     """Change in closed-tour length of each move, with one bound on the error of all of them.
 
     Leg i joins positions i and i + 1 (mod n), and moves are scored on the
@@ -370,7 +382,9 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     had, as every instance is exactly symmetric; a write of w positions
     takes 4 legs a position, and 4 more for each pair of adjacent positions,
     at most 8w.  A whole-tour window leaves the cycle as it was, so its delta
-    is 0.
+    is 0.  `held` is the hold of `tour_settle`: when `tour` is its row, moves
+    are scored on its pad, and the round holds its moves and the legs they
+    put in, where `_chain_legs` or `_write_legs` gives them.
 
     Returns (delta, err), one float err for the round, with |cost + delta -
     tour_lengths(row)| <= err for the row of every move, where `cost` is
@@ -381,60 +395,94 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance):
     touched legs.
     """
     n = inst.n
-    pad = np.concatenate((tour[-1:], tour, tour[:1]))
+    row, pad, _, _ = held  # one read, so the row and its pad are of one tour
+    if tour is not row:
+        pad = np.concatenate((tour[-1:], tour, tour[:1]))
     terms = 6  # a rotation's 6 legs
     if isinstance(moves, Writes):
-        delta, touched = _write_legs(pad, moves, inst.legs)
+        (delta, touched), put = _write_legs(pad, moves, inst.legs)
         terms = 8 * moves.pos.shape[1]
     else:
-        delta, touched = _chain_legs(pad, moves, inst.legs)
+        (delta, touched), lengths = _chain_legs(pad, moves, inst.legs)
+        put = lengths[len(lengths) // 2:]
         delta[moves.hi - moves.lo == n] = 0
         if moves.k is None:  # a reversal's 4 legs
             terms = 4
+    if tour is row:
+        held[3] = None if put is None else (moves, put)
     most = float(np.maximum.reduce(touched))
     return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most)
 
 
-_HELD_LEGS_FROM = 1000  # cities; below, editing held legs measured no faster than a full evaluation
+_HELD_LEGS_FROM = 300  # cities; below, the hold did not read faster in most pairs of every round measured
 
 
-def tour_settle(tour: np.ndarray, move: Moves, inst: TspInstance, held: list) -> tuple[float, np.ndarray]:
-    """(cost, row) of one move's row, the cost `tour_lengths` of the row, bit for bit.
+def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, held: list) -> tuple[float, np.ndarray]:
+    """(cost, row) of the row of move `index`, the cost `tour_lengths` of the row, bit for bit.
 
-    `held` is the [tour bytes, legs] pair of the last row settled here, leg i
-    joining positions i and i + 1 (mod n).  When `tour` is the held tour, the
-    row's legs are the held legs with a few replaced: a reversal of [lo, hi)
-    runs legs lo..hi - 2 backwards and replaces legs lo - 1 and hi - 1, a
-    rotation by k moves its two inner runs and replaces legs lo - 1, hi - k - 1
-    and hi - 1, and a write at p replaces legs p - 1 and p (mod n).  Each new
-    leg is `inst.legs` of its two cities, and a reversed leg keeps its bits,
-    as L(a, b) has the bits of L(b, a) on every instance (see `TspInstance`).
-    The row of a tour that is not held is evaluated in full.  Either way the
-    row's n legs are summed by one pairwise np.add.reduce, as `_chain_sums`
-    sums them, and the pair then holds the row.
+    `held` is the [row, pad, legs, round] hold that `tsp_problem` shares with
+    `tour_deltas`, of the last row settled here: pad is the row padded with
+    its own far ends, row = pad[1:-1], pad[0] = row[-1] and pad[-1] = row[0];
+    legs[i] is leg i, joining positions i and i + 1 (mod n); round is None,
+    or the moves of the round that `tour_deltas` last scored on the pad and
+    the legs each of them puts in.  The row is written once, by the rules of
+    `Windows.apply` and `Writes.apply` for one row, into a new pad that is
+    then made read-only, so a tour is the held one exactly when it is the
+    held row (`is`), and a copy of it, a restored incumbent say, is not.
+
+    When `tour` is the held row, the new row's legs are the held legs with a
+    few replaced: a reversal of [lo, hi) runs legs lo..hi - 2 backwards and
+    replaces legs lo - 1 and hi - 1, a rotation by k moves its two inner runs
+    and replaces legs lo - 1, hi - k - 1 and hi - 1, and a write at p
+    replaces legs p - 1 and p (mod n).  A move of the held round, but for a
+    whole-tour window, takes its new legs from the round: `_chain_legs` or
+    `_write_legs` took each as `inst.legs` of the same two cities in the same
+    order, so it has the same bits.  Any other new leg is `inst.legs` of its
+    two cities.  A reversed leg keeps its bits, as L(a, b) has the bits of
+    L(b, a) on every instance (see `TspInstance`).  The row of a tour that is
+    not held is evaluated in full.  Either way the row's n legs are summed by
+    one pairwise np.add.reduce, as `_chain_sums` sums them, and the hold then
+    holds the row.
     """
-    row = move.apply(tour)[0]
-    key, old = held  # one read, so the bytes and legs are of one tour
-    if key != tour.tobytes():
-        closed = np.concatenate((row, row[:1]))
-        legs = inst.legs(closed[:-1], closed[1:])
+    held_row, _, old, scored = held  # one read, so the row, its legs and its round are of one tour
+    n, hit = len(tour), tour is held_row
+    pad = np.empty(n + 2, tour.dtype)
+    row = pad[1:-1]
+    row[:] = tour
+    legs = old.copy() if hit else None
+    if isinstance(moves, Writes):
+        pos, val = moves.pos[index], moves.val[index]
+        if moves.mask is not None:
+            live = moves.mask[index]
+            pos, val = pos[live], val[live]
+        row[pos] = val
+        at, whole = np.concatenate((pos - 1, pos)), False
     else:
-        legs = old.copy()
-        if isinstance(move, Writes):
-            at = np.concatenate((move.pos[0] - 1, move.pos[0]))
-        else:
-            lo, hi = int(move.lo[0]), int(move.hi[0])
-            if move.k is None:
+        lo, hi = int(moves.lo[index]), int(moves.hi[index])
+        if moves.k is None:
+            row[lo:hi] = tour[lo:hi][::-1]
+            if hit:
                 legs[lo:hi - 1] = old[lo:hi - 1][::-1]
-                at = np.array([lo - 1, hi - 1])
-            else:
-                k = int(move.k[0])
+            at = [lo - 1, hi - 1]
+        else:
+            k = int(moves.k[index])
+            row[lo:hi - k] = tour[lo + k:hi]
+            row[hi - k:hi] = tour[lo:lo + k]
+            if hit:
                 legs[lo:hi - k - 1] = old[lo + k:hi - 1]
                 legs[hi - k:hi - 1] = old[lo:lo + k - 1]
-                at = np.array([lo - 1, hi - k - 1, hi - 1])
-        a, b = row.take(at + _NEXT, mode="wrap")  # leg -1 is leg n - 1, and city n is city 0
+            at = [lo - 1, hi - k - 1, hi - 1]
+        whole = hi - lo == n
+    pad[0], pad[-1] = row[-1], row[0]
+    if not hit:
+        legs = inst.legs(row, pad[2:])
+    elif scored is not None and scored[0] is moves and not whole:
+        legs[at] = scored[1][:, index]
+    else:
+        a, b = pad.take(np.add(at, _NEXT + 1))  # pad[p + 1] is the row's entry at position p, for p from -1 to n
         legs[at] = inst.legs(a, b)
-    held[:] = row.tobytes(), legs
+    pad.flags.writeable = row.flags.writeable = False  # a view keeps the flag it was made with
+    held[:] = row, pad, legs, None
     return float(np.add.reduce(legs)), row
 
 
@@ -645,10 +693,11 @@ class Problem:
     is `evaluate` of `state`.  It lets `best_move` skip most rows.  It
     returns None for moves it does not score.
 
-    `settle_one(state, move)`, where given, returns (cost, row) of a
-    one-row `move`: the row built as `move.apply(state)[0]`, and a cost with
-    the bits of `evaluate_many` of it.  `best_move` settles a one-row
-    shortlist through it.
+    `settle_one(state, moves, index)`, where given, returns (cost, row) of
+    move `index` of `moves`: the row `moves.apply(state)[index]`, and a cost
+    with the bits of `evaluate_many` of it.  `best_move` settles a one-row
+    shortlist through it, with the moves `delta_many` just scored, so the
+    problem can tell the round it scored.
     """
 
     name: str
@@ -656,7 +705,7 @@ class Problem:
     alphabet_size: int | None  # None marks the permutation representation
     evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
     delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, float] | None] | None = None
-    settle_one: Callable[[np.ndarray, Moves], tuple[float, np.ndarray]] | None = None
+    settle_one: Callable[[np.ndarray, Moves, int], tuple[float, np.ndarray]] | None = None
 
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
@@ -684,7 +733,8 @@ class Problem:
         built as `moves.take(S).apply(state)` in `settle()`, so only S is ever
         materialized.  The settled cost always has the bits of a full
         evaluation, and the row is a new array; a one-row S is settled by
-        `settle_one` where the problem gives one (see `_settle`).
+        `settle_one(state, moves, index)` where the problem gives one, on the
+        moves `delta_many` scored (see `_settle`).
 
         A row's evaluation can depend on its batch: a BLAS product rounds
         differently with the row count, so on non-integer QUBO weights the
@@ -710,10 +760,12 @@ class Problem:
     def _settle(self, state: np.ndarray, moves: Moves, short: np.ndarray | None) -> tuple[int, float, np.ndarray]:
         """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full.
 
-        A one-row `short` goes to `settle_one` where the problem gives one.
+        A one-row `short` goes to `settle_one` where the problem gives one,
+        with the round's moves and the row's index in them.
         """
         if self.settle_one is not None and short is not None and len(short) == 1:
-            return int(short[0]), *self.settle_one(state, moves.take(short))
+            index = int(short[0])
+            return index, *self.settle_one(state, moves, index)
         rows = (moves if short is None else moves.take(short)).apply(state)
         costs = self.evaluate_many(rows)
         best = int(costs.argmin())  # stable: first minimum wins; a NaN anywhere wins too
@@ -726,15 +778,19 @@ class Problem:
 
 
 def tsp_problem(inst: TspInstance) -> Problem:
-    """Minimize closed-tour length; from _HELD_LEGS_FROM cities up, one-row settles edit held legs (`tour_settle`)."""
-    held = [None, None]  # the bytes of the last tour settled through `tour_settle`, and its legs
+    """Minimize closed-tour length; from _HELD_LEGS_FROM cities up, one-row settles edit held legs (`tour_settle`).
+
+    `tour_deltas` and `tour_settle` share one hold: a settled row, its
+    read-only pad and its legs, and the round last scored on it.
+    """
+    held = [None, None, None, None]  # [row, pad, legs, round] of the last row settled through `tour_settle`
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=None,
         evaluate_many=lambda tours: tour_lengths(tours, inst),
-        delta_many=lambda tour, cost, moves: tour_deltas(tour, cost, moves, inst),
-        settle_one=(lambda tour, move: tour_settle(tour, move, inst, held)) if inst.n >= _HELD_LEGS_FROM else None,
+        delta_many=lambda tour, cost, moves: tour_deltas(tour, cost, moves, inst, held),
+        settle_one=None if inst.n < _HELD_LEGS_FROM else lambda tour, moves, i: tour_settle(tour, moves, i, inst, held),
     )
 
 
@@ -806,7 +862,7 @@ def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
     """
     if isinstance(moves, Writes):
         return None
-    delta, _ = _chain_legs(np.concatenate(([_ROSEN_END], idx, [_ROSEN_END])), moves, _ROSEN_LEGS)
+    (delta, _), _ = _chain_legs(np.concatenate(([_ROSEN_END], idx, [_ROSEN_END])), moves, _ROSEN_LEGS)
     if moves.k is None:  # pair p, p + 1 is turned around for lo <= p < hi - 1
         fwd = idx[:-1] * _ROSEN_STRIDE
         fwd += idx[1:]

@@ -645,33 +645,55 @@ def held_legs_instance(n, kind):
 
 
 def held_legs_problem(inst, held, hits):
-    """tsp_problem(inst) whose one-row settles run `tour_settle` on the pair `held` at any n; `hits` logs which hit."""
+    """tsp_problem(inst) whose rounds share the hold `held` at any n; `hits` logs (held row, held round) per settle."""
 
-    def settle_one(tour, move):
-        hits.append(held[0] == tour.tobytes())
-        return problems.tour_settle(tour, move, inst, held)
+    def settle_one(tour, moves, index):
+        hits.append((tour is held[0], held[3] is not None and held[3][0] is moves))
+        return problems.tour_settle(tour, moves, index, inst, held)
 
-    return replace(problems.tsp_problem(inst), settle_one=settle_one)
+    return replace(
+        problems.tsp_problem(inst),
+        delta_many=lambda tour, cost, moves: problems.tour_deltas(tour, cost, moves, inst, held),
+        settle_one=settle_one,
+    )
+
+
+def empty_hold():
+    return [None, None, None, None]
 
 
 @pytest.mark.parametrize("mode", RUN_MODES[:2], ids=RUN_MODE_IDS[:2])
 @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix", "allclose"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 128, 129, 256, 300])
 def test_tsp_held_legs_run_equals_emptied_hold_run(n, kind, mode):
-    """Settling from held legs changes no bit of a run: against a hold emptied every round, and against no hook."""
+    """Settling from the hold changes no bit of a run: against a hold emptied every call, and against no hook."""
     inst = held_legs_instance(n, kind)
     params = StaParams(max_iters=60, seed=n + 1, ma=4, mb=3, mc=2, **mode)
     hits = []
-    held = run_bytes(held_legs_problem(inst, [None, None], hits), params)
+    held = run_bytes(held_legs_problem(inst, empty_hold(), hits), params)
     emptied = replace(
-        problems.tsp_problem(inst), settle_one=lambda tour, move: problems.tour_settle(tour, move, inst, [None, None])
+        problems.tsp_problem(inst),
+        delta_many=lambda tour, cost, moves: problems.tour_deltas(tour, cost, moves, inst, empty_hold()),
+        settle_one=lambda tour, moves, index: problems.tour_settle(tour, moves, index, inst, empty_hold()),
     )
     assert held == run_bytes(emptied, params) == run_bytes(replace(emptied, settle_one=None), params)
-    assert any(hits) or n < 7  # the held path ran; smaller tours settle a row of their own seldom, or never
+    assert any(row for row, _ in hits) or n < 7  # the held row was used; smaller tours settle few rows of their own
+    assert any(legs for _, legs in hits) or n < 128  # and the legs of a round scored on it
+
+
+def held_row(tour, inst, held):
+    """Settle an identity write on `tour` into `held`: the held row, a read-only copy of `tour`."""
+    _, row = problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), 0, inst, held)
+    assert held[0] is row and np.array_equal(row, tour)
+    return row
+
+
+def closed_legs(row, inst):
+    return inst.legs(row, np.roll(row, -1))
 
 
 class TestTourSettle:
-    """`tour_settle` on the held tour: the row `move.apply` builds, and the bits of `tour_lengths` of it."""
+    """`tour_settle` on the held row: the row `moves.apply` builds, and the bits of `tour_lengths` of it."""
 
     N = (5, 12, 129)
 
@@ -696,27 +718,117 @@ class TestTourSettle:
     @pytest.mark.parametrize("n", N)
     def test_settled_cost_and_held_legs_are_a_full_evaluation(self, n, kind):
         inst = held_legs_instance(n, kind)
-        tour, moves = self.wrap_moves(n)
-        for move in moves:
-            held = [None, None]
-            problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), inst, held)  # holds `tour` itself
-            assert held[0] == tour.tobytes()
-            cost, row = problems.tour_settle(tour, move, inst, held)
+        start, moves = self.wrap_moves(n)
+        for move, scored in itertools.product(moves, (False, True)):
+            held = empty_hold()
+            tour = held_row(start, inst, held)
+            if scored:  # the settle may take the new legs from the round
+                problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
+                assert held[3] is None or held[3][0] is move
+            cost, row = problems.tour_settle(tour, move, 0, inst, held)
             assert np.array_equal(row, move.apply(tour)[0]) and sorted(row) == list(range(n))
             assert np.float64(cost).tobytes() == problems.tour_lengths(row[None], inst)[0].tobytes()
-            closed = np.concatenate((row, row[:1]))
-            assert held[0] == row.tobytes() and held[1].tobytes() == inst.legs(closed[:-1], closed[1:]).tobytes()
+            assert held[0] is row and held[2].tobytes() == closed_legs(row, inst).tobytes() and held[3] is None
+            assert np.array_equal(held[1], np.concatenate((row[-1:], row, row[:1]))) and np.shares_memory(held[1], row)
 
     def test_reversal_on_an_allclose_matrix_computes_only_its_new_legs(self):
         inst = held_legs_instance(12, "allclose")
-        tour, _ = self.wrap_moves(12)
-        held = [None, None]
-        problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), inst, held)
+        start, _ = self.wrap_moves(12)
+        reversal, rotation = Windows(np.array([2]), np.array([9])), Windows(np.array([2]), np.array([9]), np.array([3]))
+        held = empty_hold()
+        tour = held_row(start, inst, held)
         with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
-            _, row = problems.tour_settle(tour, Windows(np.array([2]), np.array([9])), inst, held)
-            assert legs.call_args.args[0].shape == (2,)  # a reversal on the held tour: its 2 new legs
-            problems.tour_settle(row, Windows(np.array([2]), np.array([9]), np.array([3])), inst, held)
+            _, row = problems.tour_settle(tour, reversal, 0, inst, held)
+            assert legs.call_args.args[0].shape == (2,)  # a reversal on the held row: its 2 new legs
+            problems.tour_settle(row, rotation, 0, inst, held)
             assert legs.call_args.args[0].shape == (3,)  # a rotation on the held row: its 3 new legs
+        for move in (reversal, rotation):
+            tour = held_row(start, inst, held)
+            problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
+            with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
+                problems.tour_settle(tour, move, 0, inst, held)
+                assert legs.call_count == 0  # a move of the round scored on the held row: the round's new legs
+
+    @staticmethod
+    def edge_windows(n):
+        """Reversals and rotations by 1 and by width - 1 of windows at lo = 0 and at hi = n, of widths 2 and n - 1."""
+        lo = np.array([0, 0, n - 2, 1, n // 2])
+        hi = np.array([2, n - 1, n, n, n // 2 + 2])
+        k = np.concatenate((np.ones(5, int), hi - lo - 1))
+        return [Windows(lo, hi), Windows(np.tile(lo, 2), np.tile(hi, 2), k)]
+
+    @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix"])
+    @pytest.mark.parametrize("n", N)
+    def test_legs_from_the_bound_are_the_legs_of_their_cities(self, n, kind):
+        """Each new leg a round holds has the bits of `inst.legs` of the two cities it joins in the move's row."""
+        inst = held_legs_instance(n, kind)
+        start, _ = self.wrap_moves(n)
+        far = [[0, n // 2], [1, n - 2]] if n > 5 else [[0, 2]]  # swaps of no adjacent positions
+        swaps = Writes(np.array(far), start[np.array(far)[:, ::-1]])
+        for moves in self.edge_windows(n) + [swaps]:
+            held = empty_hold()
+            tour = held_row(start, inst, held)
+            problems.tour_deltas(tour, problems.tour_length(tour, inst), moves, inst, held)
+            assert held[3][0] is moves
+            for i, row in enumerate(moves.apply(tour)):
+                if isinstance(moves, Writes):
+                    at = np.concatenate((moves.pos[i] - 1, moves.pos[i]))
+                else:
+                    lo, hi = int(moves.lo[i]), int(moves.hi[i])
+                    at = [lo - 1, hi - 1] if moves.k is None else [lo - 1, hi - int(moves.k[i]) - 1, hi - 1]
+                at = np.array(at) % n
+                assert held[3][1][:, i].tobytes() == inst.legs(row[at], row[(at + 1) % n]).tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_whole_tour_window_computes_its_legs(self, k):
+        """The legs a whole-tour window's bound puts in are not its row's: the settle computes them."""
+        n = 12
+        inst = held_legs_instance(n, "real")
+        start, _ = self.wrap_moves(n)
+        move = Windows(np.array([0]), np.array([n]), None if k is None else np.array([k]))
+        held = empty_hold()
+        tour = held_row(start, inst, held)
+        problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
+        assert held[3][0] is move
+        with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
+            cost, row = problems.tour_settle(tour, move, 0, inst, held)
+            assert legs.call_args.args[0].shape == (2 if k is None else 3,)
+        assert np.float64(cost).tobytes() == problems.tour_lengths(row[None], inst)[0].tobytes()
+        assert held[2].tobytes() == closed_legs(row, inst).tobytes()
+
+    def test_settled_row_is_read_only(self):
+        inst = held_legs_instance(12, "real")
+        start, moves = self.wrap_moves(12)
+        held = empty_hold()
+        tour = held_row(start, inst, held)
+        for move in moves:
+            _, tour = problems.tour_settle(tour, move, 0, inst, held)
+            assert not tour.flags.writeable and not held[1].flags.writeable
+            with pytest.raises(ValueError):
+                tour[0] = tour[1]
+        assert np.array_equal(start, self.wrap_moves(12)[0])  # the settles wrote no entry of their input
+
+    @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix"])
+    def test_restored_copy_misses_the_hold(self, kind):
+        """A copy of the held row, a restored incumbent say, is evaluated in full, with the bits of the held path."""
+        n = 129
+        inst = held_legs_instance(n, kind)
+        start, moves = self.wrap_moves(n)
+        for move in moves:
+            held, fresh = empty_hold(), empty_hold()
+            tour = held_row(start, inst, held)
+            copy = tour.copy()
+            problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
+            problems.tour_deltas(copy, problems.tour_length(copy, inst), move, inst, held)  # a miss holds no round
+            assert held[3] is None or held[3][0] is move
+            scored = held[3]
+            with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
+                cost, row = problems.tour_settle(copy, move, 0, inst, held)
+                assert legs.call_args.args[0].shape == (n,)  # evaluated in full
+            held = [tour, None, closed_legs(tour, inst), scored]  # the hold `copy` missed
+            held_cost, held_row_ = problems.tour_settle(tour, move, 0, inst, held)
+            assert (cost, row.tobytes()) == (held_cost, held_row_.tobytes())
+            assert held[2].tobytes() == closed_legs(row, inst).tobytes()
 
     def test_tsp_problem_holds_legs_from_its_size_on(self):
         small = held_legs_instance(problems._HELD_LEGS_FROM - 1, "real")
