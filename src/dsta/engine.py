@@ -6,6 +6,11 @@ a greedy criterion, and in dynamic mode may accept a worse round-best with
 probability p2 ("risk").  After all rounds the incumbent is updated greedily,
 and dynamic mode resets the current state to the incumbent with probability
 p1 ("restore").
+
+No state array is written after it is made: a round's kept row is a new
+array, so the incumbent is the current array itself, a restore sets the
+current array to it, and only the best solution a run returns is a copy.
+So a problem may keep a row it returned, and make it read-only.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ def restore_step(
     state: SearchState, mode: Mode, p1: float, rng: np.random.Generator
 ) -> SearchState:
     if mode is Mode.DYNAMIC and rng.random() < p1:
-        state.current = state.incumbent.copy()
+        state.current = state.incumbent
         state.current_cost = state.incumbent_cost
     return state
 
@@ -164,7 +169,7 @@ def run(problem, params: StaParams) -> RunResult:
 
     current = problem.initial(rng)
     current_cost = _finite(float(problem.evaluate(current)), "initial")
-    state = SearchState(current, current_cost, current.copy(), current_cost)
+    state = SearchState(current, current_cost, current, current_cost)
     evaluations = 1
 
     trace: list[tuple[int, float, float]] = []
@@ -173,14 +178,14 @@ def run(problem, params: StaParams) -> RunResult:
             state = operator_round(state, op, problem, params, rng)
             evaluations += params.se
         if state.current_cost < state.incumbent_cost:
-            state.incumbent = state.current.copy()
+            state.incumbent = state.current
             state.incumbent_cost = state.current_cost
         state = restore_step(state, params.mode, params.p1, rng)
         trace.append((it, state.current_cost, state.incumbent_cost))
 
     return RunResult(
         params=params,
-        best_solution=state.incumbent,
+        best_solution=state.incumbent.copy(),  # the caller's own array, never a problem's read-only row
         best_cost=state.incumbent_cost,
         trace=trace,
         evaluations=evaluations,

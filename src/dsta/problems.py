@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -414,9 +415,6 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, 
     return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most)
 
 
-_HELD_LEGS_FROM = 300  # cities; below, the hold did not read faster in most pairs of every round measured
-
-
 def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, held: list) -> tuple[float, np.ndarray]:
     """(cost, row) of the row of move `index`, the cost `tour_lengths` of the row, bit for bit.
 
@@ -428,7 +426,7 @@ def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, h
     the legs each of them puts in.  The row is written once, by the rules of
     `Windows.apply` and `Writes.apply` for one row, into a new pad that is
     then made read-only, so a tour is the held one exactly when it is the
-    held row (`is`), and a copy of it, a restored incumbent say, is not.
+    held row (`is`), and a copy of it is not.
 
     When `tour` is the held row, the new row's legs are the held legs with a
     few replaced: a reversal of [lo, hi) runs legs lo..hi - 2 backwards and
@@ -573,14 +571,19 @@ def qubo_deltas(
     which it was.
 
     A window flips about half its length, so its rows are screened whole in
-    float32: `screen` is the float32 copy of W that `maxcut_problem` makes,
-    one GEMM gives 2 P32 of every row, and the delta is P32 - cost.  The GEMM
-    is W32 Y^T, not Y W32: the square matrix as BLAS's left operand measured
-    faster from about 200 rows up (124 against 139 us at 399, 32 sign rows,
-    one OpenBLAS thread on a 2-core VM) and slower below 100.  Only rounding
-    differs, as y'Wy equals y'W^Ty exactly for any W, and gamma_(2n) below
-    holds in any summation order.  Without a screen, windows are not
-    scored: the result is None.
+    float32 against `screen`, the matrix M of `_qubo_arrays`: W's upper block
+    triangle, its blocks above the diagonal doubled.  As W is symmetric,
+    y'Wy = sum_I y_I'(W_II y_I + 2 sum_(J>I) W_IJ y_J) = sum_p y_p Z_p,
+    with Z_p the sum of M_pq y_q over the columns q from p's block on.  The
+    rows' signs are copied once into a C-order Y^T, and Z is formed one block
+    row at a time, block row I as the GEMM M[I, I:] Y^T[I:], into one
+    (n + 1, rows) buffer.  One contraction then gives 2 P32 of every row, and
+    the delta is P32 - cost.  Below 192 vertices M is one block, W itself,
+    and Z is the single GEMM W Y^T; at 400 the three block rows read two
+    thirds of M.  Each product takes the square matrix as BLAS's left
+    operand, which measured faster from about 200 rows up (124 against 139
+    us at 399, 32 sign rows, one OpenBLAS thread on a 2-core VM) and slower
+    below 100.  Without a screen, windows are not scored: the result is None.
 
     Returns (delta, err) with |cost + delta - F| <= err, where cost is
     `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
@@ -596,20 +599,25 @@ def qubo_deltas(
     - a write's delta is within gamma_(n+2k+3) 2B, as each g_i is within
       gamma_n of its column's sum of |W| and each gathered sum within gamma_k
       of its row's, both summing to at most B/2 over distinct positions;
-    - a screened row is within 9 u32 B/4 for storing W in float32 (half the
+    - a screened row is within 9 u32 B/4 for storing M in float32 (half the
       bound in `_qubo_arrays`), gamma_(2n) B/4 at float32's u for its
-      evaluation (sign products, sums that underflow and halving 2 P32 in
-      float64 are exact), gamma_(2n+1) B/4 for F, and 4u B/4 for P32 - cost
-      and the caller's cost + delta in float64.
+      evaluation, gamma_(2n+1) B/4 for F, and 4u B/4 for P32 - cost and the
+      caller's cost + delta in float64.  The evaluation's bound holds in any
+      summation order and for any block split: each Z_p is a sum of at most
+      n + 1 terms and the contraction one of n + 1, and sum |M| = sum |W| =
+      B/2, as each doubled entry of M stands for two entries of W.  Sign
+      products, doubling, sums that underflow and halving 2 P32 in float64
+      are exact.
     """
     n = len(bits)
     if not isinstance(moves, Writes):
         if screen is None:
             return None
-        y = moves.apply(_signs(bits, _SIGN32))
-        wy = screen @ y.T
-        wy *= y.T
-        twice = wy.sum(axis=0)
+        yt = np.ascontiguousarray(moves.apply(_signs(bits, _SIGN32)).T)
+        z = np.empty_like(yt)
+        for a, b in _screen_blocks(n + 1):
+            np.matmul(screen[a:b, a:], yt[a:], out=z[a:b])
+        twice = np.einsum("ij,ij->j", z, yt)
         err = (_EPS32 * (2 * n + 9) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
         return 0.5 * twice.astype(np.float64) - cost, err
     p = moves.pos
@@ -629,20 +637,41 @@ def qubo_deltas(
     return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound
 
 
-def _qubo_arrays(inst: MaxCutInstance):
-    """W in float64 and C order, and the float32 copy that screens window moves, or None where float32 cannot serve.
+_SCREEN_BLOCK = 128  # rows of a block of the window screen's matrix, about
 
-    Every partial sum of the screen is at most B/2 (B is `abs_bound`), so B
-    up to float32's largest value rules out overflow, and the cast cannot
-    warn.  Below float32's smallest normal t, a weight is stored with an
-    absolute error of up to t u32 instead of a relative one; with B >= n^2 t
-    the (n + 1)^2 <= 4 n^2 such errors sum to at most 4 u32 B, which
-    `qubo_deltas` counts.  Weights outside both limits get no copy.  Two
-    comparisons decide it, so building a problem scans no weight.
+
+def _screen_blocks(vertices: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) of the screen's blocks: (vertices + 64) // 128 of near-equal size, at least one."""
+    k = max(1, (vertices + _SCREEN_BLOCK // 2) // _SCREEN_BLOCK)
+    return list(pairwise(vertices * i // k for i in range(k + 1)))
+
+
+def _qubo_arrays(inst: MaxCutInstance):
+    """W in float64 and C order, and the float32 matrix M that screens window moves, or None where float32 cannot serve.
+
+    M holds W's upper block triangle over the row ranges of `_screen_blocks`:
+    block (I, I) is W_II and block (I, J), J > I, is 2 W_IJ, each entry cast
+    to float32 and then doubled, which is exact.  The blocks below the
+    diagonal are never written nor read (see `qubo_deltas`).
+
+    Every partial sum of the screen, and every doubled entry, is at most
+    sum |M| = sum |W| = B/2 (B is `abs_bound`), so B up to float32's largest
+    value rules out overflow, and the cast cannot warn.  Below float32's
+    smallest normal t, a weight is stored with an absolute error of up to
+    t u32 instead of a relative one (a doubled entry twice that, for its two
+    entries of W); with B >= n^2 t the (n + 1)^2 <= 4 n^2 such errors sum to
+    at most 4 u32 B, which `qubo_deltas` counts.  Weights outside both
+    limits get no M.  Two comparisons decide it, so building a problem scans
+    no weight.
     """
     w = np.ascontiguousarray(inst.weights, dtype=np.float64)
-    screened = inst.n * inst.n * _F32_TINY <= inst.abs_bound <= _F32_MAX
-    return w, (w.astype(np.float32) if screened else None)
+    if not inst.n * inst.n * _F32_TINY <= inst.abs_bound <= _F32_MAX:
+        return w, None
+    m = np.empty(w.shape, np.float32)
+    for a, b in _screen_blocks(len(w)):
+        m[a:b, a:] = w[a:b, a:]
+        m[a:b, b:] *= 2
+    return w, m
 
 
 def rosenbrock_value(values: np.ndarray) -> float:
@@ -778,7 +807,7 @@ class Problem:
 
 
 def tsp_problem(inst: TspInstance) -> Problem:
-    """Minimize closed-tour length; from _HELD_LEGS_FROM cities up, one-row settles edit held legs (`tour_settle`).
+    """Minimize closed-tour length; one-row settles edit held legs (`tour_settle`).
 
     `tour_deltas` and `tour_settle` share one hold: a settled row, its
     read-only pad and its legs, and the round last scored on it.
@@ -790,7 +819,7 @@ def tsp_problem(inst: TspInstance) -> Problem:
         alphabet_size=None,
         evaluate_many=lambda tours: tour_lengths(tours, inst),
         delta_many=lambda tour, cost, moves: tour_deltas(tour, cost, moves, inst, held),
-        settle_one=None if inst.n < _HELD_LEGS_FROM else lambda tour, moves, i: tour_settle(tour, moves, i, inst, held),
+        settle_one=lambda tour, moves, i: tour_settle(tour, moves, i, inst, held),
     )
 
 
@@ -798,14 +827,14 @@ def maxcut_problem(inst: MaxCutInstance) -> Problem:
     """Minimize 1/2 y'Wy over signs y = (x, +1); convert best_cost back with cut_from_qubo.
 
     `delta_many` scores swap and substitute moves by k-flip deltas, and
-    screens shift and symmetry moves in float32 against a copy of W made
-    here once; `best_move` evaluates in float64 only the rows the screen
-    cannot rule out.  When 2 sum|W| exceeds float32's largest value or falls
-    below n^2 times its smallest normal, no copy is made and windows are
-    evaluated whole in float64.  Both functions share one held pair of a
-    state's bits and its product g = W^T y: a one-row evaluation sets it,
-    and a write round on that state takes g from it instead of a pass over
-    W (see `qubo_deltas`).
+    screens shift and symmetry moves in float32 against W's upper block
+    triangle, made here once (see `_qubo_arrays`); `best_move` evaluates in
+    float64 only the rows the screen cannot rule out.  When 2 sum|W| exceeds
+    float32's largest value or falls below n^2 times its smallest normal, no
+    float32 matrix is made and windows are evaluated whole in float64.  Both
+    functions share one held pair of a state's bits and its product g = W^T
+    y: a one-row evaluation sets it, and a write round on that state takes g
+    from it instead of a pass over W (see `qubo_deltas`).
     """
     w, screen = _qubo_arrays(inst)
     held = [None, None]  # a state's bits and its g = W^T y, from a one-row evaluation or a write round

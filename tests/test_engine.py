@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestRestoreStep:
         s = restore_step(self.make_state(), Mode.DYNAMIC, 1.0, rng())
         assert s.current_cost == 5.0
         assert np.array_equal(s.current, s.incumbent)
-        assert s.current is not s.incumbent  # restored by copy
+        assert s.current is s.incumbent  # no state array is written, so the incumbent itself serves
 
     def test_restore_frequency_matches_p1(self):
         p1 = 0.1459
@@ -225,6 +226,39 @@ class TestRun:
         r = run(prob, StaParams(max_iters=10, seed=10))
         assert r.wall_time >= 0
         assert sorted(r.best_solution) == list(range(6))
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("case", ["tsp-12", "tsp-300", "maxcut-41", "rosenbrock-30"])
+    def test_read_only_initial_state_changes_no_bit(self, case, mode):
+        """No operator or problem writes into a state: from a read-only initial state the run is the same run.
+
+        The incumbent is the current array itself, and a restore brings it
+        back, so a write into either would raise here.  Each run returns its
+        best solution as a writable array of its own, also where the problem
+        holds its settled rows read-only (TSP).
+        """
+        kind, n = case.split("-")
+        problem = {
+            "tsp": lambda: problems.tsp_problem(instances.random_euclidean_tsp(int(n), seed=1)),
+            "maxcut": lambda: problems.maxcut_problem(instances.random_weighted_graph(int(n), 0.5, 1)),
+            "rosenbrock": lambda: problems.rosenbrock_problem(int(n)),
+        }[kind]()
+        params = StaParams(max_iters=60, seed=4, mode=mode, ma=4, mb=3, mc=2, p1=0.5)
+        initial = problems.Problem.initial
+
+        def read_only_initial(self, g):
+            state = initial(self, g)
+            state.flags.writeable = False
+            return state
+
+        def record(r):
+            return r.best_solution.tobytes(), np.float64(r.best_cost).tobytes(), np.array(r.trace).tobytes(), r.evaluations
+
+        a = run(problem, params)
+        with mock.patch.object(problems.Problem, "initial", read_only_initial):
+            b = run(problem, params)
+        assert record(a) == record(b)
+        assert a.best_solution.flags.writeable and b.best_solution.flags.writeable
 
     def test_invalid_params_rejected_at_run(self):
         prob = problems.rosenbrock_problem(4)

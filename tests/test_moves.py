@@ -475,6 +475,124 @@ class TestQuboDeltas:
         assert np.array_equal(row, moves.apply(bits)[best])
 
 
+def former_screen(bits, cost, moves, inst):
+    """The window screen's deltas as one GEMM against a float32 copy of all of W, then a column sum."""
+    y = moves.apply(problems._signs(bits, problems._SIGN32))
+    wy = inst.weights.astype(np.float32) @ y.T
+    wy *= y.T
+    twice = wy.sum(axis=0)
+    return 0.5 * twice.astype(np.float64) - cost
+
+
+def lower_blocks(m):
+    """The entries of `m` below its diagonal blocks, as a boolean mask."""
+    below = np.zeros(m.shape, bool)
+    for a, b in problems._screen_blocks(len(m)):
+        below[b:, a:b] = True
+    return below
+
+
+class TestBlockScreen:
+    """The window screen reads W's upper block triangle, its blocks above the diagonal doubled."""
+
+    @pytest.mark.parametrize("kind", ["real", "loops"])
+    @pytest.mark.parametrize("op", [Operator.SHIFT, Operator.SYMMETRY])
+    @pytest.mark.parametrize("vertices", [191, 192, 193, 255, 256, 257, 319, 320, 321, 401, 800])
+    def test_block_screen_within_bound(self, vertices, op, kind):
+        """The bound of `TestQuboDeltas.test_sampled_moves_within_bound`, where the block count or split changes."""
+        problem = problems.maxcut_problem(problems.MaxCutInstance(weights=maxcut_weights(vertices, vertices, kind)))
+        g = np.random.default_rng(vertices)
+        bits = g.integers(0, 2, size=vertices - 1)
+        cost = problem.evaluate(bits)
+        for factor in VALUE_OPS[op]:
+            moves = sample_moves(bits, op, factor, 64, g, alphabet_size=2)
+            delta, err = problem.delta_many(bits, cost, moves)
+            rows = moves.apply(bits)
+            for size in (64, 31, 1):  # GEMM rounding changes with the batch's row count
+                full = np.concatenate([problem.evaluate_many(rows[i : i + size]) for i in range(0, 64, size)])
+                gap = np.abs(cost + delta - full)
+                assert np.all(gap <= err), (factor, size, gap, err)
+
+    def test_block_count(self):
+        """One block below 192 vertices, then one more every 128; blocks cover the rows in order, within one row of equal."""
+        assert [len(problems._screen_blocks(v)) for v in (2, 191, 192, 319, 320, 401, 447, 448, 800)] == [
+            1, 1, 2, 2, 3, 3, 3, 4, 6
+        ]
+        for v in range(2, 1100):
+            blocks = problems._screen_blocks(v)
+            assert blocks[0][0] == 0 and blocks[-1][1] == v
+            assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+            assert max(b - a for a, b in blocks) - min(b - a for a, b in blocks) <= 1
+
+    @pytest.mark.parametrize("vertices", [3, 192, 401])
+    def test_matrix_holds_the_upper_block_triangle(self, vertices):
+        """Diagonal blocks hold W in float32, blocks above them 2 W in float32."""
+        inst = problems.MaxCutInstance(weights=maxcut_weights(vertices, 1, "loops", 1e-3))
+        _, m = problems._qubo_arrays(inst)
+        w32 = inst.weights.astype(np.float32)
+        for a, b in problems._screen_blocks(vertices):
+            assert m[a:b, a:b].tobytes() == w32[a:b, a:b].tobytes()
+            assert m[a:b, b:].tobytes() == (2 * w32[a:b, b:]).tobytes()
+
+    @pytest.mark.parametrize("op", [Operator.SHIFT, Operator.SYMMETRY])
+    @pytest.mark.parametrize("vertices", [13, 192, 401, 800])
+    def test_lower_block_triangle_is_never_read(self, vertices, op):
+        """A copy of the matrix whose blocks below the diagonal are NaN gives the same screen, bit for bit."""
+        inst = problems.MaxCutInstance(weights=maxcut_weights(vertices, 2, "real"))
+        w, m = problems._qubo_arrays(inst)
+        poisoned = m.copy()
+        poisoned[lower_blocks(m)] = np.nan
+        g = np.random.default_rng(vertices)
+        bits = g.integers(0, 2, size=vertices - 1)
+        moves = sample_moves(bits, op, 3, 32, g, alphabet_size=2)
+        delta, err = problems.qubo_deltas(bits, 1.5, moves, w, inst, m, [None, None])
+        same, same_err = problems.qubo_deltas(bits, 1.5, moves, w, inst, poisoned, [None, None])
+        assert delta.tobytes() == same.tobytes() and err == same_err and np.isfinite(delta).all()
+
+    @pytest.mark.parametrize("rows", [2, 32, 64])
+    @pytest.mark.parametrize("vertices", [3, 5, 17, 100, 191])
+    def test_one_block_screen_equals_the_former_screen(self, vertices, rows):
+        """Below 192 vertices the screen is the former GEMM and column sum, bit for bit, in batches of 2 or more rows.
+
+        numpy's einsum sums a single column in another order, so a one-row
+        batch may differ from the former sum in its last bits, within err.
+        """
+        assert len(problems._screen_blocks(vertices)) == 1
+        for seed in range(5):
+            inst = problems.MaxCutInstance(weights=maxcut_weights(vertices, seed, "loops"))
+            w, m = problems._qubo_arrays(inst)
+            g = np.random.default_rng(seed)
+            bits = g.integers(0, 2, size=vertices - 1)
+            bits[:2] = 0, 1  # a state of equal bits draws no window
+            for op in (Operator.SHIFT, Operator.SYMMETRY):
+                moves = sample_moves(bits, op, 2, rows, g, alphabet_size=2)
+                assert isinstance(moves, Windows)
+                delta, _ = problems.qubo_deltas(bits, 0.25, moves, w, inst, m, [None, None])
+                assert delta.tobytes() == former_screen(bits, 0.25, moves, inst).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", ["dense", "one edge", "one loop"])
+    @pytest.mark.parametrize("vertices", [5, 193, 401])
+    def test_weights_just_under_float32_max_are_screened(self, vertices, shape):
+        """2 sum |W| just under float32's largest value: the doubled blocks and every sum stay finite, with no warning."""
+        w = maxcut_weights(vertices, 3, "real") * 1e-3
+        if shape == "one edge":
+            w[0, -1] = w[-1, 0] = 1.0
+        if shape == "one loop":
+            w[1, 1] = 1.0
+        w *= 0.999 * float(np.finfo(np.float32).max) / (2 * np.abs(w).sum())
+        inst = problems.MaxCutInstance(weights=w)
+        assert 0.99 * np.finfo(np.float32).max < inst.abs_bound <= np.finfo(np.float32).max
+        problem = problems.maxcut_problem(inst)
+        g = np.random.default_rng(vertices)
+        bits = g.integers(0, 2, size=vertices - 1)
+        cost = problem.evaluate(bits)
+        for op in (Operator.SHIFT, Operator.SYMMETRY):
+            moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
+            delta, err = problem.delta_many(bits, cost, moves)
+            assert np.all(np.abs(cost + delta - problem.evaluate_many(moves.apply(bits))) <= err)
+
+
 VALUE_FACTORS = [{}, {"ma": 4, "mb": 3, "mc": 2, "md": 3}]
 
 
@@ -810,7 +928,7 @@ class TestTourSettle:
 
     @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix"])
     def test_restored_copy_misses_the_hold(self, kind):
-        """A copy of the held row, a restored incumbent say, is evaluated in full, with the bits of the held path."""
+        """A copy of the held row is evaluated in full, with the bits of the held path."""
         n = 129
         inst = held_legs_instance(n, kind)
         start, moves = self.wrap_moves(n)
@@ -830,11 +948,9 @@ class TestTourSettle:
             assert (cost, row.tobytes()) == (held_cost, held_row_.tobytes())
             assert held[2].tobytes() == closed_legs(row, inst).tobytes()
 
-    def test_tsp_problem_holds_legs_from_its_size_on(self):
-        small = held_legs_instance(problems._HELD_LEGS_FROM - 1, "real")
-        large = held_legs_instance(problems._HELD_LEGS_FROM, "real")
-        assert problems.tsp_problem(small).settle_one is None
-        problem = problems.tsp_problem(large)
+    @pytest.mark.parametrize("n", [3, 5, 299, 300])
+    def test_tsp_problem_holds_legs_at_every_size(self, n):
+        problem = problems.tsp_problem(held_legs_instance(n, "real"))
         assert problem.settle_one is not None
         params = StaParams(max_iters=10, seed=1, ma=4, mb=3, mc=2)
         assert run_bytes(problem, params) == run_bytes(replace(problem, settle_one=None), params)
