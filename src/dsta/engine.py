@@ -7,10 +7,13 @@ probability p2 ("risk").  After all rounds the incumbent is updated greedily,
 and dynamic mode resets the current state to the incumbent with probability
 p1 ("restore").
 
-No state array is written after it is made: a round's kept row is a new
-array, so the incumbent is the current array itself, a restore sets the
-current array to it, and only the best solution a run returns is a copy.
-So a problem may keep a row it returned, and make it read-only.
+A state travels with its data: what a problem derives from the state to
+score moves on it, such as a tour's legs or a MAX-CUT state's g = W^T y.
+`SearchState` keeps it for the current state and the incumbent, so a kept
+row, the incumbent update and a restore each carry it, and a problem keeps
+nothing between rounds.  No state array is written after it is made, so the
+incumbent is the current array itself, and only the best solution a run
+returns is a copy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IncompatibleOperator, InvalidParams, NonFiniteCost
-from .operators import DEFAULT_ORDER, Operator, sample_moves
+from .operators import DEFAULT_ORDER, Moves, Operator, sample_moves
 from .operators import sample_batch  # noqa: F401  perfbench wraps engine.sample_batch by name
 
 
@@ -70,10 +73,14 @@ class StaParams:
 
 @dataclass
 class SearchState:
+    """The current state and the incumbent, each with its cost and its data (None until a problem derives it)."""
+
     current: np.ndarray
     current_cost: float
     incumbent: np.ndarray
     incumbent_cost: float
+    current_data: object = None
+    incumbent_data: object = None
 
 
 @dataclass
@@ -122,6 +129,72 @@ def _finite(cost: float, what: str) -> float:
     return cost
 
 
+def best_move(problem, state: np.ndarray, cost: float, moves: Moves, data=None):
+    """The move np.argmin would pick over evaluate_many of every move's row, in two steps, and the state's data.
+
+    Returns (bound, settle, data).  `bound` is a lower bound on the best
+    row's full cost, and `settle()` returns (index, cost, row, row data); a
+    caller that learns from the bound that it will not keep the row never
+    settles, and nothing past the bound is built.  `data` is the state's
+    data as `delta_many` hands it back, derived there where it was None.
+
+    With `delta_many`, only a shortlist S of rows is evaluated: est = cost +
+    delta, and S holds every row with est <= min est + 2 err.  Every row j
+    has F_j <= est_j + err, so min F <= min est + err; a row i outside S has
+    F_i >= est_i - err > min est + err >= min F, so it is strictly worse
+    than the best row and is not NaN.  Hence every row attaining the
+    minimum (or a NaN) is in S, and the first such row in S is the first
+    over all rows: np.argmin's tie-break holds.  The bound is min est - err,
+    which no F_j falls below (err's factor-2 margin is far wider than the
+    rounding of est - err).  When err is 0.0, est is every row's cost, S is
+    the rows tied at min est, only the first of them, the argmin of est, is
+    evaluated, and the bound is min est, that row's cost.  If any est or
+    err is not finite, or `delta_many` returns None for these moves, every
+    row is evaluated at once and the bound is the minimum itself.  Rows are
+    built as `moves.take(S).apply(state)` in `settle()`, so only S is ever
+    materialized.  The settled cost always has the bits of a full
+    evaluation, and the row is a new array; a one-row S is settled by
+    `settle_one` where the problem gives one (see `_settle`).
+
+    A row's evaluation can depend on its batch: a BLAS product rounds
+    differently with the row count, so on non-integer QUBO weights the
+    settled cost may differ in the last bit from the same row's cost
+    among all rows.  Hence err must hold in any batch, and the argument
+    above holds for evaluate_many of S.
+    """
+    scored = None if problem.delta_many is None else problem.delta_many(state, cost, moves, data)
+    if scored is not None:
+        delta, err, data, put = scored
+        est = cost + delta
+        if math.isfinite(np.add.reduce(est) + err):  # every estimate, and err, is finite
+            if err == 0.0:  # S is the rows tied at min est, and np.argmin picks the first
+                short = est.argmin(keepdims=True)
+                low = est[short[0]]
+            else:
+                low = np.minimum.reduce(est)
+                short = (est <= low + 2 * err).nonzero()[0]
+            return float(low - err), lambda: _settle(problem, state, moves, short, data, put), data
+    best = _settle(problem, state, moves, None, None, None)
+    return best[1], lambda: best, data
+
+
+def _settle(problem, state: np.ndarray, moves: Moves, short: np.ndarray | None, data, put):
+    """(index, cost, row, row data) of the best of the rows in `short` (every row if None), each evaluated in full.
+
+    A one-row `short` goes to `settle_one` where the problem gives one, with
+    the round's moves, the row's index in them, the state's data and what
+    `delta_many` returned for the settle to reuse.  Rows evaluated by
+    `evaluate_many` have no data.
+    """
+    if problem.settle_one is not None and short is not None and len(short) == 1:
+        index = int(short[0])
+        return index, *problem.settle_one(state, moves, index, data, put)
+    rows = (moves if short is None else moves.take(short)).apply(state)
+    costs = problem.evaluate_many(rows)
+    best = int(costs.argmin())  # stable: first minimum wins; a NaN anywhere wins too
+    return (best if short is None else int(short[best])), float(costs[best]), rows[best].copy(), None
+
+
 def operator_round(
     state: SearchState,
     op: Operator,
@@ -131,23 +204,27 @@ def operator_round(
 ) -> SearchState:
     """One neighborhood round: sample se moves, take the round best if accepted.
 
-    `problem.best_move` bounds the round best's cost from below before it
-    builds anything.  The round settles (builds and evaluates the best row)
-    only when the bound allows an improvement, or when it rules one out and
-    the risk draw keeps the round anyway: `accept_candidate` of the bound then
+    `best_move` bounds the round best's cost from below before it builds
+    anything.  The round settles (builds and evaluates the best row) only
+    when the bound allows an improvement, or when it rules one out and the
+    risk draw keeps the round anyway: `accept_candidate` of the bound then
     makes the same single draw that the settled cost would, as the cost is
     no lower than the bound.  So a rejected round builds and evaluates only
     what its bound needed, and every kept row carries a full evaluation.
     """
     moves = sample_moves(state.current, op, params.factor(op), params.se, rng, problem.alphabet_size)
     what = f"{op.value} round-best"
-    bound, settle = problem.best_move(state.current, state.current_cost, moves)
+    bound, settle, data = best_move(problem, state.current, state.current_cost, moves, state.current_data)
+    if state.current is state.incumbent:  # data derived for the incumbent stays with it for a restore
+        state.incumbent_data = data
+    state.current_data = data
     best = settle() if _finite(bound, what) < state.current_cost else None  # the bound allows an improvement
     cost = bound if best is None else _finite(best[1], what)
     if accept_candidate(state.current_cost, cost, params.mode, params.p2, rng):
-        _, cost, row = settle() if best is None else best  # the risk draw may keep a round its bound ruled out
+        _, cost, row, data = settle() if best is None else best  # the risk draw may keep a round its bound ruled out
         state.current = row
         state.current_cost = _finite(cost, what)
+        state.current_data = data
     return state
 
 
@@ -157,6 +234,7 @@ def restore_step(
     if mode is Mode.DYNAMIC and rng.random() < p1:
         state.current = state.incumbent
         state.current_cost = state.incumbent_cost
+        state.current_data = state.incumbent_data
     return state
 
 
@@ -180,12 +258,13 @@ def run(problem, params: StaParams) -> RunResult:
         if state.current_cost < state.incumbent_cost:
             state.incumbent = state.current
             state.incumbent_cost = state.current_cost
+            state.incumbent_data = state.current_data
         state = restore_step(state, params.mode, params.p1, rng)
         trace.append((it, state.current_cost, state.incumbent_cost))
 
     return RunResult(
         params=params,
-        best_solution=state.incumbent.copy(),  # the caller's own array, never a problem's read-only row
+        best_solution=state.incumbent.copy(),  # the caller's own array, never a view into a state's data
         best_cost=state.incumbent_cost,
         trace=trace,
         evaluations=evaluations,

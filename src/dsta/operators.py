@@ -11,7 +11,7 @@ operator:
   reverses one.
 
 A problem can score moves from the descriptor alone (`Problem.delta_many`), so
-`Problem.best_move` builds only the rows it must evaluate in full, and only
+`engine.best_move` builds only the rows it must evaluate in full, and only
 for a round the engine may keep.
 `sample_batch`, `sample_moves(...).apply(state)`, is kept only because the
 benchmark harness wraps it by name.
@@ -386,7 +386,7 @@ def sample_batch(
 ) -> np.ndarray:
     """The rows of `sample_moves(...)` as a new (se, n) array.
 
-    The engine builds rows only through `Problem.best_move`; this stays
+    The engine builds rows only through `engine.best_move`; this stays
     because perfbench/harness.py wraps `engine.sample_batch` by name.
     """
     return sample_moves(state, op, factor, se, rng, alphabet_size).apply(state)

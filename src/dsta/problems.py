@@ -12,11 +12,10 @@ pair terms, or computed from the points of a Euclidean TSP instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -370,10 +369,7 @@ def tour_lengths(tours: np.ndarray, inst: TspInstance) -> np.ndarray:
     return _chain_sums(tours, inst.legs, closed=True)
 
 
-_NO_HOLD = (None, None, None, None)  # a `tour_settle` hold that holds no tour
-
-
-def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, held=_NO_HOLD):
+def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, data=None):
     """Change in closed-tour length of each move, with one bound on the error of all of them.
 
     Leg i joins positions i and i + 1 (mod n), and moves are scored on the
@@ -383,22 +379,24 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, 
     had, as every instance is exactly symmetric; a write of w positions
     takes 4 legs a position, and 4 more for each pair of adjacent positions,
     at most 8w.  A whole-tour window leaves the cycle as it was, so its delta
-    is 0.  `held` is the hold of `tour_settle`: when `tour` is its row, moves
-    are scored on its pad, and the round holds its moves and the legs they
-    put in, where `_chain_legs` or `_write_legs` gives them.
+    is 0.
 
-    Returns (delta, err), one float err for the round, with |cost + delta -
-    tour_lengths(row)| <= err for the row of every move, where `cost` is
-    `tour_lengths` of `tour`.  err bounds float summation: each of the two
-    full sums over n legs and the delta, a sum of `terms` legs (6 for a
-    rotation, 4 for a reversal, 8w for writes), is within (terms) * eps of
-    its absolute sum, doubled for safety, taken at the round's largest sum of
-    touched legs.
+    Returns (delta, err, data, put).  err is one float for the round, with
+    |cost + delta - tour_lengths(row)| <= err for the row of every move,
+    where `cost` is `tour_lengths` of `tour`.  err bounds float summation:
+    each of the two full sums over n legs and the delta, a sum of `terms`
+    legs (6 for a rotation, 4 for a reversal, 8w for writes), is within
+    (terms) * eps of its absolute sum, doubled for safety, taken at the
+    round's largest sum of touched legs.  `data` is the tour's (pad, legs):
+    pad[p + 1] its entry at position p for p from -1 to n, and legs[i] leg
+    i; where it is None it is derived here.  `put` is the legs each move
+    puts in, where `_chain_legs` or `_write_legs` gives them, else None.
     """
     n = inst.n
-    row, pad, _, _ = held  # one read, so the row and its pad are of one tour
-    if tour is not row:
+    if data is None:
         pad = np.concatenate((tour[-1:], tour, tour[:1]))
+        data = pad, inst.legs(tour, pad[2:])
+    pad = data[0]
     terms = 6  # a rotation's 6 legs
     if isinstance(moves, Writes):
         (delta, touched), put = _write_legs(pad, moves, inst.legs)
@@ -409,45 +407,33 @@ def tour_deltas(tour: np.ndarray, cost: float, moves: Moves, inst: TspInstance, 
         delta[moves.hi - moves.lo == n] = 0
         if moves.k is None:  # a reversal's 4 legs
             terms = 4
-    if tour is row:
-        held[3] = None if put is None else (moves, put)
     most = float(np.maximum.reduce(touched))
-    return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most)
+    return delta, 2 * inst.eps * (2 * n + terms + 1) * (abs(cost) + most), data, put
 
 
-def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, held: list) -> tuple[float, np.ndarray]:
-    """(cost, row) of the row of move `index`, the cost `tour_lengths` of the row, bit for bit.
+def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, data: tuple, put) -> tuple:
+    """(cost, row, data) of the row of move `index`, the cost `tour_lengths` of the row, bit for bit.
 
-    `held` is the [row, pad, legs, round] hold that `tsp_problem` shares with
-    `tour_deltas`, of the last row settled here: pad is the row padded with
-    its own far ends, row = pad[1:-1], pad[0] = row[-1] and pad[-1] = row[0];
-    legs[i] is leg i, joining positions i and i + 1 (mod n); round is None,
-    or the moves of the round that `tour_deltas` last scored on the pad and
-    the legs each of them puts in.  The row is written once, by the rules of
-    `Windows.apply` and `Writes.apply` for one row, into a new pad that is
-    then made read-only, so a tour is the held one exactly when it is the
-    held row (`is`), and a copy of it is not.
-
-    When `tour` is the held row, the new row's legs are the held legs with a
-    few replaced: a reversal of [lo, hi) runs legs lo..hi - 2 backwards and
-    replaces legs lo - 1 and hi - 1, a rotation by k moves its two inner runs
-    and replaces legs lo - 1, hi - k - 1 and hi - 1, and a write at p
-    replaces legs p - 1 and p (mod n).  A move of the held round, but for a
-    whole-tour window, takes its new legs from the round: `_chain_legs` or
-    `_write_legs` took each as `inst.legs` of the same two cities in the same
-    order, so it has the same bits.  Any other new leg is `inst.legs` of its
-    two cities.  A reversed leg keeps its bits, as L(a, b) has the bits of
-    L(b, a) on every instance (see `TspInstance`).  The row of a tour that is
-    not held is evaluated in full.  Either way the row's n legs are summed by
-    one pairwise np.add.reduce, as `_chain_sums` sums them, and the hold then
-    holds the row.
+    `data` and `put` are what `tour_deltas` returned for `tour` and `moves`.
+    The row is written once, by the rules of `Windows.apply` and
+    `Writes.apply` for one row, into a new pad, and its legs are the tour's
+    legs with a few replaced: a reversal of [lo, hi) runs legs lo..hi - 2
+    backwards and replaces legs lo - 1 and hi - 1, a rotation by k moves its
+    two inner runs and replaces legs lo - 1, hi - k - 1 and hi - 1, and a
+    write at p replaces legs p - 1 and p (mod n).  A move's new legs come
+    from `put`, but for a whole-tour window: `_chain_legs` or `_write_legs`
+    took each as `inst.legs` of the same two cities in the same order, so
+    it has the same bits.  Any other new leg is `inst.legs` of its two
+    cities.  A reversed leg keeps its bits, as L(a, b) has the bits of
+    L(b, a) on every instance (see `TspInstance`).  The row's n legs are
+    summed by one pairwise np.add.reduce, as `_chain_sums` sums them.
     """
-    held_row, _, old, scored = held  # one read, so the row, its legs and its round are of one tour
-    n, hit = len(tour), tour is held_row
+    old = data[1]
+    n = len(tour)
     pad = np.empty(n + 2, tour.dtype)
     row = pad[1:-1]
     row[:] = tour
-    legs = old.copy() if hit else None
+    legs = old.copy()
     if isinstance(moves, Writes):
         pos, val = moves.pos[index], moves.val[index]
         if moves.mask is not None:
@@ -459,29 +445,23 @@ def tour_settle(tour: np.ndarray, moves: Moves, index: int, inst: TspInstance, h
         lo, hi = int(moves.lo[index]), int(moves.hi[index])
         if moves.k is None:
             row[lo:hi] = tour[lo:hi][::-1]
-            if hit:
-                legs[lo:hi - 1] = old[lo:hi - 1][::-1]
+            legs[lo:hi - 1] = old[lo:hi - 1][::-1]
             at = [lo - 1, hi - 1]
         else:
             k = int(moves.k[index])
             row[lo:hi - k] = tour[lo + k:hi]
             row[hi - k:hi] = tour[lo:lo + k]
-            if hit:
-                legs[lo:hi - k - 1] = old[lo + k:hi - 1]
-                legs[hi - k:hi - 1] = old[lo:lo + k - 1]
+            legs[lo:hi - k - 1] = old[lo + k:hi - 1]
+            legs[hi - k:hi - 1] = old[lo:lo + k - 1]
             at = [lo - 1, hi - k - 1, hi - 1]
         whole = hi - lo == n
     pad[0], pad[-1] = row[-1], row[0]
-    if not hit:
-        legs = inst.legs(row, pad[2:])
-    elif scored is not None and scored[0] is moves and not whole:
-        legs[at] = scored[1][:, index]
+    if put is not None and not whole:
+        legs[at] = put[:, index]
     else:
         a, b = pad.take(np.add(at, _NEXT + 1))  # pad[p + 1] is the row's entry at position p, for p from -1 to n
         legs[at] = inst.legs(a, b)
-    pad.flags.writeable = row.flags.writeable = False  # a view keeps the flag it was made with
-    held[:] = row, pad, legs, None
-    return float(np.add.reduce(legs)), row
+    return float(np.add.reduce(legs)), row, (pad, legs)
 
 
 # the float sign of each bit (0 -> -1, 1 -> +1), so bits become signs in one gather
@@ -524,27 +504,32 @@ def _signs(bits: np.ndarray, values: np.ndarray = _SIGN_VALUES) -> np.ndarray:
     return y
 
 
-def _qubo_form(bits: np.ndarray, w: np.ndarray, held: list) -> np.ndarray:
+def _qubo_form(bits: np.ndarray, w: np.ndarray) -> np.ndarray:
     """1/2 y'Wy for every row of a 0/1 matrix, y its signs with the fixed vertex's +1 last.
 
     The product is one matrix product so that numpy runs it as a BLAS GEMM;
     numpy's three-operand contraction runs as an unblocked loop, tens of
     times slower at n = 400.  Every batch MAX-CUT evaluation in the package
-    goes through here; qubo_value and cut_weight are the independent scalar
-    references.
-
-    A one-row batch's product row is g = W^T y of that row, and `held`, the
-    [bits, g] pair of `qubo_deltas`, takes a copy of both.  numpy forms a
-    (1, n + 1) @ W product as the vector product y @ W, so the held g has
-    the bits of one formed afresh.  A batch of two or more rows is a GEMM,
-    whose rows may differ in the last bits, so it leaves `held` as it was.
+    goes through here or through `qubo_settle`, which takes the same steps;
+    qubo_value and cut_weight are the independent scalar references.
     """
     y = _signs(bits)
     wy = y @ w
-    if len(wy) == 1:
-        held[:] = bits[0].copy(), wy[0].copy()
     wy *= y
     return 0.5 * wy.sum(axis=1)
+
+
+def qubo_settle(bits: np.ndarray, moves: Moves, index: int, w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(cost, row, g) of the row of move `index`: the cost `_qubo_form` gives the row, bit for bit, and g = W^T y.
+
+    The row's product is the one-row product (1, n + 1) @ W that
+    `_qubo_form` forms, which numpy forms as the vector product y @ W, so g
+    has the bits of one formed afresh by `qubo_deltas`.
+    """
+    rows = moves.take([index]).apply(bits)
+    y = _signs(rows)
+    g = y @ w
+    return float(0.5 * (g * y).sum(axis=1)[0]), rows[0], g[0]
 
 
 def qubo_deltas(
@@ -554,21 +539,17 @@ def qubo_deltas(
     w: np.ndarray,
     inst: MaxCutInstance,
     screen: np.ndarray | None,
-    held: list,
+    g: np.ndarray | None = None,
 ):
     """Change in 1/2 y'Wy, y = (x, +1), of each move, with a bound on its error.
 
     A sparse write flips the set S of its k written positions whose bit
     changes.  W is exactly symmetric (see `MaxCutInstance`), so with g = W^T
     y its delta is -2 sum_S y_i g_i + 2 sum_{i,j in S} y_i y_j W_ij: g and a
-    (rows, k, k) gather of W, where W_ii enters both sums and cancels.  g
-    comes from `held`, the [bits, g] pair that `maxcut_problem` keeps, when
-    `bits` equals its bits: `_qubo_form` holds the product of every one-row
-    evaluation, and a round is settled by evaluating its shortlist, usually
-    one row, so a kept state's g is usually held.  Otherwise one GEMV forms
-    g as y @ W, and the pair holds it with a copy of `bits`.  A held g has
-    the bits of a fresh one (see `_qubo_form`), so no result depends on
-    which it was.
+    (rows, k, k) gather of W, where W_ii enters both sums and cancels.  `g`
+    is the state's data: where it is None, one GEMV forms it as y @ W.  A g
+    that `qubo_settle` returned has the bits of a fresh one, so no result
+    depends on which it was.
 
     A window flips about half its length, so its rows are screened whole in
     float32 against `screen`, the matrix M of `_qubo_arrays`: W's upper block
@@ -585,8 +566,8 @@ def qubo_deltas(
     us at 399, 32 sign rows, one OpenBLAS thread on a 2-core VM) and slower
     below 100.  Without a screen, windows are not scored: the result is None.
 
-    Returns (delta, err) with |cost + delta - F| <= err, where cost is
-    `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
+    Returns (delta, err, g, None) with |cost + delta - F| <= err, where cost
+    is `_qubo_form` of `bits` and F is `_qubo_form` of the move's row, each
     evaluated in any batch: GEMM rounding changes with the batch's row count,
     so err does not rest on one.  err bounds rounding over the instance's
     `abs_bound` B = 2 sum|W|; each dot product has n + 1 terms.  With gamma_k
@@ -619,12 +600,10 @@ def qubo_deltas(
             np.matmul(screen[a:b, a:], yt[a:], out=z[a:b])
         twice = np.einsum("ij,ij->j", z, yt)
         err = (_EPS32 * (2 * n + 9) + _EPS64 * (2 * n + 5)) * inst.abs_bound / 4
-        return 0.5 * twice.astype(np.float64) - cost, err
+        return 0.5 * twice.astype(np.float64) - cost, err, g, None
     p = moves.pos
-    held_bits, g = held  # one read, so bits and g are of one state
-    if not np.array_equal(bits, held_bits):
+    if g is None:
         g = _signs(bits) @ w
-        held[:] = bits.copy(), g
     at = bits.take(p)
     flip = moves.val != at
     if moves.mask is not None:
@@ -634,7 +613,7 @@ def qubo_deltas(
     d -= g.take(p)
     d *= ys
     k = p.shape[1]
-    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound
+    return 2 * d.sum(axis=1), 2 * _EPS64 * (2 * n + 2 * k + 5) * inst.abs_bound, g, None
 
 
 _SCREEN_BLOCK = 128  # rows of a block of the window screen's matrix, about
@@ -702,103 +681,35 @@ def tsp_error(best: float, optimum: float) -> float:
     return (best - optimum) / optimum * 100.0
 
 
-class RoundBest(NamedTuple):
-    """The best of a round's moves: a lower bound on its full cost, then the move itself.
-
-    `settle()` returns (index, cost, row), cost a full evaluation; see `Problem.best_move`.
-    """
-
-    bound: float
-    settle: Callable[[], tuple[int, float, np.ndarray]]
-
-
 @dataclass(frozen=True)
 class Problem:
-    """Engine-facing adapter: representation details plus a pure batch cost function.
+    """Engine-facing adapter: representation details plus pure cost functions; it keeps no state.
 
-    `delta_many(state, cost, moves)`, where given, returns (delta, err): a
-    delta per move and one float err per round, with err >= |cost + delta -
-    evaluate_many(row)| for every move's row evaluated in any batch; `cost`
-    is `evaluate` of `state`.  It lets `best_move` skip most rows.  It
-    returns None for moves it does not score.
+    `delta_many(state, cost, moves, data)`, where given, returns (delta, err,
+    data, put), or None for moves it does not score: a delta per move and
+    one float err per round, with err >= |cost + delta - evaluate_many(row)|
+    for every move's row evaluated in any batch; `cost` is `evaluate` of
+    `state`.  It lets `engine.best_move` skip most rows.  `data` is the
+    state's data, which it takes and hands back, derived where it was None
+    and the problem scores with some; `put` is what a settle of these moves
+    may reuse, or None.
 
-    `settle_one(state, moves, index)`, where given, returns (cost, row) of
-    move `index` of `moves`: the row `moves.apply(state)[index]`, and a cost
-    with the bits of `evaluate_many` of it.  `best_move` settles a one-row
-    shortlist through it, with the moves `delta_many` just scored, so the
-    problem can tell the round it scored.
+    `settle_one(state, moves, index, data, put)`, where given, returns (cost,
+    row, data) of move `index` of `moves`: the row `moves.apply(state)[index]`,
+    a cost with the bits of `evaluate_many` of it, and the row's data.  The
+    engine settles a one-row shortlist through it, with the moves, data and
+    put of the round `delta_many` just scored.
     """
 
     name: str
     size: int
     alphabet_size: int | None  # None marks the permutation representation
     evaluate_many: Callable[[np.ndarray], np.ndarray]  # (rows, n) states -> (rows,) costs
-    delta_many: Callable[[np.ndarray, float, Moves], tuple[np.ndarray, float] | None] | None = None
-    settle_one: Callable[[np.ndarray, Moves, int], tuple[float, np.ndarray]] | None = None
+    delta_many: Callable[[np.ndarray, float, Moves, object], tuple | None] | None = None
+    settle_one: Callable[[np.ndarray, Moves, int, object, object], tuple[float, np.ndarray, object]] | None = None
 
     def evaluate(self, state: np.ndarray) -> float:
         return float(self.evaluate_many(np.asarray(state)[None])[0])
-
-    def best_move(self, state: np.ndarray, cost: float, moves: Moves) -> RoundBest:
-        """The move np.argmin would pick over evaluate_many of every move's row, in two steps.
-
-        `bound` is a lower bound on the best row's full cost, and `settle()`
-        returns (index, cost, row); a caller that learns from the bound that it
-        will not keep the row never settles, and nothing past the bound is built.
-
-        With `delta_many`, only a shortlist S of rows is evaluated: est = cost +
-        delta, and S holds every row with est <= min est + 2 err.  Every row j
-        has F_j <= est_j + err, so min F <= min est + err; a row i outside S has
-        F_i >= est_i - err > min est + err >= min F, so it is strictly worse
-        than the best row and is not NaN.  Hence every row attaining the
-        minimum (or a NaN) is in S, and the first such row in S is the first
-        over all rows: np.argmin's tie-break holds.  The bound is min est - err,
-        which no F_j falls below (err's factor-2 margin is far wider than the
-        rounding of est - err).  When err is 0.0, est is every row's cost, S is
-        the rows tied at min est, only the first of them, the argmin of est, is
-        evaluated, and the bound is min est, that row's cost.  If any est or
-        err is not finite, or `delta_many` returns None for these moves, every
-        row is evaluated at once and the bound is the minimum itself.  Rows are
-        built as `moves.take(S).apply(state)` in `settle()`, so only S is ever
-        materialized.  The settled cost always has the bits of a full
-        evaluation, and the row is a new array; a one-row S is settled by
-        `settle_one(state, moves, index)` where the problem gives one, on the
-        moves `delta_many` scored (see `_settle`).
-
-        A row's evaluation can depend on its batch: a BLAS product rounds
-        differently with the row count, so on non-integer QUBO weights the
-        settled cost may differ in the last bit from the same row's cost
-        among all rows.  Hence err must hold in any batch, and the argument
-        above holds for evaluate_many of S.
-        """
-        scored = None if self.delta_many is None else self.delta_many(state, cost, moves)
-        if scored is not None:
-            delta, err = scored
-            est = cost + delta
-            if math.isfinite(np.add.reduce(est) + err):  # every estimate, and err, is finite
-                if err == 0.0:  # S is the rows tied at min est, and np.argmin picks the first
-                    short = est.argmin(keepdims=True)
-                    low = est[short[0]]
-                else:
-                    low = np.minimum.reduce(est)
-                    short = (est <= low + 2 * err).nonzero()[0]
-                return RoundBest(float(low - err), lambda: self._settle(state, moves, short))
-        best = self._settle(state, moves, None)
-        return RoundBest(best[1], lambda: best)
-
-    def _settle(self, state: np.ndarray, moves: Moves, short: np.ndarray | None) -> tuple[int, float, np.ndarray]:
-        """(index, cost, row) of the best of the rows in `short` (every row if None), each evaluated in full.
-
-        A one-row `short` goes to `settle_one` where the problem gives one,
-        with the round's moves and the row's index in them.
-        """
-        if self.settle_one is not None and short is not None and len(short) == 1:
-            index = int(short[0])
-            return index, *self.settle_one(state, moves, index)
-        rows = (moves if short is None else moves.take(short)).apply(state)
-        costs = self.evaluate_many(rows)
-        best = int(costs.argmin())  # stable: first minimum wins; a NaN anywhere wins too
-        return (best if short is None else int(short[best])), float(costs[best]), rows[best].copy()
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         if self.alphabet_size is None:
@@ -807,19 +718,14 @@ class Problem:
 
 
 def tsp_problem(inst: TspInstance) -> Problem:
-    """Minimize closed-tour length; one-row settles edit held legs (`tour_settle`).
-
-    `tour_deltas` and `tour_settle` share one hold: a settled row, its
-    read-only pad and its legs, and the round last scored on it.
-    """
-    held = [None, None, None, None]  # [row, pad, legs, round] of the last row settled through `tour_settle`
+    """Minimize closed-tour length; a state's data is its padded tour and its legs (`tour_deltas`, `tour_settle`)."""
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=None,
         evaluate_many=lambda tours: tour_lengths(tours, inst),
-        delta_many=lambda tour, cost, moves: tour_deltas(tour, cost, moves, inst, held),
-        settle_one=lambda tour, moves, i: tour_settle(tour, moves, i, inst, held),
+        delta_many=lambda tour, cost, moves, data: tour_deltas(tour, cost, moves, inst, data),
+        settle_one=lambda tour, moves, i, data, put: tour_settle(tour, moves, i, inst, data, put),
     )
 
 
@@ -828,22 +734,22 @@ def maxcut_problem(inst: MaxCutInstance) -> Problem:
 
     `delta_many` scores swap and substitute moves by k-flip deltas, and
     screens shift and symmetry moves in float32 against W's upper block
-    triangle, made here once (see `_qubo_arrays`); `best_move` evaluates in
-    float64 only the rows the screen cannot rule out.  When 2 sum|W| exceeds
-    float32's largest value or falls below n^2 times its smallest normal, no
-    float32 matrix is made and windows are evaluated whole in float64.  Both
-    functions share one held pair of a state's bits and its product g = W^T
-    y: a one-row evaluation sets it, and a write round on that state takes g
-    from it instead of a pass over W (see `qubo_deltas`).
+    triangle, made here once (see `_qubo_arrays`); `engine.best_move`
+    evaluates in float64 only the rows the screen cannot rule out.  When
+    2 sum|W| exceeds float32's largest value or falls below n^2 times its
+    smallest normal, no float32 matrix is made and windows are evaluated
+    whole in float64.  A state's data is its g = W^T y: a write round forms
+    it where it is None, and a one-row settle returns its row's (see
+    `qubo_settle`).
     """
     w, screen = _qubo_arrays(inst)
-    held = [None, None]  # a state's bits and its g = W^T y, from a one-row evaluation or a write round
     return Problem(
         name=inst.name,
         size=inst.n,
         alphabet_size=2,
-        evaluate_many=lambda bits: _qubo_form(bits, w, held),
-        delta_many=lambda bits, cost, moves: qubo_deltas(bits, cost, moves, w, inst, screen, held),
+        evaluate_many=lambda bits: _qubo_form(bits, w),
+        delta_many=lambda bits, cost, moves, g: qubo_deltas(bits, cost, moves, w, inst, screen, g),
+        settle_one=lambda bits, moves, i, g, put: qubo_settle(bits, moves, i, w),
     )
 
 
@@ -886,8 +792,9 @@ def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
     reversal replaces its 2 boundary pairs and turns every pair inside it
     around; that inner change is a difference of prefix sums of the
     turned-minus-forward pair terms, built once per call.  Every term is an
-    integer, so each delta is exact.  Sparse writes are not scored, the
-    result is None: most write rounds are kept, and deltas only add to them.
+    integer, so each delta is exact.  Returns (delta, 0.0, None, None): a
+    state has no data.  Sparse writes are not scored, the result is None:
+    most write rounds are kept, and deltas only add to them.
     """
     if isinstance(moves, Writes):
         return None
@@ -898,7 +805,7 @@ def rosenbrock_deltas(idx: np.ndarray, moves: Moves):
         turned = np.zeros(len(idx))
         _ROSEN_TURNS.take(fwd).cumsum(out=turned[1:])
         delta += turned.take(moves.hi - 1) - turned.take(moves.lo)
-    return delta, 0.0
+    return delta, 0.0, None, None
 
 
 def rosenbrock_problem(n: int) -> Problem:
@@ -906,9 +813,9 @@ def rosenbrock_problem(n: int) -> Problem:
 
     `evaluate_many` sums each row's terms from a table of the 25 index pairs.
     `delta_many` scores window moves (shift and symmetry) exactly, so
-    `best_move` evaluates one row of such a round, and none when the engine
-    rejects it; sparse writes (swap and substitute) are evaluated in full.
-    Both agree with `rosenbrock_value`.
+    `engine.best_move` evaluates one row of such a round, and none when the
+    engine rejects it; sparse writes (swap and substitute) are evaluated in
+    full.  Both agree with `rosenbrock_value`.
     """
     if n < 2:
         raise DimensionMismatch("Rosenbrock needs n >= 2")
@@ -917,7 +824,7 @@ def rosenbrock_problem(n: int) -> Problem:
         size=n,
         alphabet_size=len(ROSENBROCK_ALPHABET),
         evaluate_many=_rosenbrock_many,
-        delta_many=lambda idx, cost, moves: rosenbrock_deltas(idx, moves),
+        delta_many=lambda idx, cost, moves, data: rosenbrock_deltas(idx, moves),
     )
 
 

@@ -182,7 +182,7 @@ class TestBruteForceQubo:
         np.fill_diagonal(q, 0.0)
         c = np.full(3, 1e308)
         w = np.block([[q, -c[:, None]], [-c[None], 0.0]])  # 1/2 y'Wy of y = (x, +1) is 1/2 x'Qx - x'c
-        prob = Problem("huge-qubo", 3, 2, lambda bits: _qubo_form(bits, w, [None, None]))
+        prob = Problem("huge-qubo", 3, 2, lambda bits: _qubo_form(bits, w))
         with pytest.raises(NonFiniteCost, match="huge-qubo optimum"):
             bench.brute_force_dvs(prob)
 

@@ -234,8 +234,8 @@ class TestRun:
 
         The incumbent is the current array itself, and a restore brings it
         back, so a write into either would raise here.  Each run returns its
-        best solution as a writable array of its own, also where the problem
-        holds its settled rows read-only (TSP).
+        best solution as a writable array of its own, also where a state is
+        a view into its data (TSP).
         """
         kind, n = case.split("-")
         problem = {

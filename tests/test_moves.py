@@ -1,4 +1,4 @@
-"""Move descriptors, TSP tour, QUBO and Rosenbrock deltas, and the exact shortlist in Problem.best_move.
+"""Move descriptors, TSP tour, QUBO and Rosenbrock deltas, and the exact shortlist in engine.best_move.
 
 The delta path must never change a result: every estimate is checked against
 full re-evaluation, and whole runs are compared with the delta path switched
@@ -38,7 +38,7 @@ def tsp_matrix(n, seed, kind):
 def check_estimates(inst, tour, moves):
     """|cost + delta - full evaluation| <= err on every row."""
     cost = problems.tour_length(tour, inst)
-    delta, err = problems.tour_deltas(tour, cost, moves, inst)
+    delta, err = problems.tour_deltas(tour, cost, moves, inst)[:2]
     full = problems.tour_lengths(moves.apply(tour), inst)
     gap = np.abs(cost + delta - full)
     assert type(err) is float and np.all(gap <= err), (gap, err)
@@ -162,8 +162,13 @@ class TestTourDeltas:
         inst = instances.random_euclidean_tsp(9, seed=4)
         tour = np.random.default_rng(0).permutation(9)
         for k in (None, np.array([1, 4])):
-            delta, _ = problems.tour_deltas(tour, 1.0, Windows(np.array([0, 0]), np.array([9, 9]), k), inst)
+            delta = problems.tour_deltas(tour, 1.0, Windows(np.array([0, 0]), np.array([9, 9]), k), inst)[0]
             assert np.array_equal(delta, [0.0, 0.0])
+
+
+def settle(problem, state, cost, moves):
+    """(index, cost, row) of the round's best move, as `engine.best_move` settles it."""
+    return engine.best_move(problem, state, cost, moves)[1]()[:3]
 
 
 class TestBestMove:
@@ -178,28 +183,31 @@ class TestBestMove:
 
     def test_shortlist_matches_full_argmin(self):
         for problem in (self.problem, replace(self.problem, delta_many=None)):
-            best, cost, row = problem.best_move(self.tour, self.cost, self.moves).settle()
+            best, cost, row = settle(problem, self.tour, self.cost, self.moves)
             assert best == int(np.argmin(self.full)) and cost == self.full[best]
             assert np.array_equal(row, self.moves.apply(self.tour)[best])
 
     def test_first_of_tied_rows_wins(self):
         tied = Writes(np.array([[0, 1], [0, 1], [2, 3]]), self.tour[[[1, 0], [1, 0], [3, 2]]])
         costs = self.problem.evaluate_many(tied.apply(self.tour))
-        best, cost, _ = self.problem.best_move(self.tour, self.cost, tied).settle()
+        best, cost, _ = settle(self.problem, self.tour, self.cost, tied)
         assert best == int(np.argmin(costs)) and cost == costs.min()
 
     def test_cost_is_a_full_evaluation_even_for_wrong_deltas(self):
-        # claims row 0 is best by far, with no error
-        wrong = replace(self.problem, delta_many=lambda state, cost, moves: (np.arange(len(moves.lo)) * 1e3, 0.0))
-        best, cost, row = wrong.best_move(self.tour, self.cost, self.moves).settle()
+        def wrong_deltas(state, cost, moves, data):  # claims row 0 is best by far, with no error
+            _, _, data, put = problems.tour_deltas(state, cost, moves, self.inst, data)
+            return np.arange(len(moves.lo)) * 1e3, 0.0, data, put
+
+        wrong = replace(self.problem, delta_many=wrong_deltas)
+        best, cost, row = settle(wrong, self.tour, self.cost, self.moves)
         assert best == 0 and cost == self.full[0] == self.problem.evaluate(row)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_estimate_evaluates_every_row(self, bad):
-        def delta_many(state, cost, moves):
-            delta, err = problems.tour_deltas(state, cost, moves, self.inst)
+        def delta_many(state, cost, moves, data):
+            delta, err, data, put = problems.tour_deltas(state, cost, moves, self.inst, data)
             delta[5] = bad
-            return delta, err
+            return delta, err, data, put
 
         calls = []
 
@@ -208,7 +216,7 @@ class TestBestMove:
             return problems.tour_lengths(rows, self.inst)
 
         problem = replace(self.problem, delta_many=delta_many, evaluate_many=evaluate_many)
-        best, cost, _ = problem.best_move(self.tour, self.cost, self.moves).settle()
+        best, cost, _ = settle(problem, self.tour, self.cost, self.moves)
         assert calls == [32]
         assert best == int(np.argmin(self.full)) and cost == self.full[best]
 
@@ -232,7 +240,7 @@ def tsp_round_moves(n, seed):
 
 
 class TestScalarBound:
-    """`tour_deltas` returns one float err per round, and `best_move` shortlists by it."""
+    """`tour_deltas` returns one float err per round, and `engine.best_move` shortlists by it."""
 
     @pytest.mark.parametrize("kind", ["real", "integer", "allclose"])
     @pytest.mark.parametrize("move", ["pairs", "writes", "rotations", "reversals"])
@@ -250,7 +258,7 @@ class TestScalarBound:
         inst = problems.TspInstance(matrix=tsp_matrix(40, 4, kind))
         tour, moves = tsp_round_moves(40, 4)
         cost = problems.tour_length(tour, inst)
-        _, err = problems.tour_deltas(tour, cost, moves[move], inst)
+        err = problems.tour_deltas(tour, cost, moves[move], inst)[1]
         alone = max(problems.tour_deltas(tour, cost, moves[move].take([r]), inst)[1] for r in range(16))
         assert err == alone
 
@@ -270,12 +278,13 @@ class TestScalarBound:
         problem = replace(problems.tsp_problem(inst), evaluate_many=evaluate_many)
         cost = problem.evaluate(tour)
         evaluated.clear()
-        delta, err = problems.tour_deltas(tour, cost, moves, inst)
+        delta, err = problems.tour_deltas(tour, cost, moves, inst)[:2]
         est = cost + delta
         short = (est <= est.min() + 2 * err).nonzero()[0]
-        bound, settle = problem.best_move(tour, cost, moves)
+        bound, settle_round, _ = engine.best_move(problem, tour, cost, moves)
         assert bound == float(est.min() - err) and not evaluated
-        best, best_cost, _ = settle()
+        best, best_cost, _, data = settle_round()
+        assert data is None  # a row evaluated among others has no data
         assert len(short) >= 2 and len(evaluated) == 1
         assert np.array_equal(evaluated[0], moves.take(short).apply(tour))
         full = problems.tour_lengths(moves.apply(tour), inst)
@@ -287,7 +296,7 @@ class TestScalarBound:
         tour, all_moves = tsp_round_moves(40, 3)
         moves = all_moves["rotations"]
         cost = problems.tour_length(tour, inst)
-        _, err = problems.tour_deltas(tour, cost, moves, inst)
+        err = problems.tour_deltas(tour, cost, moves, inst)[1]
         fake = np.full(16, 1e3 * err)
         fake[[2, 5, 9, 12]] = [-3.0, -3.0 + 1.9 * err, -3.0 + 2.1 * err, -3.0 + 1.9 * err]
         evaluated = []
@@ -296,12 +305,13 @@ class TestScalarBound:
             evaluated.append(rows)
             return problems.tour_lengths(rows, inst)
 
-        problem = replace(
-            problems.tsp_problem(inst), evaluate_many=evaluate_many, delta_many=lambda *_: (fake.copy(), err)
-        )
-        bound, settle = problem.best_move(tour, cost, moves)
+        def fake_deltas(*_):
+            return fake.copy(), err, None, None
+
+        problem = replace(problems.tsp_problem(inst), evaluate_many=evaluate_many, delta_many=fake_deltas)
+        bound, settle_round, _ = engine.best_move(problem, tour, cost, moves)
         assert bound == cost - 3.0 - err
-        settle()
+        settle_round()
         assert len(evaluated) == 1 and np.array_equal(evaluated[0], moves.take([2, 5, 12]).apply(tour))
 
     @pytest.mark.parametrize("mode", ["sta", "dsta"])
@@ -352,7 +362,7 @@ def maxcut_weights(vertices, seed, kind, scale=1.0, density=1.0):
 
 def qubo_err(problem, bits):
     """The err that delta_many reports for flipping the first bit of `bits`."""
-    return problem.delta_many(bits, 0.0, Writes(np.zeros((1, 1), dtype=np.int64), 1 - bits[None, :1]))[1]
+    return problem.delta_many(bits, 0.0, Writes(np.zeros((1, 1), dtype=np.int64), 1 - bits[None, :1]), None)[1]
 
 
 class TestMaxCutInstance:
@@ -410,13 +420,13 @@ class TestQuboDeltas:
         bits = g.integers(0, 2, size=vertices - 1)
         cost = problem.evaluate(bits)
         moves = sample_moves(bits, op, factor, 64, g, alphabet_size=2)
-        scored = problem.delta_many(bits, cost, moves)
+        scored = problem.delta_many(bits, cost, moves, None)
         f32 = np.finfo(np.float32)
         screened = (vertices - 1) ** 2 * f32.smallest_normal <= 2 * np.abs(w).sum() <= f32.max
         assert (scored is None) == (isinstance(moves, Windows) and not screened)  # only such weights skip the screen
         if scored is None:
             return
-        delta, err = scored
+        delta, err, _, _ = scored
         rows = moves.apply(bits)
         for size in (64, 31, 1):  # GEMM rounding changes with the batch's row count
             full = np.concatenate([problem.evaluate_many(rows[i : i + size]) for i in range(0, 64, size)])
@@ -430,7 +440,7 @@ class TestQuboDeltas:
         bits = g.integers(0, 2, size=29)
         cost = problem.evaluate(bits)
         moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
-        delta, err = problem.delta_many(bits, cost, moves)
+        delta, err, _, _ = problem.delta_many(bits, cost, moves, None)
         est = cost + delta
         short = np.flatnonzero(est - err <= np.min(est + err))
         assert 1 <= len(short) < 32
@@ -440,8 +450,13 @@ class TestQuboDeltas:
             calls.append(len(rows))
             return problem.evaluate_many(rows)
 
+        def settle_one(*args):
+            calls.append(1)
+            return problem.settle_one(*args)
+
         full = problem.evaluate_many(moves.apply(bits))
-        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves).settle()
+        counted = replace(problem, evaluate_many=evaluate_many, settle_one=settle_one)
+        best, best_cost, row = settle(counted, bits, cost, moves)
         assert calls == [len(short)]
         # the shortlist is its own batch, so its cost may differ from the 32-row batch's in the last bits
         assert best == int(np.argmin(full)) and abs(best_cost - full[best]) <= err
@@ -461,7 +476,7 @@ class TestQuboDeltas:
         bits = g.integers(0, 2, size=29)
         cost = problem.evaluate(bits)
         moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
-        assert problem.delta_many(bits, cost, moves) is None
+        assert problem.delta_many(bits, cost, moves, None) is None
         calls = []
 
         def evaluate_many(rows):
@@ -469,7 +484,7 @@ class TestQuboDeltas:
             return problem.evaluate_many(rows)
 
         full = problem.evaluate_many(moves.apply(bits))
-        best, best_cost, row = replace(problem, evaluate_many=evaluate_many).best_move(bits, cost, moves).settle()
+        best, best_cost, row = settle(replace(problem, evaluate_many=evaluate_many), bits, cost, moves)
         assert calls == [32]
         assert best == int(np.argmin(full)) and best_cost == full[best]
         assert np.array_equal(row, moves.apply(bits)[best])
@@ -506,7 +521,7 @@ class TestBlockScreen:
         cost = problem.evaluate(bits)
         for factor in VALUE_OPS[op]:
             moves = sample_moves(bits, op, factor, 64, g, alphabet_size=2)
-            delta, err = problem.delta_many(bits, cost, moves)
+            delta, err, _, _ = problem.delta_many(bits, cost, moves, None)
             rows = moves.apply(bits)
             for size in (64, 31, 1):  # GEMM rounding changes with the batch's row count
                 full = np.concatenate([problem.evaluate_many(rows[i : i + size]) for i in range(0, 64, size)])
@@ -545,8 +560,8 @@ class TestBlockScreen:
         g = np.random.default_rng(vertices)
         bits = g.integers(0, 2, size=vertices - 1)
         moves = sample_moves(bits, op, 3, 32, g, alphabet_size=2)
-        delta, err = problems.qubo_deltas(bits, 1.5, moves, w, inst, m, [None, None])
-        same, same_err = problems.qubo_deltas(bits, 1.5, moves, w, inst, poisoned, [None, None])
+        delta, err, _, _ = problems.qubo_deltas(bits, 1.5, moves, w, inst, m)
+        same, same_err, _, _ = problems.qubo_deltas(bits, 1.5, moves, w, inst, poisoned)
         assert delta.tobytes() == same.tobytes() and err == same_err and np.isfinite(delta).all()
 
     @pytest.mark.parametrize("rows", [2, 32, 64])
@@ -567,7 +582,7 @@ class TestBlockScreen:
             for op in (Operator.SHIFT, Operator.SYMMETRY):
                 moves = sample_moves(bits, op, 2, rows, g, alphabet_size=2)
                 assert isinstance(moves, Windows)
-                delta, _ = problems.qubo_deltas(bits, 0.25, moves, w, inst, m, [None, None])
+                delta = problems.qubo_deltas(bits, 0.25, moves, w, inst, m)[0]
                 assert delta.tobytes() == former_screen(bits, 0.25, moves, inst).tobytes()
 
     @pytest.mark.filterwarnings("error")
@@ -589,7 +604,7 @@ class TestBlockScreen:
         cost = problem.evaluate(bits)
         for op in (Operator.SHIFT, Operator.SYMMETRY):
             moves = sample_moves(bits, op, 2, 32, g, alphabet_size=2)
-            delta, err = problem.delta_many(bits, cost, moves)
+            delta, err, _, _ = problem.delta_many(bits, cost, moves, None)
             assert np.all(np.abs(cost + delta - problem.evaluate_many(moves.apply(bits))) <= err)
 
 
@@ -624,10 +639,11 @@ def test_qubo_delta_run_matches_full_evaluation_run_on_float_weights(vertices, f
 @pytest.mark.parametrize("p2", [0.0557, 0.5])
 @pytest.mark.parametrize("vertices", [40, 201])
 def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
-    """Rows passed to evaluate_many per window round: its shortlist if it settles, none if it is rejected.
+    """Rows evaluated per window round: its shortlist if it settles, none if it is rejected.
 
     A round settles when its bound (min of est - err) is below the current
-    cost, or when the risk draw keeps it.  Kept rounds are counted from
+    cost, or when the risk draw keeps it.  A shortlist of one row is settled
+    by settle_one, of more by evaluate_many.  Kept rounds are counted from
     outside, by wrapping engine.operator_round: an accepted round best
     replaces the current array.
     """
@@ -638,11 +654,15 @@ def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
         rows.append(len(states))
         return problem.evaluate_many(states)
 
-    def delta_many(bits, cost, moves):
-        delta, err = problem.delta_many(bits, cost, moves)
+    def settle_one(*args):
+        rows.append(1)
+        return problem.settle_one(*args)
+
+    def delta_many(bits, cost, moves, g):
+        delta, err, g, put = problem.delta_many(bits, cost, moves, g)
         est = cost + delta
         shortlists.append((np.count_nonzero(est - err <= np.min(est + err)), np.min(est - err)))
-        return delta, err
+        return delta, err, g, put
 
     seen = []
     operator_round = engine.operator_round
@@ -657,7 +677,7 @@ def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
 
     params = StaParams(max_iters=60, seed=vertices, p2=p2)
     with mock.patch.object(engine, "operator_round", counted_round):
-        engine.run(replace(problem, evaluate_many=evaluate_many, delta_many=delta_many), params)
+        engine.run(replace(problem, evaluate_many=evaluate_many, settle_one=settle_one, delta_many=delta_many), params)
     window = [(kept, cost, r, s) for op, kept, cost, r, s in seen if op in (Operator.SHIFT, Operator.SYMMETRY)]
     assert len(window) == 2 * params.max_iters and {kept for kept, *_ in window} == {True, False}
     for kept, cost, r, [(short, bound)] in window:
@@ -666,13 +686,9 @@ def test_qubo_window_rounds_evaluate_only_settled_shortlists(vertices, p2):
     assert max(short for *_, [(short, _)] in window) < params.se
 
 
-def fresh_g_problem(inst):
-    """maxcut_problem(inst) whose delta_many forms g afresh every write round: each call gets an empty pair."""
-    w, screen = problems._qubo_arrays(inst)
-    return replace(
-        problems.maxcut_problem(inst),
-        delta_many=lambda bits, cost, moves: problems.qubo_deltas(bits, cost, moves, w, inst, screen, [None, None]),
-    )
+def no_data(problem):
+    """`problem` whose every round gets data None, so that delta_many derives the state's data afresh each time."""
+    return replace(problem, delta_many=lambda state, cost, moves, data: problem.delta_many(state, cost, moves, None))
 
 
 def run_bytes(problem, params):
@@ -685,14 +701,14 @@ def run_bytes(problem, params):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("vertices", [13, 40, 101])
 def test_qubo_held_product_run_equals_fresh_product_run(vertices, seed, factors, mode):
-    """Float weights: taking g from a one-row evaluation changes no bit of a run."""
-    inst = instances.random_weighted_graph(vertices, 0.5, seed)
+    """Float weights: taking g from the state's data changes no bit of a run, against rounds that all get no data."""
+    problem = problems.maxcut_problem(instances.random_weighted_graph(vertices, 0.5, seed))
     params = StaParams(max_iters=60, seed=seed + 1, **mode, **factors)
-    assert run_bytes(problems.maxcut_problem(inst), params) == run_bytes(fresh_g_problem(inst), params)
+    assert run_bytes(problem, params) == run_bytes(no_data(problem), params)
 
 
 def test_one_row_product_equals_vector_product():
-    """The numpy fact the held product rests on: (1, n + 1) @ W has the bits of y @ W."""
+    """The numpy fact a settle's g rests on: (1, n + 1) @ W has the bits of y @ W."""
     g = np.random.default_rng(0)
     for vertices in (2, 13, 40, 101, 401):
         for _ in range(40):
@@ -702,52 +718,70 @@ def test_one_row_product_equals_vector_product():
 
 
 class TestHeldProduct:
+    """MAX-CUT's data: a state's g = W^T y, from a one-row settle or formed by a write round."""
+
     W = maxcut_weights(41, 3, "real")
 
+    def problem(self):
+        return problems.maxcut_problem(problems.MaxCutInstance(weights=self.W))
+
     def test_one_row_evaluation_holds_its_bits_and_vector_product(self):
-        bits = np.random.default_rng(1).integers(0, 2, size=40)
-        state, held = bits[None].copy(), [None, None]
-        problems._qubo_form(state, self.W, held)
-        assert np.array_equal(held[0], bits)
-        assert held[1].tobytes() == (problems._signs(bits) @ self.W).tobytes()
-        state[0, 0] ^= 1  # the caller's array changes after the evaluation; the held bits do not
-        assert np.array_equal(held[0], bits)
+        """A one-row settle returns the move's row, the bits of evaluate_many of it, and g = _signs(row) @ W."""
+        problem = self.problem()
+        g = np.random.default_rng(1)
+        bits = g.integers(0, 2, size=40)
+        for op in VALUE_OPS:
+            moves = sample_moves(bits, op, 2, 8, g, alphabet_size=2)
+            for i, row in enumerate(moves.apply(bits)):
+                cost, settled, data = problem.settle_one(bits, moves, i, None, None)
+                assert np.array_equal(settled, row)
+                assert np.float64(cost).tobytes() == problem.evaluate_many(row[None])[0].tobytes()
+                assert data.tobytes() == (problems._signs(row) @ self.W).tobytes()
 
     def test_batch_of_two_rows_leaves_the_pair(self):
-        bits = np.random.default_rng(2).integers(0, 2, size=(2, 40))
-        held = [None, None]
-        problems._qubo_form(bits[:1], self.W, held)
-        before = held[:]
-        problems._qubo_form(bits, self.W, held)
-        assert held[0] is before[0] and held[1] is before[1]
+        """A shortlist of two rows is evaluated together, and the row it settles has no data."""
+        problem = self.problem()
+        g = np.random.default_rng(2)
+        bits = g.integers(0, 2, size=40)
+        moves = sample_moves(bits, Operator.SWAP, 2, 8, g, alphabet_size=2)
+        state_g = problems._signs(bits) @ self.W
+        index, cost, row, data = engine._settle(problem, bits, moves, np.array([1, 4]), state_g, None)
+        two = problem.evaluate_many(moves.take([1, 4]).apply(bits))
+        assert data is None and cost == two.min() and index == [1, 4][int(two.argmin())]
+        assert np.array_equal(row, moves.apply(bits)[index])
 
     def test_write_round_takes_g_from_the_pair_of_its_state(self):
+        """A write round scores with the g it is given, as it stands, and forms g = y @ W only where it has none."""
         inst = problems.MaxCutInstance(weights=self.W)
         w, screen = problems._qubo_arrays(inst)
         g = np.random.default_rng(3)
         bits = g.integers(0, 2, size=40)
         moves = sample_moves(bits, Operator.SUBSTITUTE, 3, 32, g, alphabet_size=2)
-        fresh = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, [None, None])[0]
-        wrong = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, [bits.copy(), np.zeros(41)])[0]
-        assert not np.array_equal(wrong, fresh)  # a pair with these bits is used as it stands
-        held = [None, None]
-        assert np.array_equal(problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, held)[0], fresh)
-        assert np.array_equal(held[0], bits) and held[0] is not bits  # a miss holds a copy of the bits
-        other = [1 - bits, np.zeros(41)]  # another state's pair is not used
-        assert np.array_equal(problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, other)[0], fresh)
+        fresh, _, formed, _ = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen)
+        assert formed.tobytes() == (problems._signs(bits) @ w).tobytes()
+        given, _, same, _ = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, formed)
+        assert same is formed and given.tobytes() == fresh.tobytes()
+        wrong = problems.qubo_deltas(bits, 0.0, moves, w, inst, screen, np.zeros(41))[0]
+        assert not np.array_equal(wrong, fresh)  # a given g is used as it stands
 
-    def test_maxcut_problem_shares_the_pair(self):
-        problem = problems.maxcut_problem(problems.MaxCutInstance(weights=self.W))
+    def test_write_round_hands_back_the_g_it_forms(self):
+        """A write round with no data forms g in one pass over W and hands it back; given g it makes none.
+
+        Window rounds pass the data on as they get it.
+        """
+        problem = self.problem()
         g = np.random.default_rng(4)
-        bits, other = g.integers(0, 2, size=(2, 40))
-        moves = sample_moves(bits, Operator.SWAP, 2, 32, g, alphabet_size=2)
+        bits = g.integers(0, 2, size=40)
+        writes = sample_moves(bits, Operator.SWAP, 2, 32, g, alphabet_size=2)
+        windows = sample_moves(bits, Operator.SHIFT, 2, 32, g, alphabet_size=2)
         cost = problem.evaluate(bits)
         with mock.patch.object(problems, "_signs", wraps=problems._signs) as signs:
-            problem.delta_many(bits, cost, moves)
-            assert signs.call_count == 0  # g held from the one-row evaluation
-            problem.delta_many(other, cost, moves)
-            problem.delta_many(other, cost, moves)
-            assert signs.call_count == 1  # formed once, then held
+            data = problem.delta_many(bits, cost, writes, None)[2]
+            assert signs.call_count == 1
+            assert problem.delta_many(bits, cost, writes, data)[2] is data
+            assert signs.call_count == 1
+        assert problem.delta_many(bits, cost, windows, data)[2] is data
+        assert problem.delta_many(bits, cost, windows, None)[2] is None
 
 
 def held_legs_instance(n, kind):
@@ -762,56 +796,53 @@ def held_legs_instance(n, kind):
     return problems.TspInstance(matrix=tsp_matrix(n, n, "allclose"))
 
 
-def held_legs_problem(inst, held, hits):
-    """tsp_problem(inst) whose rounds share the hold `held` at any n; `hits` logs (held row, held round) per settle."""
+def logged(problem, hits):
+    """`problem` whose one-row settles log (their round got the state's data, they got the legs each move puts in)."""
+    carried = []
 
-    def settle_one(tour, moves, index):
-        hits.append((tour is held[0], held[3] is not None and held[3][0] is moves))
-        return problems.tour_settle(tour, moves, index, inst, held)
+    def delta_many(state, cost, moves, data):
+        carried.append(data is not None)
+        return problem.delta_many(state, cost, moves, data)
 
-    return replace(
-        problems.tsp_problem(inst),
-        delta_many=lambda tour, cost, moves: problems.tour_deltas(tour, cost, moves, inst, held),
-        settle_one=settle_one,
-    )
+    def settle_one(state, moves, index, data, put):
+        hits.append((carried[-1], put is not None))
+        return problem.settle_one(state, moves, index, data, put)
 
-
-def empty_hold():
-    return [None, None, None, None]
+    return replace(problem, delta_many=delta_many, settle_one=settle_one)
 
 
 @pytest.mark.parametrize("mode", RUN_MODES[:2], ids=RUN_MODE_IDS[:2])
 @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix", "allclose"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 128, 129, 256, 300])
 def test_tsp_held_legs_run_equals_emptied_hold_run(n, kind, mode):
-    """Settling from the hold changes no bit of a run: against a hold emptied every call, and against no hook."""
-    inst = held_legs_instance(n, kind)
+    """Legs carried with the state change no bit of a run: against rounds that all get no data, and no settle_one."""
     params = StaParams(max_iters=60, seed=n + 1, ma=4, mb=3, mc=2, **mode)
-    hits = []
-    held = run_bytes(held_legs_problem(inst, empty_hold(), hits), params)
-    emptied = replace(
-        problems.tsp_problem(inst),
-        delta_many=lambda tour, cost, moves: problems.tour_deltas(tour, cost, moves, inst, empty_hold()),
-        settle_one=lambda tour, moves, index: problems.tour_settle(tour, moves, index, inst, empty_hold()),
-    )
-    assert held == run_bytes(emptied, params) == run_bytes(replace(emptied, settle_one=None), params)
-    assert any(row for row, _ in hits) or n < 7  # the held row was used; smaller tours settle few rows of their own
-    assert any(legs for _, legs in hits) or n < 128  # and the legs of a round scored on it
+    problem, hits = problems.tsp_problem(held_legs_instance(n, kind)), []
+    carried = run_bytes(logged(problem, hits), params)
+    assert carried == run_bytes(no_data(problem), params) == run_bytes(replace(problem, settle_one=None), params)
+    assert any(data for data, _ in hits) or n < 7  # carried legs were used; smaller tours settle few rows of their own
+    assert any(put for _, put in hits) or n < 128  # and the legs a round's moves put in
 
 
-def held_row(tour, inst, held):
-    """Settle an identity write on `tour` into `held`: the held row, a read-only copy of `tour`."""
-    _, row = problems.tour_settle(tour, Writes(np.array([[0]]), tour[:1][None]), 0, inst, held)
-    assert held[0] is row and np.array_equal(row, tour)
-    return row
+def settled_row(tour, inst):
+    """(row, data) of an identity write settled on `tour`: a copy of `tour`, and the data the settle hands on."""
+    same = Writes(np.array([[0]]), tour[:1][None])
+    _, row, data = problems.tour_settle(tour, same, 0, inst, problems.tour_deltas(tour, 0.0, same, inst)[2], None)
+    assert np.array_equal(row, tour)
+    return row, data
 
 
 def closed_legs(row, inst):
     return inst.legs(row, np.roll(row, -1))
 
 
+def round_legs(tour, data, moves, inst):
+    """The legs each of `moves` puts in, as `tour_deltas` scores them on `tour` and its data."""
+    return problems.tour_deltas(tour, problems.tour_length(tour, inst), moves, inst, data)[3]
+
+
 class TestTourSettle:
-    """`tour_settle` on the held row: the row `moves.apply` builds, and the bits of `tour_lengths` of it."""
+    """`tour_settle`: the row `moves.apply` builds, the bits of `tour_lengths` of it, and the row's data."""
 
     N = (5, 12, 129)
 
@@ -835,37 +866,34 @@ class TestTourSettle:
     @pytest.mark.parametrize("kind", ["real", "tsplib", "allclose"])
     @pytest.mark.parametrize("n", N)
     def test_settled_cost_and_held_legs_are_a_full_evaluation(self, n, kind):
+        """The row's data is its pad, around the row itself, and legs with the bits of `closed_legs` of the row."""
         inst = held_legs_instance(n, kind)
         start, moves = self.wrap_moves(n)
         for move, scored in itertools.product(moves, (False, True)):
-            held = empty_hold()
-            tour = held_row(start, inst, held)
-            if scored:  # the settle may take the new legs from the round
-                problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
-                assert held[3] is None or held[3][0] is move
-            cost, row = problems.tour_settle(tour, move, 0, inst, held)
+            tour, data = settled_row(start, inst)
+            put = round_legs(tour, data, move, inst) if scored else None  # new legs from the round, or computed
+            cost, row, (pad, legs) = problems.tour_settle(tour, move, 0, inst, data, put)
             assert np.array_equal(row, move.apply(tour)[0]) and sorted(row) == list(range(n))
             assert np.float64(cost).tobytes() == problems.tour_lengths(row[None], inst)[0].tobytes()
-            assert held[0] is row and held[2].tobytes() == closed_legs(row, inst).tobytes() and held[3] is None
-            assert np.array_equal(held[1], np.concatenate((row[-1:], row, row[:1]))) and np.shares_memory(held[1], row)
+            assert legs.tobytes() == closed_legs(row, inst).tobytes()
+            assert np.array_equal(pad, np.concatenate((row[-1:], row, row[:1]))) and np.shares_memory(pad, row)
 
     def test_reversal_on_an_allclose_matrix_computes_only_its_new_legs(self):
         inst = held_legs_instance(12, "allclose")
         start, _ = self.wrap_moves(12)
         reversal, rotation = Windows(np.array([2]), np.array([9])), Windows(np.array([2]), np.array([9]), np.array([3]))
-        held = empty_hold()
-        tour = held_row(start, inst, held)
+        tour, data = settled_row(start, inst)
         with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
-            _, row = problems.tour_settle(tour, reversal, 0, inst, held)
-            assert legs.call_args.args[0].shape == (2,)  # a reversal on the held row: its 2 new legs
-            problems.tour_settle(row, rotation, 0, inst, held)
-            assert legs.call_args.args[0].shape == (3,)  # a rotation on the held row: its 3 new legs
+            _, row, data = problems.tour_settle(tour, reversal, 0, inst, data, None)
+            assert legs.call_args.args[0].shape == (2,)  # a reversal with no legs from its round: its 2 new legs
+            problems.tour_settle(row, rotation, 0, inst, data, None)
+            assert legs.call_args.args[0].shape == (3,)  # a rotation: its 3 new legs
         for move in (reversal, rotation):
-            tour = held_row(start, inst, held)
-            problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
+            tour, data = settled_row(start, inst)
+            put = round_legs(tour, data, move, inst)
             with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
-                problems.tour_settle(tour, move, 0, inst, held)
-                assert legs.call_count == 0  # a move of the round scored on the held row: the round's new legs
+                problems.tour_settle(tour, move, 0, inst, data, put)
+                assert legs.call_count == 0  # a move of the round: the round's new legs
 
     @staticmethod
     def edge_windows(n):
@@ -878,16 +906,14 @@ class TestTourSettle:
     @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix"])
     @pytest.mark.parametrize("n", N)
     def test_legs_from_the_bound_are_the_legs_of_their_cities(self, n, kind):
-        """Each new leg a round holds has the bits of `inst.legs` of the two cities it joins in the move's row."""
+        """Each new leg a round returns has the bits of `inst.legs` of the two cities it joins in the move's row."""
         inst = held_legs_instance(n, kind)
         start, _ = self.wrap_moves(n)
         far = [[0, n // 2], [1, n - 2]] if n > 5 else [[0, 2]]  # swaps of no adjacent positions
         swaps = Writes(np.array(far), start[np.array(far)[:, ::-1]])
         for moves in self.edge_windows(n) + [swaps]:
-            held = empty_hold()
-            tour = held_row(start, inst, held)
-            problems.tour_deltas(tour, problems.tour_length(tour, inst), moves, inst, held)
-            assert held[3][0] is moves
+            tour, data = settled_row(start, inst)
+            put = round_legs(tour, data, moves, inst)
             for i, row in enumerate(moves.apply(tour)):
                 if isinstance(moves, Writes):
                     at = np.concatenate((moves.pos[i] - 1, moves.pos[i]))
@@ -895,7 +921,7 @@ class TestTourSettle:
                     lo, hi = int(moves.lo[i]), int(moves.hi[i])
                     at = [lo - 1, hi - 1] if moves.k is None else [lo - 1, hi - int(moves.k[i]) - 1, hi - 1]
                 at = np.array(at) % n
-                assert held[3][1][:, i].tobytes() == inst.legs(row[at], row[(at + 1) % n]).tobytes()
+                assert put[:, i].tobytes() == inst.legs(row[at], row[(at + 1) % n]).tobytes()
 
     @pytest.mark.parametrize("k", [None, 1, 3])
     def test_whole_tour_window_computes_its_legs(self, k):
@@ -904,49 +930,43 @@ class TestTourSettle:
         inst = held_legs_instance(n, "real")
         start, _ = self.wrap_moves(n)
         move = Windows(np.array([0]), np.array([n]), None if k is None else np.array([k]))
-        held = empty_hold()
-        tour = held_row(start, inst, held)
-        problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
-        assert held[3][0] is move
+        tour, data = settled_row(start, inst)
+        put = round_legs(tour, data, move, inst)
+        assert put is not None
         with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
-            cost, row = problems.tour_settle(tour, move, 0, inst, held)
+            cost, row, (_, new) = problems.tour_settle(tour, move, 0, inst, data, put)
             assert legs.call_args.args[0].shape == (2 if k is None else 3,)
         assert np.float64(cost).tobytes() == problems.tour_lengths(row[None], inst)[0].tobytes()
-        assert held[2].tobytes() == closed_legs(row, inst).tobytes()
+        assert new.tobytes() == closed_legs(row, inst).tobytes()
 
-    def test_settled_row_is_read_only(self):
+    def test_settle_writes_no_entry_of_its_input(self):
+        """Settles chained from a read-only tour, each given read-only data: a write into either would raise."""
         inst = held_legs_instance(12, "real")
         start, moves = self.wrap_moves(12)
-        held = empty_hold()
-        tour = held_row(start, inst, held)
+        tour, data = start, problems.tour_deltas(start, 0.0, moves[0], inst)[2]
         for move in moves:
-            _, tour = problems.tour_settle(tour, move, 0, inst, held)
-            assert not tour.flags.writeable and not held[1].flags.writeable
-            with pytest.raises(ValueError):
-                tour[0] = tour[1]
-        assert np.array_equal(start, self.wrap_moves(12)[0])  # the settles wrote no entry of their input
+            for a in (tour, *data):
+                a.flags.writeable = False
+            _, tour, data = problems.tour_settle(tour, move, 0, inst, data, round_legs(tour, data, move, inst))
+        assert np.array_equal(start, self.wrap_moves(12)[0])
 
     @pytest.mark.parametrize("kind", ["real", "tsplib", "matrix"])
     def test_restored_copy_misses_the_hold(self, kind):
-        """A copy of the held row is evaluated in full, with the bits of the held path."""
+        """A copy of a settled row has no data: its round derives what the row carries, and its settle has its bits."""
         n = 129
         inst = held_legs_instance(n, kind)
         start, moves = self.wrap_moves(n)
         for move in moves:
-            held, fresh = empty_hold(), empty_hold()
-            tour = held_row(start, inst, held)
+            tour, data = settled_row(start, inst)
             copy = tour.copy()
-            problems.tour_deltas(tour, problems.tour_length(tour, inst), move, inst, held)
-            problems.tour_deltas(copy, problems.tour_length(copy, inst), move, inst, held)  # a miss holds no round
-            assert held[3] is None or held[3][0] is move
-            scored = held[3]
-            with mock.patch.object(inst, "legs", wraps=inst.legs) as legs:
-                cost, row = problems.tour_settle(copy, move, 0, inst, held)
-                assert legs.call_args.args[0].shape == (n,)  # evaluated in full
-            held = [tour, None, closed_legs(tour, inst), scored]  # the hold `copy` missed
-            held_cost, held_row_ = problems.tour_settle(tour, move, 0, inst, held)
-            assert (cost, row.tobytes()) == (held_cost, held_row_.tobytes())
-            assert held[2].tobytes() == closed_legs(row, inst).tobytes()
+            *_, derived, put = problems.tour_deltas(copy, problems.tour_length(copy, inst), move, inst)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(derived, data))
+            cost, row, (_, legs) = problems.tour_settle(copy, move, 0, inst, derived, put)
+            carried_cost, carried_row, (_, carried_legs) = problems.tour_settle(
+                tour, move, 0, inst, data, round_legs(tour, data, move, inst)
+            )
+            assert cost == carried_cost and row.tobytes() == carried_row.tobytes()
+            assert legs.tobytes() == carried_legs.tobytes()
 
     @pytest.mark.parametrize("n", [3, 5, 299, 300])
     def test_tsp_problem_holds_legs_at_every_size(self, n):
@@ -954,6 +974,133 @@ class TestTourSettle:
         assert problem.settle_one is not None
         params = StaParams(max_iters=10, seed=1, ma=4, mb=3, mc=2)
         assert run_bytes(problem, params) == run_bytes(replace(problem, settle_one=None), params)
+
+
+def watch_restores(problem, params, on_round):
+    """engine.run of `problem`, calling on_round(restored, state, moves, data) in each delta_many.
+
+    `restored` is the (incumbent, its data) that the last restore brought
+    back, while the current state is that incumbent, else None.  A restore
+    counts where it replaces the current array.  Everything is seen from
+    outside: engine.restore_step and engine.operator_round are wrapped by
+    name.
+    """
+    restored = [None]
+    restore_step, operator_round = engine.restore_step, engine.operator_round
+
+    def restore(state, *args):
+        before = state.current
+        out = restore_step(state, *args)
+        restored[0] = (out.current, out.current_data) if out.current is not before else None
+        return out
+
+    def one_round(state, *args):
+        out = operator_round(state, *args)
+        if restored[0] is not None and out.current is not restored[0][0]:
+            restored[0] = None
+        return out
+
+    def delta_many(state, cost, moves, data):
+        on_round(restored[0], state, moves, data)
+        return problem.delta_many(state, cost, moves, data)
+
+    with mock.patch.object(engine, "restore_step", restore), mock.patch.object(engine, "operator_round", one_round):
+        engine.run(replace(problem, delta_many=delta_many), params)
+
+
+def test_maxcut_restore_brings_back_g():
+    """400 vertices, seeds 1-4, 40 iterations: no write round on an incumbent a restore brought back forms g afresh.
+
+    A write round forms g where its state's data is None: at the initial
+    state and after a shortlist of two or more rows.
+    """
+    fresh, after_restore = [], []
+
+    def on_round(restored, state, moves, data):
+        if isinstance(moves, Writes):
+            fresh.append(data is None)
+            if restored is not None:
+                after_restore.append(data is None)
+
+    for seed in range(1, 5):
+        problem = problems.maxcut_problem(instances.random_weighted_graph(400, 0.5, seed))
+        watch_restores(problem, StaParams(max_iters=40, seed=seed), on_round)
+    assert sum(fresh) >= 4 and after_restore and not any(after_restore)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tsp_settles_after_a_restore_start_from_the_incumbents_legs(seed):
+    """300 cities, 300 iterations: rounds on an incumbent a restore brought back, and their settles, get its data."""
+    inst = instances.random_euclidean_tsp(300, seed)
+    base = problems.tsp_problem(inst)
+    seen, settles = [None], []
+
+    def on_round(restored, state, moves, data):
+        seen[0] = restored
+        if restored is not None:
+            assert state is restored[0] and data is restored[1]
+            assert data[1].tobytes() == closed_legs(state, inst).tobytes()
+
+    def settle_one(state, moves, index, data, put):
+        if seen[0] is not None:
+            settles.append(data is seen[0][1])
+        return base.settle_one(state, moves, index, data, put)
+
+    watch_restores(replace(base, settle_one=settle_one), StaParams(max_iters=300, seed=seed), on_round)
+    assert settles and all(settles)
+
+
+def stepped_run(problem, params):
+    """engine.run's loop, paused after every round; its last item is the best solution, best cost and trace as bytes."""
+    rng = np.random.default_rng(params.seed)
+    current = problem.initial(rng)
+    cost = problem.evaluate(current)
+    state = engine.SearchState(current, cost, current, cost)
+    trace = []
+    for it in range(params.max_iters):
+        for op in engine.resolve_operator_set(problem, params):
+            state = engine.operator_round(state, op, problem, params, rng)
+            yield None
+        if state.current_cost < state.incumbent_cost:
+            state.incumbent = state.current
+            state.incumbent_cost = state.current_cost
+            state.incumbent_data = state.current_data
+        state = engine.restore_step(state, params.mode, params.p1, rng)
+        trace.append((it, state.current_cost, state.incumbent_cost))
+    yield state.incumbent.tobytes(), np.float64(state.incumbent_cost).tobytes(), np.array(trace).tobytes()
+
+
+INTERLEAVED = {
+    "tsp-euc2d": lambda: problems.tsp_problem(instances.random_euclidean_tsp(300, 3)),
+    "tsp-matrix": lambda: problems.tsp_problem(problems.TspInstance(matrix=tsp_matrix(300, 3, "real"))),
+    "maxcut-float": lambda: problems.maxcut_problem(instances.random_weighted_graph(201, 0.5, 3)),
+    "maxcut-integer": lambda: problems.maxcut_problem(
+        problems.MaxCutInstance(weights=maxcut_weights(201, 3, "integer"))
+    ),
+    "rosenbrock": lambda: problems.rosenbrock_problem(50),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(INTERLEAVED))
+def test_two_states_advanced_in_turn_equal_their_own_runs(case, mode):
+    """One problem advances two states of different seeds, round by round in turn: a problem keeps no state.
+
+    Each state ends as its own engine.run ends, byte for byte, and the rounds
+    get no data exactly as often as in the two runs made one after the other.
+    """
+    base, derived = INTERLEAVED[case](), []
+
+    def delta_many(state, cost, moves, data):
+        derived.append(data is None)
+        return base.delta_many(state, cost, moves, data)
+
+    problem = replace(base, delta_many=delta_many)
+    runs = [StaParams(max_iters=60, seed=seed, mode=mode) for seed in (5, 6)]
+    alone = [run_bytes(problem, params)[:3] for params in runs]
+    alone_derived, derived[:] = sum(derived), []
+    *_, ends = zip(*(stepped_run(problem, params) for params in runs))
+    assert list(ends) == alone and sum(derived) == alone_derived
 
 
 def rosen_state(n, seed, kind):
@@ -970,8 +1117,8 @@ def check_rosen_deltas(state, moves):
     """cost + delta equals full evaluation bit for bit, and err is exactly 0.0."""
     problem = problems.rosenbrock_problem(len(state))
     cost = problem.evaluate(state)
-    delta, err = problem.delta_many(state, cost, moves)
-    assert err == 0.0 and type(err) is float
+    delta, err, data, put = problem.delta_many(state, cost, moves, None)
+    assert err == 0.0 and type(err) is float and data is None and put is None
     assert np.array_equal(cost + delta, problem.evaluate_many(moves.apply(state)))
 
 
@@ -1029,7 +1176,7 @@ class TestRosenbrockDeltas:
         problem = problems.rosenbrock_problem(6)
         state = np.array([0, 1, 2, 3, 4, 3])
         moves = sample_moves(state, Operator.SUBSTITUTE, 2, 8, np.random.default_rng(0), alphabet_size=5)
-        assert problem.delta_many(state, problem.evaluate(state), moves) is None
+        assert problem.delta_many(state, problem.evaluate(state), moves, None) is None
 
     @pytest.mark.parametrize("n", [2, 3, 7, 200])
     def test_table_equals_scalar_reference(self, n):
@@ -1051,7 +1198,7 @@ class TestRosenbrockDeltas:
             return problem.evaluate_many(rows)
 
         counted = replace(problem, evaluate_many=evaluate_many)
-        best, cost, row = counted.best_move(state, problem.evaluate(state), moves).settle()
+        best, cost, row = settle(counted, state, problem.evaluate(state), moves)
         assert calls == [1]
         assert (best, cost) == (1, 100.0)
         assert np.array_equal(row, moves.apply(state)[1])
